@@ -39,10 +39,8 @@ from .spectral import (
     vilenkin_char,
 )
 from .norms import (
-    BoundCheck,
     LemmaReport,
     VariationProfile,
-    check_variation_bounds,
     lebesgue_constant,
     lebesgue_scan,
     lp_norm,
@@ -57,8 +55,6 @@ from .hardy import (
     CounterexampleSpec,
     EquivalenceReport,
     FejerMaximalReport,
-    HardyProfile,
-    LogAverages,
     block_partial_sums,
     build_counterexample,
     check_norm_equivalence,
@@ -67,7 +63,6 @@ from .hardy import (
     fejer_maximal_check,
     gat_log_average,
     h1_norm,
-    hardy_profile,
     maximal_function,
     partial_sum_decomposition,
     partial_sum_l1_norms,

@@ -171,6 +171,12 @@ def _tol(merged: dict[str, object], default: float) -> float:
     return default if tol is None else float(tol)
 
 
+def _int(merged: dict[str, object], key: str, default: int) -> int:
+    """An integer setting, or the default when it was not given at all."""
+    val = merged.get(key)
+    return default if val is None else int(val)
+
+
 def _parse_alphas(merged: dict[str, object]) -> tuple[int, ...]:
     alphas = merged.get("alphas")
     rule = merged.get("alpha_rule")
@@ -185,7 +191,7 @@ def _parse_alphas(merged: dict[str, object]) -> tuple[int, ...]:
     if not (rule.startswith("k") and rule[1:].isdigit()):
         raise ValueError(f"unknown alpha rule {rule!r}: expected e.g. 'k4'")
     power = int(rule[1:])
-    terms = int(merged.get("terms") or 1)
+    terms = _int(merged, "terms", 1)
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     return tuple(k**power for k in range(1, terms + 1))
@@ -262,18 +268,20 @@ def main(argv: list[str] | None = None) -> int:
         sys_obj = parse_radix_spec(str(merged["radix"]), merged.get("depth"))
         resolved = _resolved_for_hash(merged)
         threads = int(merged["threads"])
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
         t0 = time.monotonic()
 
         if command == "kernel":
             return _kernel_cmd(merged, sys_obj)
         if command == "lebesgue-scan":
-            n_lo = int(merged.get("n_min") or 1)
-            n_hi = int(merged.get("n_max") or sys_obj.cells - 1)
+            n_lo = _int(merged, "n_min", 1)
+            n_hi = _int(merged, "n_max", sys_obj.cells - 1)
             report = run_lebesgue_scan(
                 sys_obj, n_lo, n_hi, _tol(merged, DEFAULT_EQUALITY_TOL), threads, resolved
             )
         elif command == "lemma1":
-            n_max = int(merged.get("n_max") or sys_obj.depth)
+            n_max = _int(merged, "n_max", sys_obj.depth)
             report = run_variation_average(sys_obj, n_max, resolved)
         elif command == "divergence":
             report = run_divergence(
@@ -286,16 +294,16 @@ def main(argv: list[str] | None = None) -> int:
         elif command == "gat":
             report = run_gat(
                 sys_obj,
-                int(merged.get("count") or 50),
-                int(merged.get("max_rank") or 4),
+                _int(merged, "count", 50),
+                _int(merged, "max_rank", 4),
                 int(merged["seed"]),
                 resolved,
             )
         elif command == "equiv-check":
             report = run_equiv_check(
                 sys_obj,
-                int(merged.get("count") or 20),
-                int(merged.get("rank") or sys_obj.depth),
+                _int(merged, "count", 20),
+                _int(merged, "rank", sys_obj.depth),
                 int(merged["seed"]),
                 _tol(merged, DEFAULT_EQUALITY_TOL),
                 resolved,

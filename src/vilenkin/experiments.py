@@ -25,19 +25,15 @@ from .hardy import (
     build_counterexample,
     check_norm_equivalence,
     expected_counterexample_coefficients,
-    fejer_l1_norms,
-    forward_fast,
+    fejer_maximal_check,
+    gat_log_average,
     h1_norm,
+    strong_sum_average,
+    window_strong_average,
 )
-from .norms import (
-    lebesgue_scan,
-    max_lebesgue_log_ratio,
-    variation_average,
-    variation_bound_arrays,
-    variation_values,
-)
+from .norms import max_lebesgue_log_ratio, scan_variation_bounds, variation_average
 from .radix import RadixSystem
-from .spectral import StepFunction, cumulative_l1_norms
+from .spectral import StepFunction, cumulative_l1_norms, forward_fast
 
 DEFAULT_EQUALITY_TOL = 1e-9
 DEFAULT_ORACLE_TOL = 1e-10
@@ -201,6 +197,8 @@ def scan_l1_norms_threaded(
     Each chunk restarts the recursion from its own synthesized checkpoint, so
     results are assembled in index order regardless of scheduling.
     """
+    if not 0 <= lo <= hi <= sys.cells:
+        raise ValueError(f"scan range [{lo}, {hi}] outside [0, {sys.cells}]")
     chunks = _chunk_ranges(lo, hi, threads)
     parts = _map_ordered(
         lambda c: cumulative_l1_norms(sys, weights, c[0], c[1])[0], chunks, threads
@@ -222,50 +220,35 @@ def run_lebesgue_scan(
 ) -> ExperimentReport:
     ones = np.ones(sys.cells, dtype=np.complex128)
     lebesgue = scan_l1_norms_threaded(sys, ones, n_lo, n_hi, threads)
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    v, v_star = variation_values(sys, ns)
-    lower, upper = variation_bound_arrays(v, v_star, sys.max_radix)
-    lower_slack = lebesgue - lower
-    upper_slack = upper - lebesgue
-    bad = (lower_slack < -tol) | (upper_slack < -tol)
-    rows = [
-        (
-            int(ns[i]),
-            int(v[i]),
-            int(v_star[i]),
-            float(lebesgue[i]),
-            float(lower[i]),
-            float(upper[i]),
-            float(lower_slack[i]),
-            float(upper_slack[i]),
-        )
-        for i in range(ns.size)
-    ]
+    scan = scan_variation_bounds(sys, n_lo, n_hi, tol, lebesgue=lebesgue)
+    columns = (scan.n, scan.v, scan.v_star, scan.lebesgue, scan.lower, scan.upper,
+               scan.lower_slack, scan.upper_slack)
     ratio, at_n = max_lebesgue_log_ratio(lebesgue, n_lo)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="lebesgue-scan",
         meta=report_meta(sys, resolved),
         table=Table(
             ["n", "v", "v_star", "L_n", "lower_bound", "upper_bound",
              "lower_slack", "upper_slack"],
-            rows,
+            list(zip(*(col.tolist() for col in columns))),
         ),
         summary={
-            "checked": int(ns.size),
-            "violations": int(bad.sum()),
-            "min_lower_slack": float(lower_slack.min()),
-            "min_upper_slack": float(upper_slack.min()),
+            "checked": int(scan.n.size),
+            "violations": len(scan.violations),
+            "min_lower_slack": float(scan.lower_slack.min()),
+            "min_upper_slack": float(scan.upper_slack.min()),
             "max_L_over_log_n": ratio,
             "max_L_over_log_n_at": at_n,
         },
-        violations=int(bad.sum()),
+        violations=len(scan.violations),
     )
-    return report
 
 
 def run_variation_average(
     sys: RadixSystem, n_max: int, resolved: dict[str, object]
 ) -> ExperimentReport:
+    if not 1 <= n_max <= sys.depth:
+        raise ValueError(f"level {n_max} out of range [1, {sys.depth}]")
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -300,21 +283,15 @@ def run_divergence(
     )
 
     norms = scan_l1_norms_threaded(sys, coeffs.coeffs, 1, sys.cells, threads)
-    cumulative = np.cumsum(norms)
 
     rows = []
     for k, a in enumerate(spec.alphas):
-        lo = sys.products[a]
-        window = norms[lo - 1 : 2 * lo]  # norms[m-1] holds ||S_m f||_1
-        b_k = float(window.sum() / sys.products[a + 1])
+        b_k = window_strong_average(spec, norms, k)
         root = math.sqrt(a)
         truncated = build_counterexample(spec.truncated(k + 1))
         rows.append((k + 1, a, sys.products[a], b_k, root, b_k / root, h1_norm(truncated)))
 
-    curve_rows = []
-    for level in range(1, sys.depth + 1):
-        n = sys.products[level]
-        curve_rows.append((n, float(cumulative[n - 1] / n)))
+    curve_rows = [(n, strong_sum_average(norms, n)) for n in sys.products[1:]]
 
     ratios = [r[5] for r in rows]
     b_values = [r[3] for r in rows]
@@ -357,38 +334,21 @@ def run_gat(
     value_rows = np.vstack([f.values for f in corpus])
     h1s = np.array([h1_norm(f) for f in corpus])
 
-    n_max = sys.cells
-    norms_s = cumulative_l1_norms(sys, coeff_rows, 1, n_max)
-    norms_d = cumulative_l1_norms(sys, coeff_rows, 1, n_max, offsets=-value_rows)
-    sigma = fejer_l1_norms(sys, coeff_rows, n_max)
-    ks = np.arange(1, n_max + 1, dtype=np.float64)
-    sum_s = np.cumsum(norms_s / ks, axis=1)
-    sum_d = np.cumsum(norms_d / ks, axis=1)
-
-    checkpoints = [sys.products[level] for level in range(2, sys.depth + 1)]
-    rows = []
-    for i in range(count):
-        rank = 1 + (i % max_rank)
-        for n in checkpoints:
-            log_n = math.log(n)
-            rows.append(
-                (
-                    i,
-                    rank,
-                    n,
-                    float(sum_d[i, n - 1] / log_n),
-                    float(sum_s[i, n - 1] / log_n),
-                    float(sum_s[i, n - 1] / log_n / h1s[i]),
-                )
-            )
-
-    fejer_rows = []
-    for i in range(count):
-        sup = float(sigma[i].max())
-        fejer_rows.append((i, sup, float(h1s[i]), sup / float(h1s[i])))
-
-    final = sys.cells
-    bounded_ratios = sum_s[:, final - 1] / math.log(final) / h1s
+    # the table covers n = M_2 .. M_N; the summary is taken at n = M_N
+    ends = sys.products[2:]
+    convergence, bounded = gat_log_average(sys, coeff_rows, value_rows, (*ends, sys.cells))
+    ratios = bounded / h1s[:, None]
+    rows = [
+        (i, 1 + (i % max_rank), n, float(convergence[i, j]), float(bounded[i, j]),
+         float(ratios[i, j]))
+        for i in range(count)
+        for j, n in enumerate(ends)
+    ]
+    fejer = fejer_maximal_check(sys, coeff_rows, h1s)
+    fejer_rows = [
+        (i, float(fejer.sup_norm[i]), float(h1s[i]), float(fejer.ratio[i]))
+        for i in range(count)
+    ]
     return ExperimentReport(
         experiment="gat",
         meta=report_meta(sys, resolved),
@@ -401,8 +361,8 @@ def run_gat(
         },
         summary={
             "count": count,
-            "max_bounded_ratio": float(bounded_ratios.max()),
-            "max_fejer_ratio": float(max(r[3] for r in fejer_rows)),
+            "max_bounded_ratio": float(ratios[:, -1].max()),
+            "max_fejer_ratio": float(fejer.ratio.max()),
         },
         violations=0,
     )

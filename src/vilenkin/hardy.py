@@ -63,26 +63,6 @@ def block_partial_sums(f: StepFunction) -> list[StepFunction]:
 
 
 @dataclass(frozen=True)
-class HardyProfile:
-    """Maximal function, H1 norm, and block partial sums of one function."""
-
-    f: StepFunction
-    maximal: StepFunction
-    h1: float
-    block_sums: tuple[StepFunction, ...]
-
-
-def hardy_profile(f: StepFunction) -> HardyProfile:
-    maximal = maximal_function(f)
-    return HardyProfile(
-        f=f,
-        maximal=maximal,
-        h1=lp_norm(maximal, 1.0),
-        block_sums=tuple(block_partial_sums(f)),
-    )
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
     """Two routes to the maximal function and their pointwise gap."""
 
@@ -242,78 +222,77 @@ def partial_sum_l1_norms(
     return cumulative_l1_norms(c.sys, c.coeffs, lo, hi, offsets=offsets)[0]
 
 
-def strong_sum_average(f: StepFunction, n: int) -> float:
-    """Cesaro mean of partial-sum norms: (1/n) sum_{m=1}^{n} ||S_m f||_1."""
-    if not 1 <= n <= f.sys.cells:
-        raise ValueError(f"average length {n} out of range [1, {f.sys.cells}]")
-    norms = partial_sum_l1_norms(forward_fast(f), 1, n)
-    return float(norms.mean())
+def strong_sum_average(norms: np.ndarray, n: int) -> float:
+    """Cesaro mean (1/n) sum_{m=1}^{n} ||S_m f||_1, from norms[m - 1] = ||S_m f||_1."""
+    if not 1 <= n <= norms.size:
+        raise ValueError(f"average length {n} out of range [1, {norms.size}]")
+    # a running (sequential) sum, so each n reads one point of a single Cesaro curve
+    return float(np.cumsum(norms[:n])[-1] / n)
 
 
-def window_strong_average(
-    spec: CounterexampleSpec, coeffs: SpectralVector, k: int
-) -> float:
-    """B_k = (1/M_{a_k+1}) sum_{l=M_{a_k}}^{2 M_{a_k}} ||S_l f||_1 (ends included)."""
-    if coeffs.sys != spec.sys:
-        raise ValueError("system mismatch: coefficients use a different radix system")
+def window_strong_average(spec: CounterexampleSpec, norms: np.ndarray, k: int) -> float:
+    """B_k = (1/M_{a_k+1}) sum_{l=M_{a_k}}^{2 M_{a_k}} ||S_l f||_1 (ends included).
+
+    norms[m - 1] holds ||S_m f||_1 for m = 1 .. M_N.
+    """
+    if norms.shape != (spec.sys.cells,):
+        raise ValueError(
+            f"expected {spec.sys.cells} partial-sum norms, got shape {norms.shape}"
+        )
     a = spec.alphas[k]
     lo = spec.sys.products[a]
-    norms = cumulative_l1_norms(spec.sys, coeffs.coeffs, lo, 2 * lo)[0]
-    return float(norms.sum() / spec.sys.products[a + 1])
+    return float(norms[lo - 1 : 2 * lo].sum() / spec.sys.products[a + 1])
 
 
-@dataclass(frozen=True)
-class LogAverages:
-    """The two logarithmic means at a common endpoint n."""
+def gat_log_average(
+    sys: RadixSystem, coeffs: np.ndarray, values: np.ndarray, ns: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both logarithmic means of each function at each endpoint n (natural log).
 
-    n: int
-    convergence: float  # (1/ln n) sum ||S_k f - f||_1 / k
-    bounded: float      # (1/ln n) sum ||S_k f||_1 / k
+    Row i of `coeffs` holds the Fourier coefficients of the function whose
+    cell values are row i of `values`.  Returns (convergence, bounded), each
+    of shape (rows, len(ns)):
 
+        convergence[i, j] = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i - f_i||_1 / k
+        bounded[i, j]     = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i||_1 / k
 
-def gat_log_average(f: StepFunction, n: int) -> LogAverages:
-    """Both logarithmic averages over k = 1 .. n (natural log, n >= 2)."""
-    if not 2 <= n <= f.sys.cells:
-        raise ValueError(f"log average endpoint {n} out of range [2, {f.sys.cells}]")
-    c = forward_fast(f)
-    weights = np.vstack([c.coeffs, c.coeffs])
-    offsets = np.vstack([np.zeros(f.sys.cells, dtype=np.complex128), -f.values])
-    norms = cumulative_l1_norms(f.sys, weights, 1, n, offsets=offsets)
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    scale = 1.0 / math.log(n)
-    return LogAverages(
-        n=n,
-        convergence=float((norms[1] / ks).sum() * scale),
-        bounded=float((norms[0] / ks).sum() * scale),
+    Both come from one stacked partial-sum scan.
+    """
+    if not ns or not all(2 <= n <= sys.cells for n in ns):
+        raise ValueError(f"log average endpoints {ns} outside [2, {sys.cells}]")
+    coeffs, values = np.atleast_2d(coeffs, values)
+    n_max = max(ns)
+    norms = cumulative_l1_norms(
+        sys,
+        np.vstack([coeffs, coeffs]),
+        1,
+        n_max,
+        offsets=np.vstack([np.zeros_like(values), -values]),
     )
+    sums = np.cumsum(norms / np.arange(1, n_max + 1, dtype=np.float64), axis=1)
+    means = sums[:, [n - 1 for n in ns]] / np.array([math.log(n) for n in ns])
+    return means[len(coeffs):], means[: len(coeffs)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FejerMaximalReport:
-    """Largest Fejer-mean L1 norm over n <= n_max, against the H1 norm."""
+    """Per function: the largest ||sigma_n f||_1 over n = 1 .. M_N, where, and / H1."""
 
-    sup_norm: float
-    at_n: int
-    h1: float
-    ratio: float
+    sup_norm: np.ndarray
+    at_n: np.ndarray
+    ratio: np.ndarray
 
 
-def fejer_maximal_check(f: StepFunction, n_max: int | None = None) -> FejerMaximalReport:
-    """max_n ||sigma_n f||_1 for n = 1 .. n_max and its ratio to ||f||_{H_1}."""
-    if n_max is None:
-        n_max = f.sys.cells
-    if not 1 <= n_max <= f.sys.cells:
-        raise ValueError(f"scan bound {n_max} out of range [1, {f.sys.cells}]")
-    norms = fejer_l1_norms(f.sys, forward_fast(f).coeffs, n_max)[0]
-    pos = int(np.argmax(norms))
-    sup = float(norms[pos])
-    h1 = h1_norm(f)
-    return FejerMaximalReport(
-        sup_norm=sup,
-        at_n=pos + 1,
-        h1=h1,
-        ratio=sup / h1 if h1 > 0 else 0.0,
-    )
+def fejer_maximal_check(
+    sys: RadixSystem, coeffs: np.ndarray, h1: np.ndarray
+) -> FejerMaximalReport:
+    """max_n ||sigma_n f_i||_1 for each coefficient row i, and its ratio to h1[i].
+
+    h1[i] is ||f_i||_{H_1}, which the caller already holds for its corpus.
+    """
+    norms = fejer_l1_norms(sys, coeffs, sys.cells)
+    sup = norms.max(axis=1)
+    return FejerMaximalReport(sup_norm=sup, at_n=norms.argmax(axis=1) + 1, ratio=sup / h1)
 
 
 def verify_decomposition_norm(

@@ -120,56 +120,19 @@ def variation_bound_arrays(
     return lower, upper
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One row of the variation-bound check for a single index."""
-
-    n: int
-    v: int
-    v_star: int
-    lebesgue: float
-    lower: float
-    upper: float
-    lower_slack: float
-    upper_slack: float
-
-    def violated(self, tol: float = 1e-9) -> bool:
-        return self.lower_slack < -tol or self.upper_slack < -tol
-
-
-def check_variation_bounds(
-    sys: RadixSystem, n: int, lebesgue: float | None = None
-) -> BoundCheck:
-    profile = variation_profile(sys, n)
-    if lebesgue is None:
-        lebesgue = lebesgue_constant(sys, n)
-    lower, upper = variation_bound_arrays(
-        np.array([profile.v]), np.array([profile.v_star]), sys.max_radix
-    )
-    lo, up = float(lower[0]), float(upper[0])
-    return BoundCheck(
-        n=n,
-        v=profile.v,
-        v_star=profile.v_star,
-        lebesgue=lebesgue,
-        lower=lo,
-        upper=up,
-        lower_slack=lebesgue - lo,
-        upper_slack=up - lebesgue,
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LemmaReport:
-    """Outcome of a scanned bound or average check."""
+    """The two-sided bound at every scanned index, as aligned per-index arrays."""
 
-    n_lo: int
-    n_hi: int
-    checked: int
+    n: np.ndarray
+    v: np.ndarray
+    v_star: np.ndarray
+    lebesgue: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    lower_slack: np.ndarray
+    upper_slack: np.ndarray
     violations: tuple[int, ...]
-    min_lower_slack: float
-    min_upper_slack: float
-    c_estimate: float | None = None
 
 
 def scan_variation_bounds(
@@ -179,9 +142,15 @@ def scan_variation_bounds(
     tol: float = 1e-9,
     lebesgue: np.ndarray | None = None,
 ) -> LemmaReport:
-    """Check the two-sided bound for every n in [lo, hi]; returns the report."""
+    """Check the two-sided bound for every n in [lo, hi].
+
+    `lebesgue`, when given, holds L_n for n = lo .. hi (e.g. from a threaded
+    scan); otherwise it is computed by lebesgue_scan.
+    """
     if hi is None:
         hi = sys.cells - 1
+    if not 1 <= lo <= hi < sys.cells:
+        raise ValueError(f"bound scan range [{lo}, {hi}] outside [1, {sys.cells - 1}]")
     ns = np.arange(lo, hi + 1, dtype=np.int64)
     if lebesgue is None:
         lebesgue = lebesgue_scan(sys, lo, hi)
@@ -191,12 +160,15 @@ def scan_variation_bounds(
     upper_slack = upper - lebesgue
     bad = (lower_slack < -tol) | (upper_slack < -tol)
     return LemmaReport(
-        n_lo=lo,
-        n_hi=hi,
-        checked=int(ns.size),
-        violations=tuple(int(n) for n in ns[bad]),
-        min_lower_slack=float(lower_slack.min()),
-        min_upper_slack=float(upper_slack.min()),
+        n=ns,
+        v=v,
+        v_star=v_star,
+        lebesgue=lebesgue,
+        lower=lower,
+        upper=upper,
+        lower_slack=lower_slack,
+        upper_slack=upper_slack,
+        violations=tuple(ns[bad].tolist()),
     )
 
 

@@ -118,6 +118,8 @@ def _from_json_dict(data: dict) -> tuple[RadixSystem, np.ndarray]:
         vals = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError):
         raise ValueError("parse error: values must be [re, im] pairs") from None
+    if not np.isfinite(vals).all():
+        raise ValueError("parse error: values must be finite, got NaN or infinity")
     return sys, vals
 
 

@@ -6,12 +6,12 @@ Each test prints a single line
 
 (visible with `pytest -s`; the -v test names double as the pass/fail list).
 Runtime-limited criteria also assert their wall-clock budget.  The slack
-columns of the exhaustive bound scan are archived under artifacts/.
+columns of the exhaustive bound scan are written as CSV to the test's
+temporary directory.
 """
 
 import json
 import math
-import pathlib
 import time
 
 import numpy as np
@@ -42,8 +42,6 @@ from vilenkin.experiments import (
     run_variation_average,
     write_report,
 )
-
-ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / "artifacts"
 
 BIG_SYSTEMS = (
     build_radix_system([2], 12),
@@ -108,10 +106,9 @@ def test_criterion_2_transform_oracle():
                   f"<= {tol:.0e} on 300 random functions, {elapsed:.1f}s < 60s")
 
 
-def test_criterion_3_bounds_exhaustive():
+def test_criterion_3_bounds_exhaustive(tmp_path):
     """Two-sided variation bound for every admissible index, slack archived."""
     t0 = time.monotonic()
-    ARTIFACTS.mkdir(exist_ok=True)
     total_violations = 0
     slacks = []
     for sys in BIG_SYSTEMS:
@@ -123,7 +120,7 @@ def test_criterion_3_bounds_exhaustive():
              rep.summary["min_upper_slack"])
         )
         name = sys.spec_string().replace(",", "_").replace("^", "p")
-        write_report(rep, str(ARTIFACTS / f"lebesgue_scan_{name}.csv"), "csv")
+        write_report(rep, str(tmp_path / f"lebesgue_scan_{name}.csv"), "csv")
     elapsed = time.monotonic() - t0
     ok = total_violations == 0 and elapsed < 300
     detail = "; ".join(f"{n}: slack >= ({lo:.4f}, {up:.6f})" for n, lo, up in slacks)
@@ -265,17 +262,19 @@ def test_criterion_9_log_averages_and_fejer():
     curve = [row[1] for row in div.extra_tables["cesaro"].rows if row[0] >= 4]
     curve_grows = all(a < b for a, b in zip(curve, curve[1:])) and curve[-1] > 2 * curve[0]
     f_ce = build_counterexample(CounterexampleSpec(sys, (1, 4, 9)))
-    fejer_ce = fejer_maximal_check(f_ce)
+    fejer_ce = float(
+        fejer_maximal_check(sys, forward_fast(f_ce).coeffs, np.array([h1_norm(f_ce)])).ratio[0]
+    )
 
     ok = (
         stable
         and decreasing
         and fejer_corpus < 4.0
-        and fejer_ce.ratio < 4.0
+        and fejer_ce < 4.0
         and curve_grows
     )
     report(9, ok, f"max bounded ratio {r1:.4f} vs {r2:.4f} across seeds "
                   f"(drift {abs(r1 - r2) / max(r1, r2):.1%} <= 10%), convergence form "
                   f"decreases on all 50 members, Fejer ratios <= "
-                  f"{max(fejer_corpus, fejer_ce.ratio):.4f} < 4 while the Cesaro "
+                  f"{max(fejer_corpus, fejer_ce):.4f} < 4 while the Cesaro "
                   f"curve grows {curve[0]:.3f} -> {curve[-1]:.3f}")

@@ -1,13 +1,28 @@
 """Experiment drivers, report rendering, and the command line harness."""
 
 import json
+import math
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from vilenkin import StepFunction, build_radix_system, forward_fast
+import vilenkin
+from vilenkin import (
+    CounterexampleSpec,
+    StepFunction,
+    build_counterexample,
+    build_radix_system,
+    fejer_mean,
+    forward_fast,
+    h1_norm,
+    lebesgue_constant,
+    lp_norm,
+    partial_sum,
+    partial_sum_l1_norms,
+)
 from vilenkin.cli import main
 from vilenkin.experiments import (
     ExperimentReport,
@@ -148,16 +163,20 @@ def test_threaded_scan_matches_serial(mixed2):
 # drivers
 
 
-def test_run_lebesgue_scan_small(dyadic6):
-    rep = run_lebesgue_scan(dyadic6, 1, 10, 1e-9, 1, {"seed": 1})
-    assert rep.table.columns[:4] == ["n", "v", "v_star", "L_n"]
-    assert rep.violations == 0
-    by_n = {row[0]: row for row in rep.table.rows}
-    assert by_n[2][3] == pytest.approx(1.0)
-    assert by_n[3][3] == pytest.approx(1.5)
-    assert rep.summary["checked"] == 10
-    assert rep.summary["min_lower_slack"] >= 0
-    assert rep.summary["max_L_over_log_n"] > 0
+def test_run_lebesgue_scan_small(dyadic6, mixed2):
+    for sys_obj, hi, frozen in ((dyadic6, 10, {2: 1.0, 3: 1.5}), (mixed2, 575, {})):
+        rep = run_lebesgue_scan(sys_obj, 1, hi, 1e-9, 1, {"seed": 1})
+        assert rep.table.columns[:4] == ["n", "v", "v_star", "L_n"]
+        assert rep.violations == 0
+        by_n = {row[0]: row for row in rep.table.rows}
+        for n, want in frozen.items():
+            assert by_n[n][3] == pytest.approx(want)
+        assert sorted(by_n) == list(range(1, hi + 1))
+        for n, row in by_n.items():
+            assert row[3] == pytest.approx(lebesgue_constant(sys_obj, n), abs=1e-12)
+        assert rep.summary["checked"] == hi
+        assert rep.summary["min_lower_slack"] >= 0
+        assert rep.summary["max_L_over_log_n"] > 0
 
 
 def test_run_variation_average_frozen(dyadic6):
@@ -171,27 +190,59 @@ def test_run_variation_average_frozen(dyadic6):
     assert rep.violations == 0
 
 
-def test_run_divergence_small(dyadic6):
-    rep = run_divergence(dyadic6, (1, 2), 1, 1e-12, {"seed": 1})
-    assert len(rep.table.rows) == 2
-    assert rep.summary["eq_block_coeff_deviation"] < 1e-12
-    assert rep.violations == 0
-    assert "cesaro" in rep.extra_tables
-    assert len(rep.extra_tables["cesaro"].rows) == dyadic6.depth
-    # a hostile tolerance flips the verification outcome
-    rep = run_divergence(dyadic6, (1, 2), 1, -1.0, {"seed": 1})
-    assert rep.violations == 1
+def test_run_divergence_small(dyadic6, dyadic10):
+    # the 2^10 window values are the ones frozen in test_window_average_frozen
+    for sys_obj, alphas, frozen_b in (
+        (dyadic6, (1, 2), None),
+        (dyadic10, (1, 4, 9), (0.5, 0.685546875, 0.8759403228759763)),
+    ):
+        rep = run_divergence(sys_obj, alphas, 1, 1e-12, {"seed": 1})
+        assert len(rep.table.rows) == len(alphas)
+        assert rep.summary["eq_block_coeff_deviation"] < 1e-12
+        assert rep.violations == 0
+        assert "cesaro" in rep.extra_tables
+        assert len(rep.extra_tables["cesaro"].rows) == sys_obj.depth
+        if frozen_b is not None:
+            assert [row[3] for row in rep.table.rows] == pytest.approx(frozen_b)
+        spec = CounterexampleSpec(sys_obj, alphas)
+        c = forward_fast(build_counterexample(spec))
+        norms = partial_sum_l1_norms(c, 1, sys_obj.cells)
+        for n, avg in rep.extra_tables["cesaro"].rows:
+            assert avg == pytest.approx(float(norms[:n].mean()), abs=1e-12)
+        # a hostile tolerance flips the verification outcome
+        rep = run_divergence(sys_obj, alphas, 1, -1.0, {"seed": 1})
+        assert rep.violations == 1
 
 
-def test_run_gat_small(dyadic6):
-    rep = run_gat(dyadic6, 4, 2, 1, {"seed": 1})
-    assert rep.table.columns == [
-        "func_id", "rank", "n", "convergence_form", "bounded_form", "bounded_ratio",
-    ]
-    assert len(rep.table.rows) == 4 * (dyadic6.depth - 1)
-    assert np.isfinite(rep.summary["max_bounded_ratio"])
-    assert rep.summary["max_fejer_ratio"] > 0
-    assert len(rep.extra_tables["fejer"].rows) == 4
+def test_run_gat_small(dyadic6, mixed):
+    for sys_obj in (dyadic6, mixed):
+        rep = run_gat(sys_obj, 4, 2, 1, {"seed": 1})
+        assert rep.table.columns == [
+            "func_id", "rank", "n", "convergence_form", "bounded_form", "bounded_ratio",
+        ]
+        assert len(rep.table.rows) == 4 * (sys_obj.depth - 1)
+        assert np.isfinite(rep.summary["max_bounded_ratio"])
+        assert rep.summary["max_fejer_ratio"] > 0
+        assert len(rep.extra_tables["fejer"].rows) == 4
+        # every value against partial sums and Fejer means taken one n at a time
+        corpus = random_step_corpus(sys_obj, 4, 2, 1)
+        for func_id, _, n, conv, bounded, ratio in rep.table.rows:
+            f = corpus[func_id]
+            sums = [partial_sum(forward_fast(f), k) for k in range(1, n + 1)]
+            want_bnd = sum(lp_norm(s, 1.0) / k for k, s in enumerate(sums, 1)) / math.log(n)
+            want_conv = sum(
+                lp_norm(StepFunction(sys_obj, s.values - f.values), 1.0) / k
+                for k, s in enumerate(sums, 1)
+            ) / math.log(n)
+            assert conv == pytest.approx(want_conv, abs=1e-12)
+            assert bounded == pytest.approx(want_bnd, abs=1e-12)
+            assert ratio == pytest.approx(want_bnd / h1_norm(f), abs=1e-12)
+        for func_id, sup, h1, ratio in rep.extra_tables["fejer"].rows:
+            c = forward_fast(corpus[func_id])
+            want = max(lp_norm(fejer_mean(c, n), 1.0) for n in range(1, sys_obj.cells + 1))
+            assert sup == pytest.approx(want, abs=1e-12)
+            assert h1 == pytest.approx(h1_norm(corpus[func_id]), abs=1e-12)
+            assert ratio == pytest.approx(want / h1, abs=1e-12)
 
 
 def test_run_equiv_check_small(mixed2):
@@ -212,6 +263,24 @@ def test_cli_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--alpha-rule", "k2", "--terms", "0"],
+    ["gat", "--count", "0"],
+    ["gat", "--max-rank", "0"],
+    ["lebesgue-scan", "--n-min", "0"],
+    ["lebesgue-scan", "--n-max", "0"],
+    ["lemma1", "--n-max", "0"],
+    ["equiv-check", "--rank", "0"],
+    ["equiv-check", "--count", "0"],
+    ["lebesgue-scan", "--threads", "0"],
+    ["gat", "--threads", "-2"],
+])
+def test_cli_bad_values_exit_1(capsys, argv):
+    # zero is a value to validate, not a request for the default
+    assert main([*argv, "--radix", "2^6"]) == 1
+    assert "vilenkin: error:" in capsys.readouterr().err
 
 
 def test_cli_bad_radix_exit_1(capsys):
@@ -347,9 +416,12 @@ def test_cli_depth_flag(tmp_path, capsys):
 
 
 def test_cli_version_subprocess():
+    # run from the directory holding the imported package, so the child
+    # process finds the same copy without an installed package or PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "vilenkin.cli", "--version"],
         capture_output=True, text=True,
+        cwd=pathlib.Path(vilenkin.__file__).resolve().parent.parent,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("vilenkin ")

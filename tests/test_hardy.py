@@ -20,7 +20,6 @@ from vilenkin import (
     forward_fast,
     gat_log_average,
     h1_norm,
-    hardy_profile,
     lebesgue_constant,
     lp_norm,
     maximal_function,
@@ -100,13 +99,6 @@ def test_norm_equivalence_random(dyadic6, mixed2):
         assert rep.passed
         assert rep.max_pointwise_diff < 1e-10
         assert rep.h1_norm == pytest.approx(rep.sup_block_norm, abs=1e-10)
-
-
-def test_hardy_profile_consistency(mixed):
-    f = StepFunction(mixed, random_values(mixed, 65))
-    prof = hardy_profile(f)
-    assert prof.h1 == pytest.approx(lp_norm(prof.maximal, 1.0))
-    assert len(prof.block_sums) == mixed.depth + 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,36 +249,45 @@ def test_partial_sum_l1_norms_matches_direct(mixed):
 def test_strong_sum_average_manual(mixed):
     f = StepFunction(mixed, random_values(mixed, 67))
     c = forward_fast(f)
+    norms = partial_sum_l1_norms(c, 1, mixed.cells)
     n = 10
     want = np.mean([lp_norm(partial_sum(c, m), 1.0) for m in range(1, n + 1)])
-    assert strong_sum_average(f, n) == pytest.approx(float(want), abs=1e-12)
+    assert strong_sum_average(norms, n) == pytest.approx(float(want), abs=1e-12)
+    with pytest.raises(ValueError):
+        strong_sum_average(norms, mixed.cells + 1)
 
 
 def test_window_average_frozen(dyadic10):
     spec = CounterexampleSpec(dyadic10, (1, 4, 9))
     c = forward_fast(build_counterexample(spec))
+    norms = partial_sum_l1_norms(c, 1, dyadic10.cells)
     # B_1 window is l = 2..4 over normalizer M_2 = 4
-    assert window_strong_average(spec, c, 0) == pytest.approx(0.5)
-    assert window_strong_average(spec, c, 1) == pytest.approx(0.685546875)
-    assert window_strong_average(spec, c, 2) == pytest.approx(0.8759403228759763)
+    assert window_strong_average(spec, norms, 0) == pytest.approx(0.5)
+    assert window_strong_average(spec, norms, 1) == pytest.approx(0.685546875)
+    assert window_strong_average(spec, norms, 2) == pytest.approx(0.8759403228759763)
+    with pytest.raises(ValueError, match="partial-sum norms"):
+        window_strong_average(spec, norms[:-1], 0)
 
 
 def test_gat_log_average_manual(mixed):
     f = StepFunction(mixed, random_values(mixed, 68))
     c = forward_fast(f)
-    n = 12
-    conv = sum(
-        lp_norm(StepFunction(mixed, partial_sum(c, k).values - f.values), 1.0) / k
-        for k in range(1, n + 1)
-    ) / math.log(n)
-    bnd = sum(
-        lp_norm(partial_sum(c, k), 1.0) / k for k in range(1, n + 1)
-    ) / math.log(n)
-    got = gat_log_average(f, n)
-    assert got.convergence == pytest.approx(conv, abs=1e-12)
-    assert got.bounded == pytest.approx(bnd, abs=1e-12)
-    with pytest.raises(ValueError):
-        gat_log_average(f, 1)
+    ends = (2, 12, mixed.cells)
+    conv, bnd = gat_log_average(mixed, c.coeffs, f.values, ends)
+    assert conv.shape == bnd.shape == (1, len(ends))
+    for j, n in enumerate(ends):
+        want_conv = sum(
+            lp_norm(StepFunction(mixed, partial_sum(c, k).values - f.values), 1.0) / k
+            for k in range(1, n + 1)
+        ) / math.log(n)
+        want_bnd = sum(
+            lp_norm(partial_sum(c, k), 1.0) / k for k in range(1, n + 1)
+        ) / math.log(n)
+        assert conv[0, j] == pytest.approx(want_conv, abs=1e-12)
+        assert bnd[0, j] == pytest.approx(want_bnd, abs=1e-12)
+    for bad in ((1,), (mixed.cells + 1,), ()):
+        with pytest.raises(ValueError):
+            gat_log_average(mixed, c.coeffs, f.values, bad)
 
 
 def test_gat_convergence_decreases_for_finite_rank(dyadic10):
@@ -294,17 +295,19 @@ def test_gat_convergence_decreases_for_finite_rank(dyadic10):
     rng = np.random.default_rng(69)
     vals = np.repeat(rng.standard_normal(4) + 1j * rng.standard_normal(4), 256)
     f = StepFunction(dyadic10, np.ascontiguousarray(vals))
-    early = gat_log_average(f, dyadic10.products[2])
-    late = gat_log_average(f, dyadic10.cells)
-    assert late.convergence < early.convergence
+    conv, _ = gat_log_average(
+        dyadic10, forward_fast(f).coeffs, f.values, (dyadic10.products[2], dyadic10.cells)
+    )
+    assert conv[0, 1] < conv[0, 0]
 
 
 def test_fejer_maximal_check_manual(mixed):
-    f = StepFunction(mixed, random_values(mixed, 70))
-    c = forward_fast(f)
-    norms = [lp_norm(fejer_mean(c, n), 1.0) for n in range(1, mixed.cells + 1)]
-    rep = fejer_maximal_check(f)
-    assert rep.sup_norm == pytest.approx(max(norms), abs=1e-12)
-    assert rep.at_n == int(np.argmax(norms)) + 1
-    assert rep.h1 == pytest.approx(h1_norm(f))
-    assert rep.ratio == pytest.approx(rep.sup_norm / rep.h1)
+    fs = [StepFunction(mixed, random_values(mixed, seed)) for seed in (70, 71)]
+    h1 = np.array([h1_norm(f) for f in fs])
+    rep = fejer_maximal_check(mixed, np.vstack([forward_fast(f).coeffs for f in fs]), h1)
+    for i, f in enumerate(fs):
+        c = forward_fast(f)
+        norms = [lp_norm(fejer_mean(c, n), 1.0) for n in range(1, mixed.cells + 1)]
+        assert rep.sup_norm[i] == pytest.approx(max(norms), abs=1e-12)
+        assert rep.at_n[i] == int(np.argmax(norms)) + 1
+        assert rep.ratio[i] == pytest.approx(max(norms) / h1_norm(f))

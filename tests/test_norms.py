@@ -8,7 +8,6 @@ import pytest
 from vilenkin import (
     StepFunction,
     build_radix_system,
-    check_variation_bounds,
     dirichlet_kernel,
     lebesgue_constant,
     lebesgue_scan,
@@ -129,34 +128,39 @@ def test_variation_values_range_check(mixed):
 
 
 def test_bound_check_frozen_dyadic(dyadic6):
-    # n=1: v=2, v*=0, lambda=2 -> bounds [0.5, 2] around L_1 = 1
-    chk = check_variation_bounds(dyadic6, 1)
-    assert (chk.v, chk.v_star) == (2, 0)
-    assert chk.lower == pytest.approx(0.5)
-    assert chk.upper == pytest.approx(2.0)
-    assert chk.lebesgue == pytest.approx(1.0)
-    assert not chk.violated()
-    # n=3: v=2 -> same bounds around L_3 = 1.5
-    chk = check_variation_bounds(dyadic6, 3)
-    assert chk.lower == pytest.approx(0.5)
-    assert chk.upper == pytest.approx(2.0)
-    assert chk.lebesgue == pytest.approx(1.5)
+    # n=1..3: v=2, v*=0, lambda=2 -> bounds [0.5, 2] around L = 1, 1, 1.5
+    rep = scan_variation_bounds(dyadic6, 1, 3)
+    assert rep.n.tolist() == [1, 2, 3]
+    assert rep.v.tolist() == [2, 2, 2]
+    assert rep.v_star.tolist() == [0, 0, 0]
+    assert rep.lower == pytest.approx([0.5] * 3)
+    assert rep.upper == pytest.approx([2.0] * 3)
+    assert rep.lebesgue == pytest.approx([1.0, 1.0, 1.5])
+    assert rep.lower_slack == pytest.approx([0.5, 0.5, 1.0])
+    assert rep.upper_slack == pytest.approx([1.0, 1.0, 0.5])
+    assert rep.violations == ()
 
 
 def test_bounds_hold_exhaustively(dyadic6, triadic, mixed2):
     for sys in (dyadic6, triadic, mixed2):
         report = scan_variation_bounds(sys)
-        assert report.checked == sys.cells - 1
+        assert report.n.size == sys.cells - 1
         assert report.violations == (), f"violations on {sys.spec_string()}"
-        assert report.min_lower_slack >= 0
-        assert report.min_upper_slack >= 0
+        assert report.lower_slack.min() >= 0
+        assert report.upper_slack.min() >= 0
 
 
 def test_scan_accepts_precomputed_norms(mixed):
     norms = lebesgue_scan(mixed, 1, 10)
     a = scan_variation_bounds(mixed, 1, 10)
     b = scan_variation_bounds(mixed, 1, 10, lebesgue=norms)
-    assert a == b
+    assert a.violations == b.violations
+    for name in ("n", "v", "v_star", "lebesgue", "lower", "upper",
+                 "lower_slack", "upper_slack"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for lo, hi in ((0, 5), (3, 2), (1, mixed.cells)):
+        with pytest.raises(ValueError, match="range"):
+            scan_variation_bounds(mixed, lo, hi)
 
 
 def test_bound_arrays_shapes():

@@ -353,3 +353,7 @@ def test_json_parse_errors(mixed):
     bad["values"] = [["x", 0]] * mixed.cells
     with pytest.raises(ValueError, match="parse error"):
         StepFunction.from_json_dict(bad)
+    for pair in ([float("nan"), 0.0], [0.0, float("inf")]):
+        bad["values"] = [pair] + good["values"][1:]
+        with pytest.raises(ValueError, match="parse error"):
+            StepFunction.from_json_dict(bad)
