@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
             n_lo = _int(merged, "n_min", 1)
             n_hi = _int(merged, "n_max", sys_obj.cells - 1)
             report = run_lebesgue_scan(
-                sys_obj, n_lo, n_hi, _tol(merged, DEFAULT_EQUALITY_TOL), threads, resolved
+                sys_obj, n_lo, n_hi, _tol(merged, DEFAULT_EQUALITY_TOL), resolved
             )
         elif command == "lemma1":
             n_max = _int(merged, "n_max", sys_obj.depth)

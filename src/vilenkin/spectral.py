@@ -351,8 +351,9 @@ def fejer_mean(c: SpectralVector, n: int) -> StepFunction:
 #
 # Everything below shares one pattern: walk the character rows psi_k in
 # blocks, keep a running linear combination per input row, and emit one L1
-# norm per step.  This keeps full Lebesgue-constant and partial-sum-norm
-# scans at O(N * M_N) work per block row with no per-step python cost.
+# norm per step.  This keeps full partial-sum-norm scans at O(N * M_N) work
+# per block row with no per-step python cost.  With unit weights the same
+# scan is the oracle for the closed-form norms.lebesgue_scan.
 
 
 def _scan_block(sys: RadixSystem, block: int | None) -> int:

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vilenkin import build_radix_system
+
+# radices 2..5, depth 1..4: M_N stays at most 625
+small_systems = st.lists(st.integers(2, 5), min_size=1, max_size=4).map(
+    lambda ms: build_radix_system(ms)
+)
 
 
 @pytest.fixture(scope="session")

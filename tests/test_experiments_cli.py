@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def test_threaded_scan_matches_serial(mixed2):
 
 def test_run_lebesgue_scan_small(dyadic6, mixed2):
     for sys_obj, hi, frozen in ((dyadic6, 10, {2: 1.0, 3: 1.5}), (mixed2, 575, {})):
-        rep = run_lebesgue_scan(sys_obj, 1, hi, 1e-9, 1, {"seed": 1})
+        rep = run_lebesgue_scan(sys_obj, 1, hi, 1e-9, {"seed": 1})
         assert rep.table.columns[:4] == ["n", "v", "v_star", "L_n"]
         assert rep.violations == 0
         by_n = {row[0]: row for row in rep.table.rows}
@@ -175,6 +176,7 @@ def test_run_lebesgue_scan_small(dyadic6, mixed2):
         for n, row in by_n.items():
             assert row[3] == pytest.approx(lebesgue_constant(sys_obj, n), abs=1e-12)
         assert rep.summary["checked"] == hi
+        assert rep.summary["oracle_max_deviation"] <= 1e-12
         assert rep.summary["min_lower_slack"] >= 0
         assert rep.summary["max_L_over_log_n"] > 0
 
@@ -276,11 +278,20 @@ def test_cli_usage_errors_exit_1():
     ["equiv-check", "--count", "0"],
     ["lebesgue-scan", "--threads", "0"],
     ["gat", "--threads", "-2"],
+    # 2^34 rows: refused by the memory estimate before anything is allocated
+    ["lebesgue-scan", "--radix", "2^34"],
 ])
 def test_cli_bad_values_exit_1(capsys, argv):
     # zero is a value to validate, not a request for the default
-    assert main([*argv, "--radix", "2^6"]) == 1
+    tracemalloc.start()
+    try:
+        # a --radix in the case comes later on the line, so it wins over 2^6
+        assert main([argv[0], "--radix", "2^6", *argv[1:]]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert "vilenkin: error:" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_cli_bad_radix_exit_1(capsys):
@@ -338,10 +349,28 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # thread count may change float rounding but not the table shape
+    # the thread count changes only the config hash, which records it
     c = tmp_path / "c.csv"
     assert main(args + ["--threads", "4", "--out", str(c)]) == 0
-    assert len(c.read_text().splitlines()) == len(a.read_text().splitlines())
+    differ = [
+        (x, y) for x, y in zip(a.read_bytes().splitlines(), c.read_bytes().splitlines())
+        if x != y
+    ]
+    assert len(differ) == 1 and differ[0][0].startswith(b"# config_hash=")
+    assert len(c.read_bytes()) == len(a.read_bytes())
+
+
+def test_cli_lebesgue_oracle_deviation_exit_2(tmp_path, monkeypatch):
+    # a closed form that is off by 1e-6 must fail against the kernel route
+    exact = vilenkin.experiments.lebesgue_scan
+    monkeypatch.setattr(vilenkin.experiments, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
+    out = tmp_path / "scan.json"
+    rc = main(["lebesgue-scan", "--radix", "2,3,4", "--depth", "6", "--format", "json",
+               "--out", str(out)])
+    summary = json.loads(out.read_text())["summary"]
+    assert rc == 2
+    assert summary["oracle_max_deviation"] > 1e-9
+    assert summary["violations"] >= 1
 
 
 def test_cli_stdout_is_clean_csv(capsys):

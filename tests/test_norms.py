@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from vilenkin import (
     StepFunction,
     build_radix_system,
+    cumulative_l1_norms,
     dirichlet_kernel,
     lebesgue_constant,
     lebesgue_scan,
@@ -19,6 +21,7 @@ from vilenkin import (
     variation_profile,
     variation_values,
 )
+from conftest import small_systems
 
 
 def test_lp_norm_basics(mixed):
@@ -65,10 +68,24 @@ def test_lebesgue_rejects_zero(mixed):
 
 
 def test_lebesgue_scan_matches_single(mixed):
-    scan = lebesgue_scan(mixed, 1, mixed.cells - 1)
-    assert scan.shape == (mixed.cells - 1,)
-    for n in range(1, mixed.cells):
-        assert scan[n - 1] == pytest.approx(lebesgue_constant(mixed, n), abs=1e-12)
+    # the closed form against the Dirichlet-kernel route at every n
+    for sys in (mixed, build_radix_system([5, 2, 7], 6)):
+        scan = lebesgue_scan(sys, 1, sys.cells - 1)
+        assert scan.shape == (sys.cells - 1,)
+        for n in range(1, sys.cells):
+            assert scan[n - 1] == pytest.approx(lebesgue_constant(sys, n), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems)
+def test_lebesgue_scan_matches_cumulative_scan(sys):
+    # the closed form against the unit-weight running character sum, n = 1 .. M_N
+    ones = np.ones(sys.cells, dtype=np.complex128)
+    want = cumulative_l1_norms(sys, ones, 1, sys.cells)[0]
+    got = lebesgue_scan(sys, 1, sys.cells)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    assert got[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +159,20 @@ def test_bound_check_frozen_dyadic(dyadic6):
 
 
 def test_bounds_hold_exhaustively(dyadic6, triadic, mixed2):
-    for sys in (dyadic6, triadic, mixed2):
+    # 2^20 and (2,3,4)x4 take every n below about 10^6 and 3.3 * 10^5
+    dyadic20 = build_radix_system([2], 20)
+    for sys in (dyadic6, triadic, mixed2, dyadic20, build_radix_system([2, 3, 4], 12)):
         report = scan_variation_bounds(sys)
         assert report.n.size == sys.cells - 1
         assert report.violations == (), f"violations on {sys.spec_string()}"
         assert report.lower_slack.min() >= 0
         assert report.upper_slack.min() >= 0
+        if sys is dyadic20:
+            # the largest L_n (699051) and the tightest upper slack (M_N - 1)
+            for n in (1, 3, 699051, sys.cells - 1):
+                assert report.lebesgue[n - 1] == pytest.approx(
+                    lebesgue_constant(sys, n), abs=1e-12
+                )
 
 
 def test_scan_accepts_precomputed_norms(mixed):

@@ -24,11 +24,7 @@ from vilenkin import (
     rademacher,
     vilenkin_char,
 )
-from conftest import random_values
-
-small_systems = st.lists(st.integers(2, 5), min_size=1, max_size=4).map(
-    lambda ms: build_radix_system(ms)
-)
+from conftest import random_values, small_systems
 
 
 # ---------------------------------------------------------------------------
