@@ -17,10 +17,11 @@ from . import __version__
 from .experiments import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_ORACLE_TOL,
+    KERNEL_REPORT_CELL_BYTES,
     ExperimentReport,
     Table,
-    render_csv,
     report_meta,
+    require_memory,
     run_divergence,
     run_equiv_check,
     run_gat,
@@ -63,7 +64,8 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--radix", help="radix spec, e.g. '2,3,4' or '2^10'")
     common.add_argument("--depth", type=int, help="cycle/truncate the radix pattern to this depth")
-    common.add_argument("--threads", type=int, help="worker threads for scans (default 1)")
+    common.add_argument("--threads", type=int,
+                        help="validated, but changes nothing: every scan is serial (default 1)")
     common.add_argument("--seed", type=int, help="seed for random corpora (default 1)")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
@@ -234,6 +236,9 @@ def _transform_cmd(merged: dict[str, object]) -> int:
 
 def _kernel_cmd(merged: dict[str, object], sys_obj) -> int:
     n = int(merged["n"])
+    require_memory(
+        f"kernel on M_N = {sys_obj.cells}", sys_obj.cells * KERNEL_REPORT_CELL_BYTES
+    )
     kern = dirichlet_kernel(sys_obj, n)
     out = merged.get("out")
     if merged["format"] == "json":
@@ -287,7 +292,6 @@ def main(argv: list[str] | None = None) -> int:
             report = run_divergence(
                 sys_obj,
                 _parse_alphas(merged),
-                threads,
                 _tol(merged, 1e-12),
                 resolved,
             )

@@ -2,8 +2,9 @@
 
 Every driver returns an ExperimentReport: a main table, optional extra
 tables, a summary dict, and a violation count for the CLI exit code.  File
-output is byte-identical for identical (config, seed, threads); timings are
-therefore logged to stderr, never written into report files.
+output is byte-identical for identical (config, seed); the thread count
+enters only the config hash.  Timings are therefore logged to stderr, never
+written into report files.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import json
 import math
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .hardy import (
     fejer_maximal_check,
     gat_log_average,
     h1_norm,
+    partial_sum_l1_norms,
     strong_sum_average,
     window_strong_average,
 )
@@ -40,7 +41,7 @@ from .norms import (
     variation_average,
 )
 from .radix import RadixSystem
-from .spectral import StepFunction, cumulative_l1_norms, forward_fast
+from .spectral import StepFunction, _scan_block, forward_fast
 
 DEFAULT_EQUALITY_TOL = 1e-9
 DEFAULT_ORACLE_TOL = 1e-10
@@ -171,58 +172,44 @@ def random_step_corpus(
     return out
 
 
-def _chunk_ranges(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split the inclusive range [lo, hi] into contiguous inclusive chunks."""
-    total = hi - lo + 1
-    parts = max(1, min(parts, total))
-    size = -(-total // parts)
-    out = []
-    start = lo
-    while start <= hi:
-        end = min(start + size - 1, hi)
-        out.append((start, end))
-        start = end + 1
-    return out
-
-
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def scan_l1_norms_threaded(
-    sys: RadixSystem,
-    weights: np.ndarray,
-    lo: int,
-    hi: int,
-    threads: int,
-) -> np.ndarray:
-    """cumulative_l1_norms for one weight row, chunked across a thread pool.
-
-    Each chunk restarts the recursion from its own synthesized checkpoint, so
-    results are assembled in index order regardless of scheduling.
-    """
-    if not 0 <= lo <= hi <= sys.cells:
-        raise ValueError(f"scan range [{lo}, {hi}] outside [0, {sys.cells}]")
-    chunks = _chunk_ranges(lo, hi, threads)
-    parts = _map_ordered(
-        lambda c: cumulative_l1_norms(sys, weights, c[0], c[1])[0], chunks, threads
-    )
-    return np.concatenate(parts)
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
 
-# Peak bytes of a lebesgue-scan report per table row (the columns, the row
-# tuples and the rendered text: about 560 as CSV, 1340 as JSON), and per cell
-# of the oracle's Dirichlet kernel on top of its N cached int64 digit planes
-# (about 72); measured with tracemalloc and rounded up.
+# Peak bytes, measured with tracemalloc on 2^10 .. 2^18 and rounded up.  Per
+# lebesgue-scan table row: the columns, the row tuples and the rendered text
+# (about 560 as CSV, 1340 as JSON).  Per cell: one Dirichlet kernel (32 to
+# 47), a kernel report with its rendered rows (190 to 345), the divergence
+# vectors (about 40).  Per lemma1 index: 65 to 79.  Per cell of each corpus
+# function: about 74 in gat, 16 in equiv-check, which also holds N + 1 block
+# partial sums and their transform scratch (at most 32 per cell each).  Per
+# element of a scan block: 40 to 56 in the partial-sum scan, 65 to 72 with
+# the Fejer sums.
 _SCAN_ROW_BYTES = 1536
-_KERNEL_CELL_BYTES = 128
+_KERNEL_CELL_BYTES = 64
+KERNEL_REPORT_CELL_BYTES = 384
+_DIVERGENCE_CELL_BYTES = 64
+_LEMMA_INDEX_BYTES = 128
+_GAT_CELL_BYTES = 80
+_EQUIV_CELL_BYTES = 16
+_BLOCK_SUM_CELL_BYTES = 32
+_BLOCK_ELEMENT_BYTES = 80
+
+
+def require_memory(what: str, need: int) -> None:
+    """Refuse, before anything is allocated, a run estimated to need more
+    bytes than the machine's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of memory"
+        )
+
+
+def _scan_scratch(sys: RadixSystem) -> int:
+    """Estimated peak bytes of one block of a cumulative partial-sum scan."""
+    return _scan_block(sys, None) * sys.cells * _BLOCK_ELEMENT_BYTES
 
 
 def run_lebesgue_scan(
@@ -233,13 +220,10 @@ def run_lebesgue_scan(
     resolved: dict[str, object],
 ) -> ExperimentReport:
     rows = max(0, n_hi - n_lo + 1)
-    need = rows * _SCAN_ROW_BYTES + sys.cells * (8 * sys.depth + _KERNEL_CELL_BYTES)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"lebesgue-scan of {rows} rows on M_N = {sys.cells} needs about "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of memory"
-        )
+    require_memory(
+        f"lebesgue-scan of {rows} rows on M_N = {sys.cells}",
+        rows * _SCAN_ROW_BYTES + sys.cells * _KERNEL_CELL_BYTES,
+    )
     lebesgue = lebesgue_scan(sys, n_lo, n_hi)
     scan = scan_variation_bounds(sys, n_lo, n_hi, tol, lebesgue=lebesgue)
     columns = (scan.n, scan.v, scan.v_star, scan.lebesgue, scan.lower, scan.upper,
@@ -279,6 +263,10 @@ def run_variation_average(
 ) -> ExperimentReport:
     if not 1 <= n_max <= sys.depth:
         raise ValueError(f"level {n_max} out of range [1, {sys.depth}]")
+    require_memory(
+        f"lemma1 up to M_{n_max} = {sys.products[n_max]}",
+        sys.products[n_max] * _LEMMA_INDEX_BYTES,
+    )
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -301,18 +289,21 @@ def run_variation_average(
 def run_divergence(
     sys: RadixSystem,
     alphas: Sequence[int],
-    threads: int,
     tol: float,
     resolved: dict[str, object],
 ) -> ExperimentReport:
     spec = CounterexampleSpec(sys, tuple(alphas))
+    require_memory(
+        f"divergence on M_N = {sys.cells}",
+        sys.cells * _DIVERGENCE_CELL_BYTES + _scan_scratch(sys),
+    )
     f = build_counterexample(spec)
     coeffs = forward_fast(f)
     eq_dev = float(
         np.max(np.abs(coeffs.coeffs - expected_counterexample_coefficients(spec)))
     )
 
-    norms = scan_l1_norms_threaded(sys, coeffs.coeffs, 1, sys.cells, threads)
+    norms = partial_sum_l1_norms(coeffs, 1, sys.cells)
 
     rows = []
     for k, a in enumerate(spec.alphas):
@@ -359,6 +350,10 @@ def run_gat(
     seed: int,
     resolved: dict[str, object],
 ) -> ExperimentReport:
+    require_memory(
+        f"gat of {count} functions on M_N = {sys.cells}",
+        count * sys.cells * _GAT_CELL_BYTES + _scan_scratch(sys),
+    )
     corpus = random_step_corpus(sys, count, max_rank, seed)
     coeff_rows = np.vstack([forward_fast(f).coeffs for f in corpus])
     value_rows = np.vstack([f.values for f in corpus])
@@ -406,6 +401,10 @@ def run_equiv_check(
     tol: float,
     resolved: dict[str, object],
 ) -> ExperimentReport:
+    require_memory(
+        f"equiv-check of {count} functions on M_N = {sys.cells}",
+        sys.cells * (count * _EQUIV_CELL_BYTES + (sys.depth + 1) * _BLOCK_SUM_CELL_BYTES),
+    )
     corpus = random_step_corpus(sys, count, rank, seed)
     rows = []
     worst = 0.0

@@ -3,27 +3,24 @@
 The character with index n is psi_n(x) = prod_k r_k(x)^{n_k}, where
 r_k(x) = exp(2 pi i x_k / m_k) is the generalized Rademacher function of
 level k and the n_k are the mixed-radix digits of n.  Every character value
-is read from a per-level root-of-unity table indexed by (n_k * x_k) mod m_k;
+is read from a per-radix root-of-unity table indexed by (n_k * x_k) mod m_k;
 no transcendental function is evaluated inside an inner loop.
 
-Because the group is the full direct product of the cyclic levels, the
-character system factorizes completely across digit positions.  The fast
-transform therefore applies one dense length-m_k Fourier matrix along each
-digit axis of the value tensor, at total cost O(M_N * sum_k m_k).
+A length-M_N vector of cell values reshapes in C order to the digit tensor
+of shape (m_{N-1}, ..., m_0), with digit k on axis N-1-k.  Because the group
+is the full direct product of the cyclic levels, psi_n is the outer product
+of its per-level factors on that tensor, and the Fourier transform is its
+N-dimensional DFT (numpy's FFT), at cost O(M_N * sum_k log m_k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .radix import CellIndex, RadixSystem, VilenkinIndex, decompose
-
-# Full character matrices are cached only for systems at most this large.
-_MATRIX_CACHE_CELLS = 2048
 
 # Target element count per scratch block in the cumulative scans (~32 MB).
 _SCAN_BLOCK_ELEMENTS = 1 << 21
@@ -124,43 +121,21 @@ def _from_json_dict(data: dict) -> tuple[RadixSystem, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# cached per-system tables
+# the digit tensor
+#
+# Cell number t = sum_j t_j M_j makes digit 0 the fastest-varying index, so
+# the C-order reshape of a length-M_N vector to (m_{N-1}, ..., m_0) carries
+# digit j on axis depth-1-j.  This is the only cell-to-digit map below.
 
 
-@lru_cache(maxsize=None)
-def _root_table(sys: RadixSystem, level: int) -> np.ndarray:
-    """The m_k roots of unity exp(2 pi i j / m_k) for j = 0 .. m_k - 1."""
-    m = sys.radices[level]
+def _tensor_shape(sys: RadixSystem) -> tuple[int, ...]:
+    return sys.radices[::-1]
+
+
+@lru_cache(maxsize=64)
+def _root_table(m: int) -> np.ndarray:
+    """The m roots of unity exp(2 pi i j / m) for j = 0 .. m - 1."""
     return _frozen(np.exp(2j * np.pi * np.arange(m) / m))
-
-
-@lru_cache(maxsize=None)
-def _digit_plane(sys: RadixSystem, level: int) -> np.ndarray:
-    """Digit x_level of every cell number, as one int64 array of length M_N."""
-    idx = np.arange(sys.cells, dtype=np.int64)
-    return _frozen((idx // sys.products[level]) % sys.radices[level])
-
-
-@lru_cache(maxsize=None)
-def _dft_matrix(sys: RadixSystem, level: int) -> np.ndarray:
-    """Dense forward matrix W[t, k] = exp(-2 pi i t k / m) built from the root table."""
-    m = sys.radices[level]
-    idx = np.outer(np.arange(m), np.arange(m)) % m
-    return _frozen(_root_table(sys, level)[idx].conj())
-
-
-@lru_cache(maxsize=None)
-def _idft_matrix(sys: RadixSystem, level: int) -> np.ndarray:
-    """Dense synthesis matrix V[k, t] = exp(+2 pi i k t / m)."""
-    m = sys.radices[level]
-    idx = np.outer(np.arange(m), np.arange(m)) % m
-    return _frozen(_root_table(sys, level)[idx])
-
-
-@lru_cache(maxsize=None)
-def _character_matrix(sys: RadixSystem) -> np.ndarray:
-    """Full M_N x M_N character matrix; only built for small systems."""
-    return _frozen(character_block(sys, 0, sys.cells))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +146,7 @@ def rademacher(k: int, x: CellIndex) -> complex:
     """r_k(x) = exp(2 pi i x_k / m_k), read from the level-k root table."""
     if not 0 <= k < x.sys.depth:
         raise ValueError(f"level {k} out of range [0, {x.sys.depth})")
-    return complex(_root_table(x.sys, k)[x.coords[k]])
+    return complex(_root_table(x.sys.radices[k])[x.coords[k]])
 
 
 def vilenkin_char(n: int | VilenkinIndex, x: CellIndex) -> complex:
@@ -184,74 +159,57 @@ def vilenkin_char(n: int | VilenkinIndex, x: CellIndex) -> complex:
     else:
         idx = decompose(sys, n)
     out = complex(1.0)
-    for k, d in enumerate(idx.digits):
+    for k, (d, m) in enumerate(zip(idx.digits, sys.radices)):
         if d:
-            out *= complex(_root_table(sys, k)[(d * x.coords[k]) % sys.radices[k]])
+            out *= complex(_root_table(m)[(d * x.coords[k]) % m])
     return out
 
 
 def character_column(sys: RadixSystem, n: int) -> np.ndarray:
     """psi_n evaluated on every cell, as one complex array of length M_N."""
-    idx = decompose(sys, n)
-    acc = np.ones(sys.cells, dtype=np.complex128)
-    for j, d in enumerate(idx.digits):
-        if d:
-            plane = _digit_plane(sys, j)
-            acc *= _root_table(sys, j)[(d * plane) % sys.radices[j]]
-    return acc
+    return character_block(sys, n, n + 1)[0]
 
 
 def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
-    """Rows psi_k for k = lo .. hi-1 as one (hi-lo, M_N) matrix."""
+    """Rows psi_k for k = lo .. hi-1 as one (hi-lo, M_N) matrix.
+
+    The first M_{j+1} cells of a row form the digit tensor (m_j, M_j) of
+    levels 0 .. j, and on it psi_k is its values on the first M_j cells times
+    r_j^{k_j} along the digit-j axis.  Filling the rows level by level, in
+    place, costs about 2 (hi-lo) M_N complex products and no scratch array.
+    """
     if not 0 <= lo <= hi <= sys.cells:
         raise ValueError(f"character range [{lo}, {hi}) outside [0, {sys.cells}]")
     ks = np.arange(lo, hi, dtype=np.int64)
-    acc = np.ones((hi - lo, sys.cells), dtype=np.complex128)
-    for j in range(sys.depth):
-        m = sys.radices[j]
-        d = (ks // sys.products[j]) % m
-        if not d.any():
-            continue
-        plane = _digit_plane(sys, j)
-        table = _root_table(sys, j)
-        if d.min() == d.max():
-            # digit constant across the whole block: one shared row factor
-            acc *= table[(int(d[0]) * plane) % m][None, :]
-        else:
-            acc *= table[(d[:, None] * plane[None, :]) % m]
-    return acc
+    out = np.empty((hi - lo, sys.cells), dtype=np.complex128)
+    out[:, 0] = 1.0
+    for M_j, m in zip(sys.products, sys.radices):
+        # r_j^{k_j} at x_j = 1 .. m-1; at x_j = 0 the factor is 1
+        factors = _root_table(m)[np.multiply.outer((ks // M_j) % m, np.arange(1, m)) % m]
+        low = out[:, : m * M_j].reshape(hi - lo, m, M_j)
+        np.multiply(low[:, :1], factors[:, :, None], out=low[:, 1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # transforms
-
-
-def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(arr, axis, -1)
-    return np.moveaxis(moved @ mat, -1, axis)
-
-
-def _tensor_shape(sys: RadixSystem) -> tuple[int, ...]:
-    # cell number t = sum_j t_j M_j makes digit 0 the fastest-varying axis,
-    # so the C-order tensor carries digit j on axis depth-1-j.
-    return sys.radices[::-1]
+#
+# The characters factor over the digit levels, so the transform is the
+# N-dimensional DFT of the digit tensor: f_hat = fftn(f) / M_N, and the
+# synthesis sum_k c_k psi_k is the unnormalized inverse.  Both act on the
+# last axis of an array of any leading shape.
 
 
 def _analysis(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
-    arr = values.reshape(_tensor_shape(sys))
-    for axis in range(sys.depth):
-        level = sys.depth - 1 - axis
-        m = sys.radices[level]
-        arr = _apply_axis(arr, _dft_matrix(sys, level) / m, axis)
-    return arr.reshape(-1)
+    arr = values.reshape(*values.shape[:-1], *_tensor_shape(sys))
+    axes = tuple(range(-sys.depth, 0))
+    return np.fft.fftn(arr, axes=axes, norm="forward").reshape(values.shape)
 
 
 def _synthesis(sys: RadixSystem, coeffs: np.ndarray) -> np.ndarray:
-    arr = coeffs.reshape(_tensor_shape(sys))
-    for axis in range(sys.depth):
-        level = sys.depth - 1 - axis
-        arr = _apply_axis(arr, _idft_matrix(sys, level), axis)
-    return arr.reshape(-1)
+    arr = coeffs.reshape(*coeffs.shape[:-1], *_tensor_shape(sys))
+    axes = tuple(range(-sys.depth, 0))
+    return np.fft.ifftn(arr, axes=axes, norm="forward").reshape(coeffs.shape)
 
 
 def forward_naive(f: StepFunction) -> SpectralVector:
@@ -262,9 +220,6 @@ def forward_naive(f: StepFunction) -> SpectralVector:
     sys = f.sys
     cells = sys.cells
     out = np.empty(cells, dtype=np.complex128)
-    if cells <= _MATRIX_CACHE_CELLS:
-        out[:] = _character_matrix(sys).conj() @ f.values / cells
-        return SpectralVector(sys, out)
     step = max(1, _SCAN_BLOCK_ELEMENTS // cells)
     for b0 in range(0, cells, step):
         b1 = min(b0 + step, cells)
@@ -274,12 +229,12 @@ def forward_naive(f: StepFunction) -> SpectralVector:
 
 
 def forward_fast(f: StepFunction) -> SpectralVector:
-    """Fast transform: one dense length-m_k Fourier pass per digit level."""
+    """Fast transform: the DFT of the digit tensor, O(M_N * sum_k log m_k)."""
     return SpectralVector(f.sys, _analysis(f.sys, f.values))
 
 
 def inverse_transform(c: SpectralVector) -> StepFunction:
-    """Synthesis f(x) = sum_k c_k psi_k(x) by one pass per digit level."""
+    """Synthesis f(x) = sum_k c_k psi_k(x) as the inverse DFT of the digit tensor."""
     return StepFunction(c.sys, _synthesis(c.sys, c.coeffs))
 
 
@@ -310,23 +265,25 @@ def dirichlet_kernel(sys: RadixSystem, n: int) -> StepFunction:
     if n == cells:
         vals[0] = cells
         return StepFunction(sys, vals)
+    tensor = vals.reshape(_tensor_shape(sys))
     digits = decompose(sys, n).digits
-    mult = np.ones(cells, dtype=np.complex128)
+    mult = np.ones((1,) * sys.depth, dtype=np.complex128)
     for j in range(sys.depth - 1, -1, -1):
         d = digits[j]
         if d == 0:
             continue
-        M_j = sys.products[j]
         m = sys.radices[j]
-        table = _root_table(sys, j)
-        sub_plane = _digit_plane(sys, j)[::M_j]
-        # geometric factor sum_{u < d} r_j^u on the cells of I_j
-        geom = np.zeros(cells // M_j, dtype=np.complex128)
+        table = _root_table(m)
+        x_j = np.arange(m)
+        # geometric factor sum_{u < d} r_j^u on the m values of x_j
+        geom = np.zeros(m, dtype=np.complex128)
         for u in range(d):
-            geom += table[(u * sub_plane) % m]
-        vals[::M_j] += M_j * mult[::M_j] * geom
-        if j > 0:
-            mult *= table[(d * _digit_plane(sys, j)) % m]
+            geom += table[(u * x_j) % m]
+        # I_j: the cells whose digits below j vanish
+        cylinder = (Ellipsis,) + (0,) * j
+        tensor[cylinder] += sys.products[j] * mult[cylinder] * geom
+        # times r_j^d, which varies along digit axis depth-1-j only
+        mult = mult * table[(d * x_j) % m].reshape(-1, *(1,) * j)
     return StepFunction(sys, vals)
 
 
@@ -402,13 +359,11 @@ def cumulative_l1_norms(
     step = _scan_block(sys, block)
 
     # checkpoint: state rows hold offsets + S_lo
-    state = np.empty((count, cells), dtype=np.complex128)
-    masked = np.zeros(cells, dtype=np.complex128)
-    for i in range(count):
-        masked[:lo] = rows[i, :lo]
-        state[i] = _synthesis(sys, masked)
-        if offsets is not None:
-            state[i] += offsets[i]
+    masked = np.zeros((count, cells), dtype=np.complex128)
+    masked[:, :lo] = rows[:, :lo]
+    state = _synthesis(sys, masked)
+    if offsets is not None:
+        state += offsets
 
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)

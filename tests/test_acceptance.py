@@ -212,29 +212,22 @@ def test_criterion_8_window_averages_grow():
     """Window averages climb like sqrt(alpha_k) while the H1 norm stays flat."""
     t0 = time.monotonic()
     sys = build_radix_system([2], 10)
-    rep = run_divergence(sys, (1, 4, 9), 1, 1e-12, {"radix": "2^10"})
+    rep = run_divergence(sys, (1, 4, 9), 1e-12, {"radix": "2^10"})
     elapsed = time.monotonic() - t0
     b_values = [row[3] for row in rep.table.rows]
     ratios = [row[5] for row in rep.table.rows]
     increasing = rep.summary["b_strictly_increasing"]
     spread = rep.summary["h1_spread"]
-    # same computation across 8 worker threads stays inside its own budget
-    t1 = time.monotonic()
-    rep8 = run_divergence(sys, (1, 4, 9), 8, 1e-12, {"radix": "2^10"})
-    elapsed8 = time.monotonic() - t1
-    agree = np.allclose([r[3] for r in rep8.table.rows], b_values, atol=1e-9)
     ok = (
         increasing
         and min(ratios) > 0
         and spread < 2.0
         and rep.violations == 0
-        and agree
         and elapsed < 600
-        and elapsed8 < 120
     )
     report(8, ok, f"B_k = {[round(b, 6) for b in b_values]} strictly increasing, "
                   f"B_k/sqrt(a_k) >= {min(ratios):.4f} > 0, h1 spread {spread:.4f} < 2, "
-                  f"{elapsed:.1f}s single / {elapsed8:.1f}s at 8 threads")
+                  f"{elapsed:.1f}s")
 
 
 def test_criterion_9_log_averages_and_fejer():
@@ -262,7 +255,7 @@ def test_criterion_9_log_averages_and_fejer():
     )
 
     # the shared counterexample: growing Cesaro curve, bounded Fejer maximal
-    div = run_divergence(sys, (1, 4, 9), 1, 1e-12, {"radix": "2^10"})
+    div = run_divergence(sys, (1, 4, 9), 1e-12, {"radix": "2^10"})
     curve = [row[1] for row in div.extra_tables["cesaro"].rows if row[0] >= 4]
     curve_grows = all(a < b for a, b in zip(curve, curve[1:])) and curve[-1] > 2 * curve[0]
     f_ce = build_counterexample(CounterexampleSpec(sys, (1, 4, 9)))

@@ -28,7 +28,6 @@ from vilenkin.cli import main
 from vilenkin.experiments import (
     ExperimentReport,
     Table,
-    _chunk_ranges,
     config_hash,
     random_step_corpus,
     render_csv,
@@ -39,7 +38,6 @@ from vilenkin.experiments import (
     run_gat,
     run_lebesgue_scan,
     run_variation_average,
-    scan_l1_norms_threaded,
     write_report,
 )
 
@@ -114,7 +112,7 @@ def test_write_report_stdout(capsys, dyadic6):
 
 
 # ---------------------------------------------------------------------------
-# corpus and threading
+# corpus
 
 
 def test_corpus_deterministic(dyadic6):
@@ -142,22 +140,6 @@ def test_corpus_validation(dyadic6):
         random_step_corpus(dyadic6, 0, 2, 1)
     with pytest.raises(ValueError):
         random_step_corpus(dyadic6, 3, 7, 1)
-
-
-def test_chunk_ranges_cover():
-    for lo, hi, parts in ((1, 10, 3), (1, 1, 4), (5, 23, 8)):
-        chunks = _chunk_ranges(lo, hi, parts)
-        flat = [n for a, b in chunks for n in range(a, b + 1)]
-        assert flat == list(range(lo, hi + 1))
-
-
-def test_threaded_scan_matches_serial(mixed2):
-    ones = np.ones(mixed2.cells, dtype=np.complex128)
-    serial = scan_l1_norms_threaded(mixed2, ones, 1, 100, 1)
-    again = scan_l1_norms_threaded(mixed2, ones, 1, 100, 1)
-    np.testing.assert_array_equal(serial, again)  # same thread count: bitwise
-    threaded = scan_l1_norms_threaded(mixed2, ones, 1, 100, 4)
-    np.testing.assert_allclose(threaded, serial, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +180,7 @@ def test_run_divergence_small(dyadic6, dyadic10):
         (dyadic6, (1, 2), None),
         (dyadic10, (1, 4, 9), (0.5, 0.685546875, 0.8759403228759763)),
     ):
-        rep = run_divergence(sys_obj, alphas, 1, 1e-12, {"seed": 1})
+        rep = run_divergence(sys_obj, alphas, 1e-12, {"seed": 1})
         assert len(rep.table.rows) == len(alphas)
         assert rep.summary["eq_block_coeff_deviation"] < 1e-12
         assert rep.violations == 0
@@ -212,7 +194,7 @@ def test_run_divergence_small(dyadic6, dyadic10):
         for n, avg in rep.extra_tables["cesaro"].rows:
             assert avg == pytest.approx(float(norms[:n].mean()), abs=1e-12)
         # a hostile tolerance flips the verification outcome
-        rep = run_divergence(sys_obj, alphas, 1, -1.0, {"seed": 1})
+        rep = run_divergence(sys_obj, alphas, -1.0, {"seed": 1})
         assert rep.violations == 1
 
 
@@ -278,8 +260,13 @@ def test_cli_usage_errors_exit_1():
     ["equiv-check", "--count", "0"],
     ["lebesgue-scan", "--threads", "0"],
     ["gat", "--threads", "-2"],
-    # 2^34 rows: refused by the memory estimate before anything is allocated
+    # 2^34 cells: refused by the memory estimate before anything is allocated
     ["lebesgue-scan", "--radix", "2^34"],
+    ["kernel", "--radix", "2^34", "--n", "1"],
+    ["lemma1", "--radix", "2^34"],
+    ["gat", "--radix", "2^34"],
+    ["equiv-check", "--radix", "2^34"],
+    ["divergence", "--radix", "2^34", "--alphas", "1,4,9"],
 ])
 def test_cli_bad_values_exit_1(capsys, argv):
     # zero is a value to validate, not a request for the default
@@ -344,20 +331,26 @@ def test_cli_transform_verify(tmp_path, capsys):
 
 
 def test_cli_byte_identical_reruns(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["lebesgue-scan", "--radix", "2^6", "--n-max", "20"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    # the thread count changes only the config hash, which records it
-    c = tmp_path / "c.csv"
-    assert main(args + ["--threads", "4", "--out", str(c)]) == 0
-    differ = [
-        (x, y) for x, y in zip(a.read_bytes().splitlines(), c.read_bytes().splitlines())
-        if x != y
-    ]
-    assert len(differ) == 1 and differ[0][0].startswith(b"# config_hash=")
-    assert len(c.read_bytes()) == len(a.read_bytes())
+    for k, args in enumerate((
+        ["lebesgue-scan", "--radix", "2^6", "--n-max", "20"],
+        ["divergence", "--radix", "2,3,4", "--depth", "4", "--alphas", "1,2"],
+    )):
+        runs = {}
+        for run, extra in (("a", []), ("b", []), ("c", ["--threads", "4"])):
+            folder = tmp_path / f"{k}{run}"
+            folder.mkdir()
+            assert main(args + extra + ["--out", str(folder / "r.csv")]) == 0
+            runs[run] = {p.name: p.read_bytes() for p in folder.iterdir()}
+        assert runs["a"] == runs["b"]
+        # the thread count changes only the config hash, which records it
+        assert runs["c"].keys() == runs["a"].keys()
+        for name, text in runs["a"].items():
+            differ = [
+                (x, y) for x, y in zip(text.splitlines(), runs["c"][name].splitlines())
+                if x != y
+            ]
+            assert len(differ) == 1 and differ[0][0].startswith(b"# config_hash=")
+            assert len(runs["c"][name]) == len(text)
 
 
 def test_cli_lebesgue_oracle_deviation_exit_2(tmp_path, monkeypatch):
