@@ -29,7 +29,7 @@ from .experiments import (
     run_variation_average,
     write_report,
 )
-from .norms import lebesgue_constant
+from .norms import lp_norm
 from .radix import parse_radix_spec
 from .spectral import (
     SpectralVector,
@@ -257,7 +257,7 @@ def _kernel_cmd(merged: dict[str, object], sys_obj) -> int:
         )
         write_report(report, out, "csv")
     if n >= 1:
-        print(f"kernel n={n}: L_n = {lebesgue_constant(sys_obj, n)!r}", file=sys.stderr)
+        print(f"kernel n={n}: L_n = {lp_norm(kern, 1.0)!r}", file=sys.stderr)
     return 0
 
 

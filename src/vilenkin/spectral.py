@@ -11,10 +11,22 @@ of shape (m_{N-1}, ..., m_0), with digit k on axis N-1-k.  Because the group
 is the full direct product of the cyclic levels, psi_n is the outer product
 of its per-level factors on that tensor, and the Fourier transform is its
 N-dimensional DFT (numpy's FFT), at cost O(M_N * sum_k log m_k).
+
+Quotient rule.  psi_k for k < M_r depends only on the digits x_0 .. x_{r-1},
+that is on t mod M_r, so it is a character of the quotient
+G_r = Z_{m_0} x ... x Z_{m_{r-1}} (`sys.truncate(r)`) tiled M_N / M_r times.
+A sum of such characters, plus an M_r-periodic function, is therefore an
+M_r-periodic vector, and its mean absolute value over G equals the one over
+G_r, because Haar measure pushes forward to the quotient.  Every transform,
+synthesis and scan below runs on the smallest such G_r and tiles or extends
+its result to M_N.  The rule is exact, not a threshold: r is chosen from
+exact zeros and exact periodicity only, and a weight that is exactly 0 adds
+exactly nothing to a running sum.  Full resolution is the case r = N.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,6 +144,27 @@ def _tensor_shape(sys: RadixSystem) -> tuple[int, ...]:
     return sys.radices[::-1]
 
 
+def _level_holding(sys: RadixSystem, top: int) -> int:
+    """The smallest level r >= 1 with M_r >= top: indices k < top live on G_r."""
+    return max(1, bisect.bisect_left(sys.products, top))
+
+
+def _period_level(sys: RadixSystem, rows: np.ndarray, r: int) -> int:
+    """The smallest level q >= r such that every row (M_N columns) is M_q-periodic.
+
+    An M_q-periodic row is also M_{q+1}-periodic, so the search walks down
+    from q = N and checks each period on the head that the previous one left.
+    """
+    q = sys.depth
+    while q > r:
+        period = sys.products[q - 1]
+        head = rows[:, : sys.products[q]].reshape(len(rows), sys.radices[q - 1], period)
+        if not (head == head[:, :1]).all():
+            break
+        q -= 1
+    return q
+
+
 @lru_cache(maxsize=64)
 def _root_table(m: int) -> np.ndarray:
     """The m roots of unity exp(2 pi i j / m) for j = 0 .. m - 1."""
@@ -229,8 +262,16 @@ def forward_naive(f: StepFunction) -> SpectralVector:
 
 
 def forward_fast(f: StepFunction) -> SpectralVector:
-    """Fast transform: the DFT of the digit tensor, O(M_N * sum_k log m_k)."""
-    return SpectralVector(f.sys, _analysis(f.sys, f.values))
+    """Fast transform: the DFT of the digit tensor, O(M_N * sum_k log m_k).
+
+    An M_r-periodic f lives on G_r: its first M_r values are transformed
+    there, and its coefficients at k >= M_r are exactly zero on every radix.
+    """
+    sys = f.sys
+    sub = sys.truncate(_period_level(sys, f.values[None, :], 1))
+    coeffs = np.zeros(sys.cells, dtype=np.complex128)
+    coeffs[: sub.cells] = _analysis(sub, f.values[: sub.cells])
+    return SpectralVector(sys, coeffs)
 
 
 def inverse_transform(c: SpectralVector) -> StepFunction:
@@ -238,14 +279,21 @@ def inverse_transform(c: SpectralVector) -> StepFunction:
     return StepFunction(c.sys, _synthesis(c.sys, c.coeffs))
 
 
+def _head_synthesis(sys: RadixSystem, head: np.ndarray) -> StepFunction:
+    """sum_{k < len(head)} head[k] psi_k, synthesized on the smallest G_r that
+    holds those indices and tiled out to M_N."""
+    sub = sys.truncate(_level_holding(sys, head.size))
+    masked = np.zeros(sub.cells, dtype=np.complex128)
+    masked[: head.size] = head
+    return StepFunction(sys, np.tile(_synthesis(sub, masked), sys.cells // sub.cells))
+
+
 def partial_sum(c: SpectralVector, n: int) -> StepFunction:
     """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f identically zero."""
     sys = c.sys
     if not 0 <= n <= sys.cells:
         raise ValueError(f"partial sum index {n} out of range [0, {sys.cells}]")
-    masked = np.zeros(sys.cells, dtype=np.complex128)
-    masked[:n] = c.coeffs[:n]
-    return StepFunction(sys, _synthesis(sys, masked))
+    return _head_synthesis(sys, c.coeffs[:n])
 
 
 def dirichlet_kernel(sys: RadixSystem, n: int) -> StepFunction:
@@ -297,10 +345,8 @@ def fejer_mean(c: SpectralVector, n: int) -> StepFunction:
     sys = c.sys
     if not 1 <= n <= sys.cells:
         raise ValueError(f"Fejer index {n} out of range [1, {sys.cells}]")
-    masked = np.zeros(sys.cells, dtype=np.complex128)
     weights = 1.0 - np.arange(1, n + 1, dtype=np.float64) / n
-    masked[:n] = c.coeffs[:n] * weights
-    return StepFunction(sys, _synthesis(sys, masked))
+    return _head_synthesis(sys, c.coeffs[:n] * weights)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +357,22 @@ def fejer_mean(c: SpectralVector, n: int) -> StepFunction:
 # norm per step.  This keeps full partial-sum-norm scans at O(N * M_N) work
 # per block row with no per-step python cost.  With unit weights the same
 # scan is the oracle for the closed-form norms.lebesgue_scan.
+#
+# Each scan runs on the quotient G_r of _scan_level: the weights vanish
+# exactly from M_r on and the offsets are M_r-periodic, so every running sum
+# is a function on G_r (M_r cells instead of M_N), and from m = M_r on it no
+# longer changes.  The block loops are the same at every r; full resolution
+# is r = N.
+
+
+def _scan_level(
+    sys: RadixSystem, weights: np.ndarray, hi: int, offsets: np.ndarray | None
+) -> int:
+    """The smallest r >= 1 such that every weight at k in [M_r, hi) is exactly
+    zero and every offset row is M_r-periodic."""
+    nonzero = np.flatnonzero(weights[:, :hi].any(axis=0))
+    r = _level_holding(sys, int(nonzero[-1]) + 1 if nonzero.size else 0)
+    return r if offsets is None else _period_level(sys, offsets, r)
 
 
 def _scan_block(sys: RadixSystem, block: int | None) -> int:
@@ -356,26 +418,32 @@ def cumulative_l1_norms(
         offsets = _as_rows(offsets, cells, "offsets")
         if offsets.shape[0] != count:
             raise ValueError("offsets must have one row per weight vector")
-    step = _scan_block(sys, block)
+    sub = sys.truncate(_scan_level(sys, rows, hi, offsets))
+    width = sub.cells
+    rows = rows[:, :width]
+    # the scan walks m = q_lo .. q_hi on G_r; past M_r the sums stay put
+    q_lo, q_hi = min(lo, width), min(hi, width)
+    step = _scan_block(sub, block)
 
-    # checkpoint: state rows hold offsets + S_lo
-    masked = np.zeros((count, cells), dtype=np.complex128)
-    masked[:, :lo] = rows[:, :lo]
-    state = _synthesis(sys, masked)
+    # checkpoint: state rows hold offsets + S_{q_lo}
+    masked = np.zeros((count, width), dtype=np.complex128)
+    masked[:, :q_lo] = rows[:, :q_lo]
+    state = _synthesis(sub, masked)
     if offsets is not None:
-        state += offsets
+        state += offsets[:, :width]
 
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
-    for b0 in range(lo, hi, step):
-        b1 = min(b0 + step, hi)
-        chars = character_block(sys, b0, b1)
+    for b0 in range(q_lo, q_hi, step):
+        b1 = min(b0 + step, q_hi)
+        chars = character_block(sub, b0, b1)
         for i in range(count):
             inc = rows[i, b0:b1, None] * chars
             np.cumsum(inc, axis=0, out=inc)
             inc += state[i]
-            out[i, b0 + 1 - lo : b1 + 1 - lo] = np.abs(inc).mean(axis=1)
+            out[i, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc).mean(axis=1)
             state[i] = inc[-1]
+    out[:, q_hi - q_lo + 1 :] = out[:, q_hi - q_lo, None]
     return out
 
 
@@ -396,14 +464,18 @@ def fejer_l1_norms(
         raise ValueError(f"scan bound {n_max} out of range [1, {cells}]")
     rows = _as_rows(weights, cells, "weights")
     count = rows.shape[0]
-    step = _scan_block(sys, block)
+    sub = sys.truncate(_scan_level(sys, rows, n_max, None))
+    width = sub.cells
+    rows = rows[:, :width]
+    q_max = min(n_max, width)
+    step = _scan_block(sub, block)
 
-    s_state = np.zeros((count, cells), dtype=np.complex128)
-    u_state = np.zeros((count, cells), dtype=np.complex128)
+    s_state = np.zeros((count, width), dtype=np.complex128)
+    u_state = np.zeros((count, width), dtype=np.complex128)
     out = np.empty((count, n_max), dtype=np.float64)
-    for b0 in range(0, n_max, step):
-        b1 = min(b0 + step, n_max)
-        chars = character_block(sys, b0, b1)
+    for b0 in range(0, q_max, step):
+        b1 = min(b0 + step, q_max)
+        chars = character_block(sub, b0, b1)
         ranks = np.arange(b0 + 1, b1 + 1, dtype=np.float64)
         for i in range(count):
             inc = rows[i, b0:b1, None] * chars
@@ -416,4 +488,10 @@ def fejer_l1_norms(
             u_state[i] = u_inc[-1]
             inc -= u_inc / ranks[:, None]
             out[i, b0:b1] = np.abs(inc).mean(axis=1)
+    # past M_r, S_n and U_n are frozen: sigma_n = S - U / n, in bounded blocks of n
+    tail = max(1, _SCAN_BLOCK_ELEMENTS // max(1, count * width))
+    for n0 in range(q_max + 1, n_max + 1, tail):
+        ranks = np.arange(n0, min(n0 + tail, n_max + 1), dtype=np.float64)
+        sigma = s_state[:, None, :] - u_state[:, None, :] / ranks[:, None]
+        out[:, n0 - 1 : n0 - 1 + ranks.size] = np.abs(sigma).mean(axis=2)
     return out

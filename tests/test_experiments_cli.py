@@ -229,6 +229,23 @@ def test_run_gat_small(dyadic6, mixed):
             assert ratio == pytest.approx(want / h1, abs=1e-12)
 
 
+def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
+    # every function of a max-rank-4 corpus lives on G_4, so no character row
+    # of the scans may be longer than M_4 = 16 cells
+    import vilenkin.spectral as spectral
+
+    seen = []
+    real_block = spectral.character_block
+
+    def spy(sub, lo, hi):
+        seen.append(sub.cells)
+        return real_block(sub, lo, hi)
+
+    monkeypatch.setattr(spectral, "character_block", spy)
+    run_gat(dyadic10, 8, 4, 1, {"seed": 1})
+    assert seen and max(seen) <= dyadic10.products[4]
+
+
 def test_run_equiv_check_small(mixed2):
     rep = run_equiv_check(mixed2, 6, mixed2.depth, 1, 1e-9, {"seed": 1})
     assert rep.violations == 0
@@ -302,6 +319,25 @@ def test_cli_kernel_csv(tmp_path, capsys):
     for (t, re, im), w in zip(parsed, want):
         assert re == pytest.approx(w, abs=1e-12)
         assert im == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cli_kernel_builds_one_kernel(tmp_path, monkeypatch):
+    # the stderr L_n line reuses the kernel of the report
+    import vilenkin.cli as cli_mod
+    import vilenkin.norms as norms_mod
+
+    calls = []
+    real_kernel = norms_mod.dirichlet_kernel
+
+    def counted(sys_obj, n):
+        calls.append(n)
+        return real_kernel(sys_obj, n)
+
+    monkeypatch.setattr(cli_mod, "dirichlet_kernel", counted)
+    monkeypatch.setattr(norms_mod, "dirichlet_kernel", counted)
+    out = tmp_path / "kern.csv"
+    assert main(["kernel", "--radix", "2^10", "--n", "37", "--out", str(out)]) == 0
+    assert calls == [37]
 
 
 def test_cli_transform_roundtrip(tmp_path):

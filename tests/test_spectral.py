@@ -24,6 +24,8 @@ from vilenkin import (
     rademacher,
     vilenkin_char,
 )
+from vilenkin.experiments import random_step_corpus
+from vilenkin.spectral import _synthesis
 from conftest import random_values, small_systems
 
 
@@ -318,6 +320,92 @@ def test_fejer_l1_norms_match_per_n(mixed):
     for n in range(1, mixed.cells + 1):
         want = float(np.abs(fejer_mean(c, n).values).mean())
         assert got[0, n - 1] == pytest.approx(want, abs=1e-12), f"n={n}"
+
+
+# ---------------------------------------------------------------------------
+# the quotient rule: low-rank inputs are scanned on G_r, results extended to M_N
+
+
+def test_forward_fast_exact_zeros_above_rank():
+    # the full-size FFT leaves rounding-level non-zeros at k >= M_r for
+    # radices 5 and 7; the quotient transform leaves none
+    for sys in (build_radix_system([5, 2, 7], 6), build_radix_system([5], 3)):
+        for rank in range(1, sys.depth):
+            f = random_step_corpus(sys, rank, rank, 7)[-1]
+            fast = forward_fast(f).coeffs
+            assert np.count_nonzero(fast[sys.products[rank]:]) == 0, f"rank {rank}"
+            assert np.abs(fast - forward_naive(f).coeffs).max() <= 1e-12
+
+
+def _scan_points(sys, widths):
+    """Scan ends below, at and above each M_r, plus both ends of [0, M_N]."""
+    return sorted({p for w in widths for p in (0, 1, w - 1, w, w + 1, sys.cells)
+                   if 0 <= p <= sys.cells})
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_systems.filter(lambda s: s.depth >= 2), st.integers(0, 2**31 - 1), st.data())
+def test_quotient_scans_match_direct(sys, seed, data):
+    weight_rank = data.draw(st.integers(1, sys.depth - 1))
+    offset_rank = data.draw(st.integers(1, sys.depth - 1))
+    corpus = random_step_corpus(sys, 3, weight_rank, seed)
+    coeffs = [forward_fast(f) for f in corpus]
+    weights = np.vstack([c.coeffs for c in coeffs])
+    periodic = np.vstack([f.values for f in random_step_corpus(sys, 3, offset_rank, seed + 1)])
+    # one offset that is not periodic at any level below N
+    aperiodic = periodic.copy()
+    aperiodic[1, -1] += 1.0
+    points = _scan_points(sys, [sys.products[weight_rank], sys.products[offset_rank]])
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+    # the level each scan must run on: the weights below hi need the smallest
+    # G_r holding min(hi, M_{weight_rank}) indices, a periodic offset may need
+    # more, and the aperiodic one needs all N levels
+    need = min(hi, sys.products[weight_rank])
+    weight_level = next(r for r in range(1, sys.depth + 1) if sys.products[r] >= need)
+    cases = ((None, weight_level), (periodic, max(weight_level, offset_rank)),
+             (aperiodic, sys.depth))
+
+    for offsets, level in cases:
+        width = sys.products[level]
+        cells_seen = []
+        real_block = character_block
+
+        def spy(sub, b0, b1):
+            cells_seen.append(sub.cells)
+            return real_block(sub, b0, b1)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("vilenkin.spectral.character_block", spy)
+            got = cumulative_l1_norms(sys, weights, lo, hi, offsets=offsets)
+        assert got.shape == (3, hi - lo + 1)
+        assert set(cells_seen) == ({width} if lo < min(hi, width) else set())
+        for i, c in enumerate(coeffs):
+            off = 0.0 if offsets is None else offsets[i]
+            for m in range(lo, hi + 1):
+                want = float(np.abs(partial_sum(c, m).values + off).mean())
+                assert abs(got[i, m - lo] - want) <= 1e-12, (i, m)
+
+    n_max = data.draw(st.sampled_from([p for p in points if p >= 1]))
+    got = fejer_l1_norms(sys, weights, n_max)
+    for i, c in enumerate(coeffs):
+        for n in range(1, n_max + 1):
+            want = float(np.abs(fejer_mean(c, n).values).mean())
+            assert abs(got[i, n - 1] - want) <= 1e-12, (i, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_systems, st.integers(0, 2**31 - 1))
+def test_quotient_partial_sums_match_full_synthesis(sys, seed):
+    # full-rank coefficients, so every n up to M_N exercises a different G_r
+    c = forward_fast(StepFunction(sys, random_values(sys, seed)))
+    for n in range(sys.cells + 1):
+        masked = np.zeros(sys.cells, dtype=np.complex128)
+        masked[:n] = c.coeffs[:n]
+        assert np.abs(partial_sum(c, n).values - _synthesis(sys, masked)).max() <= 1e-12
+        if n:
+            masked[:n] *= 1.0 - np.arange(1, n + 1) / n
+            got = fejer_mean(c, n).values
+            assert np.abs(got - _synthesis(sys, masked)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
