@@ -29,7 +29,7 @@ from .experiments import (
     run_variation_average,
     write_report,
 )
-from .norms import lp_norm
+from .norms import lebesgue_scan, lp_norm
 from .radix import parse_radix_spec
 from .spectral import (
     SpectralVector,
@@ -257,7 +257,14 @@ def _kernel_cmd(merged: dict[str, object], sys_obj) -> int:
         )
         write_report(report, out, "csv")
     if n >= 1:
-        print(f"kernel n={n}: L_n = {lp_norm(kern, 1.0)!r}", file=sys.stderr)
+        l_n = lp_norm(kern, 1.0)
+        print(f"kernel n={n}: L_n = {l_n!r}", file=sys.stderr)
+        gap = abs(l_n - float(lebesgue_scan(sys_obj, n, n)[0]))
+        tol = _tol(merged, DEFAULT_EQUALITY_TOL)
+        print(f"kernel n={n}: |L_n - closed form| = {gap:.3e} (tolerance {tol:.1e})",
+              file=sys.stderr)
+        if gap > tol:
+            return 2
     return 0
 
 

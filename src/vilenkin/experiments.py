@@ -182,9 +182,12 @@ def random_step_corpus(
 # 47), a kernel report with its rendered rows (190 to 345), the divergence
 # vectors (about 40).  Per lemma1 index: 65 to 79.  Per cell of each corpus
 # function: about 74 in gat, 16 in equiv-check, which also holds N + 1 block
-# partial sums and their transform scratch (at most 32 per cell each).  Per
-# element of a scan block: 40 to 56 in the partial-sum scan, 65 to 72 with
-# the Fejer sums.
+# partial sums (16 per cell each) and, one synthesis at a time, the
+# coefficients and the transform scratch: its input, two level buffers and
+# the tiled result (88 to 97 per cell on 262144^1, 512^2, 64^3, 2^14 and
+# 2^18, shallow systems included).  Per element of a scan block: about 40 in
+# the partial-sum scan and 56 with the Fejer sums (the character block and
+# the scratch reused across blocks).
 _SCAN_ROW_BYTES = 1536
 _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384
@@ -192,7 +195,8 @@ _DIVERGENCE_CELL_BYTES = 64
 _LEMMA_INDEX_BYTES = 128
 _GAT_CELL_BYTES = 80
 _EQUIV_CELL_BYTES = 16
-_BLOCK_SUM_CELL_BYTES = 32
+_BLOCK_SUM_CELL_BYTES = 16
+_TRANSFORM_CELL_BYTES = 112
 _BLOCK_ELEMENT_BYTES = 80
 
 
@@ -403,7 +407,8 @@ def run_equiv_check(
 ) -> ExperimentReport:
     require_memory(
         f"equiv-check of {count} functions on M_N = {sys.cells}",
-        sys.cells * (count * _EQUIV_CELL_BYTES + (sys.depth + 1) * _BLOCK_SUM_CELL_BYTES),
+        sys.cells * (count * _EQUIV_CELL_BYTES + (sys.depth + 1) * _BLOCK_SUM_CELL_BYTES
+                     + _TRANSFORM_CELL_BYTES),
     )
     corpus = random_step_corpus(sys, count, rank, seed)
     rows = []

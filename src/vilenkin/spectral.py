@@ -10,7 +10,11 @@ A length-M_N vector of cell values reshapes in C order to the digit tensor
 of shape (m_{N-1}, ..., m_0), with digit k on axis N-1-k.  Because the group
 is the full direct product of the cyclic levels, psi_n is the outer product
 of its per-level factors on that tensor, and the Fourier transform is its
-N-dimensional DFT (numpy's FFT), at cost O(M_N * sum_k log m_k).
+N-dimensional DFT.  That DFT is taken one digit level at a time: N passes,
+each one numpy call over a contiguous view of all M_N cells (a sum and a
+difference when m_k = 2, a batched numpy.fft otherwise), at cost
+O(M_N * sum_k log m_k) and bit-identical to numpy's N-dimensional FFT of
+the tensor.
 
 Quotient rule.  psi_k for k < M_r depends only on the digits x_0 .. x_{r-1},
 that is on t mod M_r, so it is a character of the quotient
@@ -228,21 +232,38 @@ def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
 # transforms
 #
 # The characters factor over the digit levels, so the transform is the
-# N-dimensional DFT of the digit tensor: f_hat = fftn(f) / M_N, and the
-# synthesis sum_k c_k psi_k is the unnormalized inverse.  Both act on the
-# last axis of an array of any leading shape.
+# N-dimensional DFT of the digit tensor: f_hat = DFT(f) / M_N, and the
+# synthesis sum_k c_k psi_k is the unnormalized inverse.  It runs one pass
+# per level, from level 0 up.  The C-order view (-1, m_j, M_j) of the last
+# axis carries digit j on its middle axis, with the higher digits (and any
+# leading rows) on the outer axis and the lower digits on the inner one, so
+# level j is one batch of length-m_j DFTs along the middle axis: a sum and a
+# difference for m_j = 2, one numpy.fft.fft / ifft call otherwise, scaled by
+# 1/m_j in the forward direction.  A pass reads and writes every cell once,
+# O(M_N log m_j) work in one numpy call.  numpy's N-dimensional FFT does the
+# same levels in the same order with the same arithmetic, so the results are
+# bit-identical (the tests compare the two), but it makes one strided
+# transform call per tensor axis, which costs several times more when the
+# axes are short.
 
 
-def _analysis(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
-    arr = values.reshape(*values.shape[:-1], *_tensor_shape(sys))
-    axes = tuple(range(-sys.depth, 0))
-    return np.fft.fftn(arr, axes=axes, norm="forward").reshape(values.shape)
-
-
-def _synthesis(sys: RadixSystem, coeffs: np.ndarray) -> np.ndarray:
-    arr = coeffs.reshape(*coeffs.shape[:-1], *_tensor_shape(sys))
-    axes = tuple(range(-sys.depth, 0))
-    return np.fft.ifftn(arr, axes=axes, norm="forward").reshape(coeffs.shape)
+def _transform(sys: RadixSystem, arr: np.ndarray, *, inverse: bool) -> np.ndarray:
+    """Analysis (DFT / M_N) or, with inverse, synthesis of the digit tensor
+    along the last axis of arr, one pass per level."""
+    out = arr
+    for M_j, m in zip(sys.products, sys.radices):
+        view = out.reshape(-1, m, M_j)
+        if m == 2:
+            out = np.empty(view.shape, dtype=np.complex128)
+            np.add(view[:, 0], view[:, 1], out=out[:, 0])
+            np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
+            if not inverse:
+                out *= 0.5
+        elif inverse:
+            out = np.fft.ifft(view, axis=1, norm="forward")
+        else:
+            out = np.fft.fft(view, axis=1, norm="forward")
+    return out.reshape(arr.shape)
 
 
 def forward_naive(f: StepFunction) -> SpectralVector:
@@ -270,13 +291,13 @@ def forward_fast(f: StepFunction) -> SpectralVector:
     sys = f.sys
     sub = sys.truncate(_period_level(sys, f.values[None, :], 1))
     coeffs = np.zeros(sys.cells, dtype=np.complex128)
-    coeffs[: sub.cells] = _analysis(sub, f.values[: sub.cells])
+    coeffs[: sub.cells] = _transform(sub, f.values[: sub.cells], inverse=False)
     return SpectralVector(sys, coeffs)
 
 
 def inverse_transform(c: SpectralVector) -> StepFunction:
     """Synthesis f(x) = sum_k c_k psi_k(x) as the inverse DFT of the digit tensor."""
-    return StepFunction(c.sys, _synthesis(c.sys, c.coeffs))
+    return StepFunction(c.sys, _transform(c.sys, c.coeffs, inverse=True))
 
 
 def _head_synthesis(sys: RadixSystem, head: np.ndarray) -> StepFunction:
@@ -285,7 +306,8 @@ def _head_synthesis(sys: RadixSystem, head: np.ndarray) -> StepFunction:
     sub = sys.truncate(_level_holding(sys, head.size))
     masked = np.zeros(sub.cells, dtype=np.complex128)
     masked[: head.size] = head
-    return StepFunction(sys, np.tile(_synthesis(sub, masked), sys.cells // sub.cells))
+    vals = _transform(sub, masked, inverse=True)
+    return StepFunction(sys, np.tile(vals, sys.cells // sub.cells))
 
 
 def partial_sum(c: SpectralVector, n: int) -> StepFunction:
@@ -428,21 +450,26 @@ def cumulative_l1_norms(
     # checkpoint: state rows hold offsets + S_{q_lo}
     masked = np.zeros((count, width), dtype=np.complex128)
     masked[:, :q_lo] = rows[:, :q_lo]
-    state = _synthesis(sub, masked)
+    state = _transform(sub, masked, inverse=True)
     if offsets is not None:
         state += offsets[:, :width]
 
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
+    # scratch reused by every block and row
+    inc_buf = np.empty((min(step, q_hi - q_lo), width), dtype=np.complex128)
+    mag_buf = np.empty(inc_buf.shape, dtype=np.float64)
     for b0 in range(q_lo, q_hi, step):
         b1 = min(b0 + step, q_hi)
         chars = character_block(sub, b0, b1)
+        inc, mag = inc_buf[: b1 - b0], mag_buf[: b1 - b0]
         for i in range(count):
-            inc = rows[i, b0:b1, None] * chars
+            np.multiply(rows[i, b0:b1, None], chars, out=inc)
             np.cumsum(inc, axis=0, out=inc)
             inc += state[i]
-            out[i, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc).mean(axis=1)
+            out[i, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc, out=mag).mean(axis=1)
             state[i] = inc[-1]
+        del chars  # freed before the next block is built
     out[:, q_hi - q_lo + 1 :] = out[:, q_hi - q_lo, None]
     return out
 
@@ -473,21 +500,27 @@ def fejer_l1_norms(
     s_state = np.zeros((count, width), dtype=np.complex128)
     u_state = np.zeros((count, width), dtype=np.complex128)
     out = np.empty((count, n_max), dtype=np.float64)
+    inc_buf = np.empty((min(step, q_max), width), dtype=np.complex128)
+    u_buf = np.empty_like(inc_buf)
+    mag_buf = np.empty(inc_buf.shape, dtype=np.float64)
     for b0 in range(0, q_max, step):
         b1 = min(b0 + step, q_max)
         chars = character_block(sub, b0, b1)
-        ranks = np.arange(b0 + 1, b1 + 1, dtype=np.float64)
+        ranks = np.arange(b0 + 1, b1 + 1, dtype=np.float64)[:, None]
+        inc, u_inc, mag = inc_buf[: b1 - b0], u_buf[: b1 - b0], mag_buf[: b1 - b0]
         for i in range(count):
-            inc = rows[i, b0:b1, None] * chars
-            u_inc = ranks[:, None] * inc
+            np.multiply(rows[i, b0:b1, None], chars, out=inc)
+            np.multiply(ranks, inc, out=u_inc)
             np.cumsum(inc, axis=0, out=inc)
             np.cumsum(u_inc, axis=0, out=u_inc)
             inc += s_state[i]
             u_inc += u_state[i]
             s_state[i] = inc[-1]
             u_state[i] = u_inc[-1]
-            inc -= u_inc / ranks[:, None]
-            out[i, b0:b1] = np.abs(inc).mean(axis=1)
+            u_inc /= ranks
+            inc -= u_inc
+            out[i, b0:b1] = np.abs(inc, out=mag).mean(axis=1)
+        del chars
     # past M_r, S_n and U_n are frozen: sigma_n = S - U / n, in bounded blocks of n
     tail = max(1, _SCAN_BLOCK_ELEMENTS // max(1, count * width))
     for n0 in range(q_max + 1, n_max + 1, tail):

@@ -340,6 +340,25 @@ def test_cli_kernel_builds_one_kernel(tmp_path, monkeypatch):
     assert calls == [37]
 
 
+def test_cli_kernel_oracle_deviation_exit_2(tmp_path, monkeypatch, capsys):
+    # the stderr L_n is checked against the closed form; a closed form off by
+    # 1e-6 must fail, and the L_n line itself stays as it was
+    import vilenkin.cli as cli_mod
+
+    exact = cli_mod.lebesgue_scan
+    out = tmp_path / "kern.csv"
+    args = ["kernel", "--radix", "2,3,4", "--depth", "4", "--n", "37", "--out", str(out)]
+    assert main(args) == 0
+    l_n = lebesgue_constant(build_radix_system([2, 3, 4], 4), 37)
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"kernel n=37: L_n = {l_n!r}"
+    assert err[1].startswith("kernel n=37: |L_n - closed form| = ")
+    monkeypatch.setattr(cli_mod, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
+    assert main(args) == 2
+    assert "tolerance 1.0e-09" in capsys.readouterr().err
+    assert main([*args, "--tolerance", "1e-5"]) == 0
+
+
 def test_cli_transform_roundtrip(tmp_path):
     sys_obj = build_radix_system([2, 3], 4)
     rng = np.random.default_rng(12)

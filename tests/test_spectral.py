@@ -1,5 +1,7 @@
 """Characters, fast/naive transforms, kernels, and the cumulative scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from vilenkin import (
     vilenkin_char,
 )
 from vilenkin.experiments import random_step_corpus
-from vilenkin.spectral import _synthesis
+from vilenkin.spectral import _transform
 from conftest import random_values, small_systems
 
 
@@ -160,6 +162,45 @@ def test_roundtrip_property(sys, seed):
     assert np.abs(c.coeffs - forward_naive(f).coeffs).max() <= 1e-12
     g = inverse_transform(c)
     assert np.abs(g.values - f.values).max() < 1e-10
+
+
+def _fftn_route(sys, arr, inverse):
+    """The digit-tensor DFT by numpy.fft.fftn / ifftn, a third route beside
+    the per-level passes and forward_naive."""
+    tensor = arr.reshape(*arr.shape[:-1], *sys.radices[::-1])
+    axes = tuple(range(-sys.depth, 0))
+    fn = np.fft.ifftn if inverse else np.fft.fftn
+    return fn(tensor, axes=axes, norm="forward").reshape(arr.shape)
+
+
+def _assert_transform_is_fftn(sys, arr):
+    for inverse in (False, True):
+        assert np.array_equal(_transform(sys, arr, inverse=inverse),
+                              _fftn_route(sys, arr, inverse))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems, st.integers(0, 2**31 - 1))
+def test_transform_equals_fftn_property(sys, seed):
+    _assert_transform_is_fftn(sys, random_values(sys, seed))
+
+
+@pytest.mark.parametrize(
+    "radices,depth",
+    [([2], 10), ([3], 6), ([5], 4), ([7], 3), ([64], 2), ([5, 2, 7], 6), ([2, 3, 4], 6)],
+)
+def test_transform_equals_fftn_fixed(radices, depth):
+    sys = build_radix_system(radices, depth)
+    _assert_transform_is_fftn(sys, random_values(sys, 47))
+
+
+def test_transform_batched_rows(mixed2):
+    rows = np.stack([random_values(mixed2, seed) for seed in range(4)])
+    for inverse in (False, True):
+        stacked = _transform(mixed2, rows, inverse=inverse)
+        for row, got in zip(rows, stacked):
+            assert np.array_equal(got, _transform(mixed2, row, inverse=inverse))
+        assert np.array_equal(stacked, _fftn_route(mixed2, rows, inverse))
 
 
 def test_partial_sum_endpoints(mixed):
@@ -322,6 +363,27 @@ def test_fejer_l1_norms_match_per_n(mixed):
         assert got[0, n - 1] == pytest.approx(want, abs=1e-12), f"n={n}"
 
 
+def test_scans_reuse_their_scratch(dyadic10):
+    # full resolution, four 4 MiB character blocks: beside the block itself
+    # the scans hold one reused product block (two with the Fejer sums) and
+    # one magnitude block, never a second character block or a quotient temp
+    weights = np.stack([forward_fast(StepFunction(dyadic10, random_values(dyadic10, s))).coeffs
+                        for s in range(4)])
+    block_bytes = 256 * dyadic10.cells * 16
+    for scan, limit in (
+        (lambda: cumulative_l1_norms(dyadic10, weights, 0, dyadic10.cells, block=256), 2.8),
+        (lambda: fejer_l1_norms(dyadic10, weights, dyadic10.cells, block=256), 3.8),
+    ):
+        scan()  # first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * block_bytes
+
+
 # ---------------------------------------------------------------------------
 # the quotient rule: low-rank inputs are scanned on G_r, results extended to M_N
 
@@ -401,11 +463,12 @@ def test_quotient_partial_sums_match_full_synthesis(sys, seed):
     for n in range(sys.cells + 1):
         masked = np.zeros(sys.cells, dtype=np.complex128)
         masked[:n] = c.coeffs[:n]
-        assert np.abs(partial_sum(c, n).values - _synthesis(sys, masked)).max() <= 1e-12
+        want = _transform(sys, masked, inverse=True)
+        assert np.abs(partial_sum(c, n).values - want).max() <= 1e-12
         if n:
             masked[:n] *= 1.0 - np.arange(1, n + 1) / n
             got = fejer_mean(c, n).values
-            assert np.abs(got - _synthesis(sys, masked)).max() <= 1e-12
+            assert np.abs(got - _transform(sys, masked, inverse=True)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
