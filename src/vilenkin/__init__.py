@@ -41,14 +41,14 @@ from .spectral import (
 from .norms import (
     LemmaReport,
     VariationProfile,
+    l1_norm,
     lebesgue_constant,
     lebesgue_scan,
-    lp_norm,
     max_lebesgue_log_ratio,
     scan_variation_bounds,
-    variation_average,
     variation_bound_arrays,
     variation_profile,
+    variation_sum,
     variation_values,
 )
 from .hardy import (

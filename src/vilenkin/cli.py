@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .experiments import (
     run_variation_average,
     write_report,
 )
-from .norms import lebesgue_scan, lp_norm
+from .norms import l1_norm, lebesgue_scan
 from .radix import parse_radix_spec
 from .spectral import (
     SpectralVector,
@@ -40,16 +41,8 @@ from .spectral import (
     inverse_transform,
 )
 
-_DEFAULTS = {
-    "radix": "2^10",
-    "depth": None,
-    "threads": 1,
-    "seed": 1,
-    "format": "csv",
-    "out": None,
-    "tolerance": None,
-    "config": None,
-}
+# defaults of the options that have one; every other option defaults to None
+_DEFAULTS = {"radix": "2^10", "threads": 1, "seed": 1, "format": "csv"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,16 +54,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    # options every subcommand reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--radix", help="radix spec, e.g. '2,3,4' or '2^10'")
-    common.add_argument("--depth", type=int, help="cycle/truncate the radix pattern to this depth")
-    common.add_argument("--threads", type=int,
-                        help="validated, but changes nothing: every scan is serial (default 1)")
-    common.add_argument("--seed", type=int, help="seed for random corpora (default 1)")
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
     common.add_argument("--tolerance", type=float, help="override the verification tolerance")
     common.add_argument("--config", help="key=value config file; CLI flags win")
+    # options of the experiments, which build a radix system and a report
+    experiment = argparse.ArgumentParser(add_help=False, parents=[common])
+    experiment.add_argument("--radix", help="radix spec, e.g. '2,3,4' or '2^10'")
+    experiment.add_argument("--depth", type=int,
+                            help="cycle/truncate the radix pattern to this depth")
+    experiment.add_argument("--threads", type=int,
+                            help="validated, but changes nothing: every scan is serial (default 1)")
+    experiment.add_argument("--seed", type=int, help="seed for random corpora (default 1)")
+    experiment.add_argument("--format", choices=["csv", "json"],
+                            help="output format (default csv)")
 
     parser = _Parser(prog="vilenkin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"vilenkin {__version__}")
@@ -81,26 +79,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--inverse", action="store_true", help="synthesize values from coefficients")
     p.add_argument("--verify", action="store_true", help="cross-check the fast path against the direct sum")
 
-    p = sub.add_parser("kernel", parents=[common], help="emit one Dirichlet kernel")
+    p = sub.add_parser("kernel", parents=[experiment], help="emit one Dirichlet kernel")
     p.add_argument("--n", type=int, required=True, help="kernel index")
 
-    p = sub.add_parser("lebesgue-scan", parents=[common], help="Lebesgue constants with variation bounds")
+    p = sub.add_parser("lebesgue-scan", parents=[experiment], help="Lebesgue constants with variation bounds")
     p.add_argument("--n-min", type=int, help="first index (default 1)")
     p.add_argument("--n-max", type=int, help="last index (default M_N - 1)")
 
-    p = sub.add_parser("lemma1", parents=[common], help="averages of v over [1, M_n), both normalizers")
+    p = sub.add_parser("lemma1", parents=[experiment], help="averages of v over [1, M_n), both normalizers")
     p.add_argument("--n-max", type=int, help="largest level (default: depth)")
 
-    p = sub.add_parser("divergence", parents=[common], help="lacunary counterexample window averages")
+    p = sub.add_parser("divergence", parents=[experiment], help="lacunary counterexample window averages")
     p.add_argument("--alphas", help="comma separated exponents, e.g. 1,4,9")
     p.add_argument("--alpha-rule", help="power rule for exponents, e.g. k4 for alpha_k = k^4")
     p.add_argument("--terms", type=int, help="number of terms for --alpha-rule")
 
-    p = sub.add_parser("gat", parents=[common], help="logarithmic means over a random corpus")
+    p = sub.add_parser("gat", parents=[experiment], help="logarithmic means over a random corpus")
     p.add_argument("--count", type=int, help="corpus size (default 50)")
     p.add_argument("--max-rank", type=int, help="largest corpus rank (default 4)")
 
-    p = sub.add_parser("equiv-check", parents=[common], help="maximal function vs block partial sums")
+    p = sub.add_parser("equiv-check", parents=[experiment], help="maximal function vs block partial sums")
     p.add_argument("--count", type=int, help="corpus size (default 20)")
     p.add_argument("--rank", type=int, help="corpus rank (default: depth)")
 
@@ -143,10 +141,8 @@ _CONFIG_TYPES = {
 
 def _resolve(args: argparse.Namespace) -> dict[str, object]:
     """Merge defaults, config file, and CLI values (CLI wins)."""
-    merged: dict[str, object] = dict(_DEFAULTS)
     cli = {k: v for k, v in vars(args).items() if k != "command"}
-    for key in cli:
-        merged.setdefault(key, None)
+    merged: dict[str, object] = {k: _DEFAULTS.get(k) for k in cli}
     if args.config:
         for key, raw in _read_config(args.config).items():
             if key not in merged:
@@ -257,7 +253,7 @@ def _kernel_cmd(merged: dict[str, object], sys_obj) -> int:
         )
         write_report(report, out, "csv")
     if n >= 1:
-        l_n = lp_norm(kern, 1.0)
+        l_n = l1_norm(kern)
         print(f"kernel n={n}: L_n = {l_n!r}", file=sys.stderr)
         gap = abs(l_n - float(lebesgue_scan(sys_obj, n, n)[0]))
         tol = _tol(merged, DEFAULT_EQUALITY_TOL)
@@ -273,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         merged = _resolve(args)
+        tol = merged["tolerance"]
+        if tol is not None and math.isnan(tol):
+            raise ValueError("tolerance must be a number, got nan")
         command = str(merged["command"])
         if command == "transform":
             return _transform_cmd(merged)

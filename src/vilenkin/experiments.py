@@ -35,10 +35,9 @@ from .hardy import (
 )
 from .norms import (
     lebesgue_constant,
-    lebesgue_scan,
     max_lebesgue_log_ratio,
     scan_variation_bounds,
-    variation_average,
+    variation_sum,
 )
 from .radix import RadixSystem
 from .spectral import StepFunction, _scan_block, forward_fast
@@ -213,7 +212,7 @@ def require_memory(what: str, need: int) -> None:
 
 def _scan_scratch(sys: RadixSystem) -> int:
     """Estimated peak bytes of one block of a cumulative partial-sum scan."""
-    return _scan_block(sys, None) * sys.cells * _BLOCK_ELEMENT_BYTES
+    return _scan_block(sys) * sys.cells * _BLOCK_ELEMENT_BYTES
 
 
 def run_lebesgue_scan(
@@ -228,17 +227,16 @@ def run_lebesgue_scan(
         f"lebesgue-scan of {rows} rows on M_N = {sys.cells}",
         rows * _SCAN_ROW_BYTES + sys.cells * _KERNEL_CELL_BYTES,
     )
-    lebesgue = lebesgue_scan(sys, n_lo, n_hi)
-    scan = scan_variation_bounds(sys, n_lo, n_hi, tol, lebesgue=lebesgue)
+    scan = scan_variation_bounds(sys, n_lo, n_hi, tol)
     columns = (scan.n, scan.v, scan.v_star, scan.lebesgue, scan.lower, scan.upper,
                scan.lower_slack, scan.upper_slack)
-    ratio, at_n = max_lebesgue_log_ratio(lebesgue, n_lo)
+    ratio, at_n = max_lebesgue_log_ratio(scan.lebesgue, n_lo)
     # the kernel route re-evaluates the ends and the rows the summary names
     probes = {n_lo, n_hi, int(scan.n[scan.lower_slack.argmin()]),
               int(scan.n[scan.upper_slack.argmin()])}
     if at_n:
         probes.add(at_n)
-    oracle_dev = float(np.max([abs(lebesgue[n - n_lo] - lebesgue_constant(sys, n))
+    oracle_dev = float(np.max([abs(scan.lebesgue[n - n_lo] - lebesgue_constant(sys, n))
                                for n in sorted(probes)]))
     violations = len(scan.violations) + (0 if oracle_dev <= tol else 1)
     return ExperimentReport(
@@ -273,13 +271,8 @@ def run_variation_average(
     )
     rows = []
     for n in range(1, n_max + 1):
-        rows.append(
-            (
-                n,
-                float(variation_average(sys, n, "n_mn")),
-                float(variation_average(sys, n, "mn")),
-            )
-        )
+        total, M_n = variation_sum(sys, n), sys.products[n]
+        rows.append((n, total / (n * M_n), total / M_n))
     c_estimate = min(r[1] for r in rows)
     return ExperimentReport(
         experiment="lemma1",

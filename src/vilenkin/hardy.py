@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import lebesgue_constant, lp_norm
+from .norms import l1_norm, lebesgue_constant
 from .radix import RadixSystem
 from .spectral import (
     SpectralVector,
@@ -53,7 +53,7 @@ def maximal_function(f: StepFunction) -> StepFunction:
 
 def h1_norm(f: StepFunction) -> float:
     """Martingale Hardy norm ||f||_{H_1} = ||f*||_1."""
-    return lp_norm(maximal_function(f), 1.0)
+    return l1_norm(maximal_function(f))
 
 
 def block_partial_sums(f: StepFunction) -> list[StepFunction]:
@@ -210,16 +210,9 @@ def partial_sum_decomposition(
 # strong means and logarithmic averages
 
 
-def partial_sum_l1_norms(
-    c: SpectralVector,
-    lo: int,
-    hi: int,
-    *,
-    offset: StepFunction | None = None,
-) -> np.ndarray:
-    """||S_m f + offset||_1 for m = lo .. hi inclusive, via one scan."""
-    offsets = None if offset is None else offset.values[None, :]
-    return cumulative_l1_norms(c.sys, c.coeffs, lo, hi, offsets=offsets)[0]
+def partial_sum_l1_norms(c: SpectralVector, lo: int, hi: int) -> np.ndarray:
+    """||S_m f||_1 for m = lo .. hi inclusive, via one scan."""
+    return cumulative_l1_norms(c.sys, c.coeffs, lo, hi)[0]
 
 
 def strong_sum_average(norms: np.ndarray, n: int) -> float:
@@ -307,4 +300,4 @@ def verify_decomposition_norm(
         raise ValueError(f"index {j} must exceed the block start {lo}")
     c = forward_fast(build_counterexample(spec))
     _, tail = partial_sum_decomposition(spec, c, j)
-    return lp_norm(tail, 1.0), spec.weights[k] * lebesgue_constant(spec.sys, j - lo)
+    return l1_norm(tail), spec.weights[k] * lebesgue_constant(spec.sys, j - lo)

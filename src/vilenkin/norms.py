@@ -1,4 +1,4 @@
-"""Lp norms, Lebesgue constants, and the digit-variation statistics bounding them.
+"""L1 norms, Lebesgue constants, and the digit-variation statistics bounding them.
 
 For an index n with digits n_j the two variation counts are
 
@@ -42,19 +42,14 @@ from .radix import RadixSystem, VilenkinIndex, decompose
 from .spectral import StepFunction, dirichlet_kernel
 
 
-def lp_norm(f: StepFunction, p: float) -> float:
-    """Normalized Lp norm ((1/M_N) sum |f|^p)^(1/p); p must be positive.
+def l1_norm(f: StepFunction) -> float:
+    """Normalized L1 norm (1/M_N) sum |f|.
 
     numpy's pairwise summation keeps the accumulation error in the same
     class as compensated summation, so large cell counts need no special
     treatment.
     """
-    if p <= 0:
-        raise ValueError(f"invalid argument p = {p}: exponent must be positive")
-    mags = np.abs(f.values)
-    if p == 1.0:
-        return float(mags.mean())
-    return float(np.mean(mags**p) ** (1.0 / p))
+    return float(np.abs(f.values).mean())
 
 
 def lebesgue_constant(sys: RadixSystem, n: int) -> float:
@@ -65,7 +60,7 @@ def lebesgue_constant(sys: RadixSystem, n: int) -> float:
     """
     if not 1 <= n <= sys.cells:
         raise ValueError(f"Lebesgue constant index {n} out of range [1, {sys.cells}]")
-    return lp_norm(dirichlet_kernel(sys, n), 1.0)
+    return l1_norm(dirichlet_kernel(sys, n))
 
 
 def lebesgue_scan(sys: RadixSystem, lo: int = 1, hi: int | None = None) -> np.ndarray:
@@ -172,20 +167,14 @@ def scan_variation_bounds(
     lo: int = 1,
     hi: int | None = None,
     tol: float = 1e-9,
-    lebesgue: np.ndarray | None = None,
 ) -> LemmaReport:
-    """Check the two-sided bound for every n in [lo, hi].
-
-    `lebesgue`, when given, holds L_n for n = lo .. hi; otherwise it is
-    computed by lebesgue_scan.
-    """
+    """Check the two-sided bound for every n in [lo, hi] against lebesgue_scan."""
     if hi is None:
         hi = sys.cells - 1
     if not 1 <= lo <= hi < sys.cells:
         raise ValueError(f"bound scan range [{lo}, {hi}] outside [1, {sys.cells - 1}]")
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    if lebesgue is None:
-        lebesgue = lebesgue_scan(sys, lo, hi)
+    lebesgue = lebesgue_scan(sys, lo, hi)
     v, v_star = variation_values(sys, ns)
     lower, upper = variation_bound_arrays(v, v_star, sys.max_radix)
     lower_slack = lebesgue - lower
@@ -204,21 +193,12 @@ def scan_variation_bounds(
     )
 
 
-def variation_average(sys: RadixSystem, n: int, normalizer: str = "n_mn") -> float:
-    """Average of v over [1, M_n): sum_{k=1}^{M_n - 1} v(k) / (n * M_n).
-
-    The printed normalizer n * M_n is the default; pass normalizer="mn"
-    for the plain 1/M_n average (both stay bounded away from zero on the
-    systems in scope, the open normalization question is left visible).
-    """
+def variation_sum(sys: RadixSystem, n: int) -> int:
+    """sum_{k=1}^{M_n - 1} v(k), the numerator of both lemma1 averages."""
     if not 1 <= n <= sys.depth:
         raise ValueError(f"level {n} out of range [1, {sys.depth}]")
-    if normalizer not in ("n_mn", "mn"):
-        raise ValueError(f"unknown normalizer {normalizer!r}: use 'n_mn' or 'mn'")
-    M_n = sys.products[n]
-    v, _ = variation_values(sys, np.arange(1, M_n, dtype=np.int64))
-    total = float(v.sum())
-    return total / (n * M_n) if normalizer == "n_mn" else total / M_n
+    v, _ = variation_values(sys, np.arange(1, sys.products[n], dtype=np.int64))
+    return int(v.sum())
 
 
 def max_lebesgue_log_ratio(lebesgue: np.ndarray, lo: int) -> tuple[float, int]:

@@ -66,10 +66,6 @@ class StepFunction:
     def constant(cls, sys: RadixSystem, value: complex = 1.0) -> "StepFunction":
         return cls(sys, np.full(sys.cells, value, dtype=np.complex128))
 
-    @classmethod
-    def zero(cls, sys: RadixSystem) -> "StepFunction":
-        return cls.constant(sys, 0.0)
-
     def integral(self) -> complex:
         """Integral against normalized Haar measure: the mean cell value."""
         return complex(self.values.mean())
@@ -248,10 +244,12 @@ def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
 
 
 def _transform(sys: RadixSystem, arr: np.ndarray, *, inverse: bool) -> np.ndarray:
-    """Analysis (DFT / M_N) or, with inverse, synthesis of the digit tensor
-    along the last axis of arr, one pass per level."""
+    """Analysis (DFT / M_r) or, with inverse, synthesis of the digit tensor
+    of G_r along the last axis of arr, one pass per level; its length M_r
+    sets r."""
     out = arr
-    for M_j, m in zip(sys.products, sys.radices):
+    r = sys.products.index(arr.shape[-1])
+    for M_j, m in zip(sys.products[:r], sys.radices[:r]):
         view = out.reshape(-1, m, M_j)
         if m == 2:
             out = np.empty(view.shape, dtype=np.complex128)
@@ -289,9 +287,9 @@ def forward_fast(f: StepFunction) -> SpectralVector:
     there, and its coefficients at k >= M_r are exactly zero on every radix.
     """
     sys = f.sys
-    sub = sys.truncate(_period_level(sys, f.values[None, :], 1))
+    width = sys.products[_period_level(sys, f.values[None, :], 1)]
     coeffs = np.zeros(sys.cells, dtype=np.complex128)
-    coeffs[: sub.cells] = _transform(sub, f.values[: sub.cells], inverse=False)
+    coeffs[:width] = _transform(sys, f.values[:width], inverse=False)
     return SpectralVector(sys, coeffs)
 
 
@@ -303,11 +301,11 @@ def inverse_transform(c: SpectralVector) -> StepFunction:
 def _head_synthesis(sys: RadixSystem, head: np.ndarray) -> StepFunction:
     """sum_{k < len(head)} head[k] psi_k, synthesized on the smallest G_r that
     holds those indices and tiled out to M_N."""
-    sub = sys.truncate(_level_holding(sys, head.size))
-    masked = np.zeros(sub.cells, dtype=np.complex128)
+    width = sys.products[_level_holding(sys, head.size)]
+    masked = np.zeros(width, dtype=np.complex128)
     masked[: head.size] = head
-    vals = _transform(sub, masked, inverse=True)
-    return StepFunction(sys, np.tile(vals, sys.cells // sub.cells))
+    vals = _transform(sys, masked, inverse=True)
+    return StepFunction(sys, np.tile(vals, sys.cells // width))
 
 
 def partial_sum(c: SpectralVector, n: int) -> StepFunction:
@@ -397,12 +395,9 @@ def _scan_level(
     return r if offsets is None else _period_level(sys, offsets, r)
 
 
-def _scan_block(sys: RadixSystem, block: int | None) -> int:
-    if block is not None:
-        if block < 1:
-            raise ValueError(f"block size must be >= 1, got {block}")
-        return block
-    return max(16, min(1024, _SCAN_BLOCK_ELEMENTS // max(1, sys.cells)))
+def _scan_block(sys: RadixSystem) -> int:
+    """Character rows per scan block: about _SCAN_BLOCK_ELEMENTS cells, 16 to 1024 rows."""
+    return max(16, min(1024, _SCAN_BLOCK_ELEMENTS // sys.cells))
 
 
 def _as_rows(arr: np.ndarray, cells: int, what: str) -> np.ndarray:
@@ -421,7 +416,6 @@ def cumulative_l1_norms(
     hi: int,
     *,
     offsets: np.ndarray | None = None,
-    block: int | None = None,
 ) -> np.ndarray:
     """L1 norms of running character sums, one row per weight vector.
 
@@ -445,7 +439,7 @@ def cumulative_l1_norms(
     rows = rows[:, :width]
     # the scan walks m = q_lo .. q_hi on G_r; past M_r the sums stay put
     q_lo, q_hi = min(lo, width), min(hi, width)
-    step = _scan_block(sub, block)
+    step = _scan_block(sub)
 
     # checkpoint: state rows hold offsets + S_{q_lo}
     masked = np.zeros((count, width), dtype=np.complex128)
@@ -474,13 +468,7 @@ def cumulative_l1_norms(
     return out
 
 
-def fejer_l1_norms(
-    sys: RadixSystem,
-    weights: np.ndarray,
-    n_max: int,
-    *,
-    block: int | None = None,
-) -> np.ndarray:
+def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndarray:
     """L1 norms of the Fejer means sigma_n for n = 1 .. n_max, rowwise.
 
     Uses sigma_n = S_n - U_n / n with U_n = sum_{k<n} (k+1) w_k psi_k, so the
@@ -495,7 +483,7 @@ def fejer_l1_norms(
     width = sub.cells
     rows = rows[:, :width]
     q_max = min(n_max, width)
-    step = _scan_block(sub, block)
+    step = _scan_block(sub)
 
     s_state = np.zeros((count, width), dtype=np.complex128)
     u_state = np.zeros((count, width), dtype=np.complex128)

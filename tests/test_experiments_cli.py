@@ -19,8 +19,8 @@ from vilenkin import (
     fejer_mean,
     forward_fast,
     h1_norm,
+    l1_norm,
     lebesgue_constant,
-    lp_norm,
     partial_sum,
     partial_sum_l1_norms,
 )
@@ -213,9 +213,9 @@ def test_run_gat_small(dyadic6, mixed):
         for func_id, _, n, conv, bounded, ratio in rep.table.rows:
             f = corpus[func_id]
             sums = [partial_sum(forward_fast(f), k) for k in range(1, n + 1)]
-            want_bnd = sum(lp_norm(s, 1.0) / k for k, s in enumerate(sums, 1)) / math.log(n)
+            want_bnd = sum(l1_norm(s) / k for k, s in enumerate(sums, 1)) / math.log(n)
             want_conv = sum(
-                lp_norm(StepFunction(sys_obj, s.values - f.values), 1.0) / k
+                l1_norm(StepFunction(sys_obj, s.values - f.values)) / k
                 for k, s in enumerate(sums, 1)
             ) / math.log(n)
             assert conv == pytest.approx(want_conv, abs=1e-12)
@@ -223,7 +223,7 @@ def test_run_gat_small(dyadic6, mixed):
             assert ratio == pytest.approx(want_bnd / h1_norm(f), abs=1e-12)
         for func_id, sup, h1, ratio in rep.extra_tables["fejer"].rows:
             c = forward_fast(corpus[func_id])
-            want = max(lp_norm(fejer_mean(c, n), 1.0) for n in range(1, sys_obj.cells + 1))
+            want = max(l1_norm(fejer_mean(c, n)) for n in range(1, sys_obj.cells + 1))
             assert sup == pytest.approx(want, abs=1e-12)
             assert h1 == pytest.approx(h1_norm(corpus[func_id]), abs=1e-12)
             assert ratio == pytest.approx(want / h1, abs=1e-12)
@@ -284,17 +284,30 @@ def test_cli_usage_errors_exit_1():
     ["gat", "--radix", "2^34"],
     ["equiv-check", "--radix", "2^34"],
     ["divergence", "--radix", "2^34", "--alphas", "1,4,9"],
+    # a NaN tolerance is refused before any check is made with it
+    ["kernel", "--n", "3", "--tolerance", "nan"],
+    ["equiv-check", "--count", "2", "--tolerance", "nan"],
+    ["transform", "--in", "IN", "--verify", "--tolerance", "nan"],
+    ["kernel", "--n", "3", "--config", "NAN_CFG"],
 ])
-def test_cli_bad_values_exit_1(capsys, argv):
+def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
+    files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg"}
+    files["IN"].write_text(json.dumps(
+        StepFunction.constant(build_radix_system([2], 6), 1.0).to_json_dict()))
+    files["NAN_CFG"].write_text("tolerance=nan\n")
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    # a --radix in the case comes later on the line, so it wins over 2^6
+    radix = [] if argv[0] == "transform" else ["--radix", "2^6"]
     # zero is a value to validate, not a request for the default
     tracemalloc.start()
     try:
-        # a --radix in the case comes later on the line, so it wins over 2^6
-        assert main([argv[0], "--radix", "2^6", *argv[1:]]) == 1
+        assert main([argv[0], *radix, *argv[1:]]) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "vilenkin: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "vilenkin: error:" in err
+    assert "L_n" not in err
     assert peak < 2**20
 
 
@@ -373,6 +386,20 @@ def test_cli_transform_roundtrip(tmp_path):
     np.testing.assert_allclose(g.values, f.values, atol=1e-10)
 
 
+def test_cli_transform_takes_only_its_flags(tmp_path, capsys):
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(StepFunction.constant(build_radix_system([2], 4)).to_json_dict()))
+    for extra in (["--threads", "0"], ["--radix", "1^3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--in", str(fin), *extra])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radix=2^4\n")
+    assert main(["transform", "--in", str(fin), "--config", str(cfg)]) == 1
+    assert "unknown config key 'radix'" in capsys.readouterr().err
+
+
 def test_cli_transform_verify(tmp_path, capsys):
     sys_obj = build_radix_system([2], 6)
     f = random_step_corpus(sys_obj, 1, 3, 4)[0]
@@ -410,8 +437,8 @@ def test_cli_byte_identical_reruns(tmp_path):
 
 def test_cli_lebesgue_oracle_deviation_exit_2(tmp_path, monkeypatch):
     # a closed form that is off by 1e-6 must fail against the kernel route
-    exact = vilenkin.experiments.lebesgue_scan
-    monkeypatch.setattr(vilenkin.experiments, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
+    exact = vilenkin.norms.lebesgue_scan
+    monkeypatch.setattr(vilenkin.norms, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
     out = tmp_path / "scan.json"
     rc = main(["lebesgue-scan", "--radix", "2,3,4", "--depth", "6", "--format", "json",
                "--out", str(out)])

@@ -12,6 +12,7 @@ from vilenkin import (
     build_radix_system,
     block_partial_sums,
     check_norm_equivalence,
+    cumulative_l1_norms,
     cylinder_averages,
     dirichlet_kernel,
     expected_counterexample_coefficients,
@@ -20,8 +21,8 @@ from vilenkin import (
     forward_fast,
     gat_log_average,
     h1_norm,
+    l1_norm,
     lebesgue_constant,
-    lp_norm,
     maximal_function,
     partial_sum,
     partial_sum_decomposition,
@@ -77,7 +78,7 @@ def test_maximal_of_block_kernel(dyadic6):
 
 def test_h1_dominates_l1(mixed2):
     f = StepFunction(mixed2, random_values(mixed2, 62))
-    assert h1_norm(f) >= lp_norm(f, 1.0) - 1e-12
+    assert h1_norm(f) >= l1_norm(f) - 1e-12
 
 
 def test_block_sums_equal_cylinder_averages(mixed):
@@ -159,7 +160,7 @@ def test_single_term_l1_norm(dyadic10):
     for a in (1, 4):
         spec = CounterexampleSpec(dyadic10, (a,))
         f = build_counterexample(spec)
-        assert lp_norm(f, 1.0) == pytest.approx(spec.weights[0] * 1.0)
+        assert l1_norm(f) == pytest.approx(spec.weights[0] * 1.0)
 
 
 def test_counterexample_integral_vanishes(dyadic10):
@@ -188,7 +189,7 @@ def test_decomposition_spec_example(dyadic6):
     np.testing.assert_allclose(
         head.values + tail.values, partial_sum(c, 5).values, atol=1e-12
     )
-    assert lp_norm(tail, 1.0) == pytest.approx(1 / math.sqrt(2))
+    assert l1_norm(tail) == pytest.approx(1 / math.sqrt(2))
     got, want = verify_decomposition_norm(spec, 5)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -240,9 +241,9 @@ def test_partial_sum_l1_norms_matches_direct(mixed):
     norms = partial_sum_l1_norms(c, 1, mixed.cells)
     for m in (1, 7, 24):
         assert norms[m - 1] == pytest.approx(
-            lp_norm(partial_sum(c, m), 1.0), abs=1e-12
+            l1_norm(partial_sum(c, m)), abs=1e-12
         )
-    diffs = partial_sum_l1_norms(c, 1, mixed.cells, offset=StepFunction(mixed, -f.values))
+    diffs = cumulative_l1_norms(mixed, c.coeffs, 1, mixed.cells, offsets=-f.values)[0]
     assert diffs[-1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -251,7 +252,7 @@ def test_strong_sum_average_manual(mixed):
     c = forward_fast(f)
     norms = partial_sum_l1_norms(c, 1, mixed.cells)
     n = 10
-    want = np.mean([lp_norm(partial_sum(c, m), 1.0) for m in range(1, n + 1)])
+    want = np.mean([l1_norm(partial_sum(c, m)) for m in range(1, n + 1)])
     assert strong_sum_average(norms, n) == pytest.approx(float(want), abs=1e-12)
     with pytest.raises(ValueError):
         strong_sum_average(norms, mixed.cells + 1)
@@ -277,11 +278,11 @@ def test_gat_log_average_manual(mixed):
     assert conv.shape == bnd.shape == (1, len(ends))
     for j, n in enumerate(ends):
         want_conv = sum(
-            lp_norm(StepFunction(mixed, partial_sum(c, k).values - f.values), 1.0) / k
+            l1_norm(StepFunction(mixed, partial_sum(c, k).values - f.values)) / k
             for k in range(1, n + 1)
         ) / math.log(n)
         want_bnd = sum(
-            lp_norm(partial_sum(c, k), 1.0) / k for k in range(1, n + 1)
+            l1_norm(partial_sum(c, k)) / k for k in range(1, n + 1)
         ) / math.log(n)
         assert conv[0, j] == pytest.approx(want_conv, abs=1e-12)
         assert bnd[0, j] == pytest.approx(want_bnd, abs=1e-12)
@@ -307,7 +308,7 @@ def test_fejer_maximal_check_manual(mixed):
     rep = fejer_maximal_check(mixed, np.vstack([forward_fast(f).coeffs for f in fs]), h1)
     for i, f in enumerate(fs):
         c = forward_fast(f)
-        norms = [lp_norm(fejer_mean(c, n), 1.0) for n in range(1, mixed.cells + 1)]
+        norms = [l1_norm(fejer_mean(c, n)) for n in range(1, mixed.cells + 1)]
         assert rep.sup_norm[i] == pytest.approx(max(norms), abs=1e-12)
         assert rep.at_n[i] == int(np.argmax(norms)) + 1
         assert rep.ratio[i] == pytest.approx(max(norms) / h1_norm(f))

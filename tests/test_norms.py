@@ -12,27 +12,21 @@ from vilenkin import (
     cumulative_l1_norms,
     dirichlet_kernel,
     lebesgue_constant,
+    l1_norm,
     lebesgue_scan,
-    lp_norm,
     max_lebesgue_log_ratio,
     scan_variation_bounds,
-    variation_average,
     variation_bound_arrays,
     variation_profile,
+    variation_sum,
     variation_values,
 )
 from conftest import small_systems
 
 
-def test_lp_norm_basics(mixed):
+def test_l1_norm_basics(mixed):
     f = StepFunction.constant(mixed, 3.0)
-    assert lp_norm(f, 1.0) == pytest.approx(3.0)
-    assert lp_norm(f, 2.0) == pytest.approx(3.0)
-    # quasi-norm branch, 0 < p < 1
-    assert lp_norm(f, 0.5) == pytest.approx(3.0)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError, match="invalid argument"):
-            lp_norm(f, bad)
+    assert l1_norm(f) == pytest.approx(3.0)
 
 
 def test_block_kernel_l1_is_one(dyadic6, triadic, mixed):
@@ -40,7 +34,7 @@ def test_block_kernel_l1_is_one(dyadic6, triadic, mixed):
     for sys in (dyadic6, triadic, mixed):
         for n in range(sys.depth + 1):
             f = dirichlet_kernel(sys, sys.products[n])
-            assert lp_norm(f, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert l1_norm(f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lebesgue_frozen_dyadic(dyadic6):
@@ -176,13 +170,9 @@ def test_bounds_hold_exhaustively(dyadic6, triadic, mixed2):
 
 
 def test_scan_accepts_precomputed_norms(mixed):
-    norms = lebesgue_scan(mixed, 1, 10)
-    a = scan_variation_bounds(mixed, 1, 10)
-    b = scan_variation_bounds(mixed, 1, 10, lebesgue=norms)
-    assert a.violations == b.violations
-    for name in ("n", "v", "v_star", "lebesgue", "lower", "upper",
-                 "lower_slack", "upper_slack"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    # the bound scan reads L_n from the closed form, exactly
+    scan = scan_variation_bounds(mixed, 1, 10)
+    np.testing.assert_array_equal(scan.lebesgue, lebesgue_scan(mixed, 1, 10))
     for lo, hi in ((0, 5), (3, 2), (1, mixed.cells)):
         with pytest.raises(ValueError, match="range"):
             scan_variation_bounds(mixed, lo, hi)
@@ -199,25 +189,31 @@ def test_bound_arrays_shapes():
 
 
 def test_variation_average_frozen(dyadic6):
-    # sum v(1..7) = 16, normalizer 3 * 8 = 24
-    assert variation_average(dyadic6, 3) == pytest.approx(2 / 3)
-    assert variation_average(dyadic6, 1) == pytest.approx(1.0)
-    assert variation_average(dyadic6, 3, normalizer="mn") == pytest.approx(2.0)
+    # sum v(1..7) = 16 over M_3 = 8, and v(1) = 2 over M_1 = 2
+    assert variation_sum(dyadic6, 3) == 16
+    assert variation_sum(dyadic6, 1) == 2
 
 
 def test_variation_average_positive_floor(dyadic10, triadic, mixed2):
     for sys in (dyadic10, triadic, mixed2):
         for n in range(1, sys.depth + 1):
-            assert variation_average(sys, n) > 0.05
+            assert variation_sum(sys, n) / (n * sys.products[n]) > 0.05
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems)
+def test_variation_sum_is_the_literal_sum(sys):
+    for n in range(1, sys.depth + 1):
+        want = sum(variation_profile(sys, k).v for k in range(1, sys.products[n]))
+        got = variation_sum(sys, n)
+        assert type(got) is int and got == want
 
 
 def test_variation_average_validation(mixed):
     with pytest.raises(ValueError):
-        variation_average(mixed, 0)
+        variation_sum(mixed, 0)
     with pytest.raises(ValueError):
-        variation_average(mixed, mixed.depth + 1)
-    with pytest.raises(ValueError, match="normalizer"):
-        variation_average(mixed, 2, normalizer="bogus")
+        variation_sum(mixed, mixed.depth + 1)
 
 
 def test_max_lebesgue_log_ratio():

@@ -26,6 +26,7 @@ from vilenkin import (
     rademacher,
     vilenkin_char,
 )
+from vilenkin import spectral
 from vilenkin.experiments import random_step_corpus
 from vilenkin.spectral import _transform
 from conftest import random_values, small_systems
@@ -194,6 +195,18 @@ def test_transform_equals_fftn_fixed(radices, depth):
     _assert_transform_is_fftn(sys, random_values(sys, 47))
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_systems, st.integers(0, 2**31 - 1))
+def test_transform_reads_its_levels_from_the_length(sys, seed):
+    # an input of length M_r is transformed on G_r whatever system carries it
+    for r in range(1, sys.depth + 1):
+        x = random_values(sys, seed)[: sys.products[r]]
+        sub = sys.truncate(r)
+        for inverse in (False, True):
+            assert np.array_equal(_transform(sys, x, inverse=inverse),
+                                  _transform(sub, x, inverse=inverse))
+
+
 def test_transform_batched_rows(mixed2):
     rows = np.stack([random_values(mixed2, seed) for seed in range(4)])
     for inverse in (False, True):
@@ -334,10 +347,12 @@ def test_cumulative_l1_with_offset(mixed):
     assert got[0, -1] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_cumulative_l1_multirow_and_blocks(mixed):
+def test_cumulative_l1_multirow_and_blocks(mixed, monkeypatch):
     rows = np.vstack([random_values(mixed, 49), random_values(mixed, 50)])
     whole = cumulative_l1_norms(mixed, rows, 3, 20)
-    chunked = cumulative_l1_norms(mixed, rows, 3, 20, block=4)
+    # the smallest block size: 16 rows, so m = 3 .. 20 takes two blocks
+    monkeypatch.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", 1)
+    chunked = cumulative_l1_norms(mixed, rows, 3, 20)
     np.testing.assert_allclose(whole, chunked, atol=0)  # same arithmetic order per row
     assert whole.shape == (2, 18)
 
@@ -363,16 +378,18 @@ def test_fejer_l1_norms_match_per_n(mixed):
         assert got[0, n - 1] == pytest.approx(want, abs=1e-12), f"n={n}"
 
 
-def test_scans_reuse_their_scratch(dyadic10):
+def test_scans_reuse_their_scratch(dyadic10, monkeypatch):
     # full resolution, four 4 MiB character blocks: beside the block itself
     # the scans hold one reused product block (two with the Fejer sums) and
     # one magnitude block, never a second character block or a quotient temp
     weights = np.stack([forward_fast(StepFunction(dyadic10, random_values(dyadic10, s))).coeffs
                         for s in range(4)])
+    # 256-row blocks on 2^10
+    monkeypatch.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", 256 * 2**10)
     block_bytes = 256 * dyadic10.cells * 16
     for scan, limit in (
-        (lambda: cumulative_l1_norms(dyadic10, weights, 0, dyadic10.cells, block=256), 2.8),
-        (lambda: fejer_l1_norms(dyadic10, weights, dyadic10.cells, block=256), 3.8),
+        (lambda: cumulative_l1_norms(dyadic10, weights, 0, dyadic10.cells), 2.8),
+        (lambda: fejer_l1_norms(dyadic10, weights, dyadic10.cells), 3.8),
     ):
         scan()  # first-call caches stay out of the measurement
         tracemalloc.start()
