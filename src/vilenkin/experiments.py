@@ -2,9 +2,10 @@
 
 Every driver returns an ExperimentReport: a main table, optional extra
 tables, a summary dict, and a violation count for the CLI exit code.  File
-output is byte-identical for identical (config, seed); the thread count
-enters only the config hash.  Timings are therefore logged to stderr, never
-written into report files.
+output is byte-identical for identical (config, seed), config hash
+included; the hash records the resolved settings of the run, leaving out
+where it writes and the thread count, which changes nothing.  Timings are
+therefore logged to stderr, never written into report files.
 """
 
 from __future__ import annotations
@@ -112,36 +113,31 @@ def render_json(report: ExperimentReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def emit(text: str, path: str | None) -> list[str]:
+    """Write text to the file at path, or to stdout when path is None;
+    returns the paths written."""
+    if path is None:
+        _sys.stdout.write(text)
+        return []
+    with open(path, "w") as fh:
+        fh.write(text)
+    return [path]
+
+
 def write_report(report: ExperimentReport, out: str | None, fmt: str) -> list[str]:
     """Write the report; returns the paths written (empty for stdout)."""
     if fmt == "json":
-        text = render_json(report)
-        if out is None:
-            _sys.stdout.write(text)
-            return []
-        with open(out, "w") as fh:
-            fh.write(text)
-        return [out]
+        return emit(render_json(report), out)
     if fmt != "csv":
         raise ValueError(f"unknown output format {fmt!r}: use 'csv' or 'json'")
-    written = []
-    main = render_csv(report)
-    if out is None:
-        _sys.stdout.write(main)
-    else:
-        with open(out, "w") as fh:
-            fh.write(main)
-        written.append(out)
+    written = emit(render_csv(report), out)
     for name, table in report.extra_tables.items():
+        text = render_csv(report, table)
         if out is None:
-            _sys.stdout.write(f"# table={name}\n")
-            _sys.stdout.write(render_csv(report, table))
+            emit(f"# table={name}\n{text}", None)
         else:
             stem, dot, ext = out.rpartition(".")
-            side = f"{stem}.{name}.{ext}" if dot else f"{out}.{name}"
-            with open(side, "w") as fh:
-                fh.write(render_csv(report, table))
-            written.append(side)
+            written += emit(text, f"{stem}.{name}.{ext}" if dot else f"{out}.{name}")
     return written
 
 

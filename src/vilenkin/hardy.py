@@ -269,10 +269,9 @@ def gat_log_average(
 
 @dataclass(frozen=True, eq=False)
 class FejerMaximalReport:
-    """Per function: the largest ||sigma_n f||_1 over n = 1 .. M_N, where, and / H1."""
+    """Per function: the largest ||sigma_n f||_1 over n = 1 .. M_N and its ratio to H1."""
 
     sup_norm: np.ndarray
-    at_n: np.ndarray
     ratio: np.ndarray
 
 
@@ -283,9 +282,8 @@ def fejer_maximal_check(
 
     h1[i] is ||f_i||_{H_1}, which the caller already holds for its corpus.
     """
-    norms = fejer_l1_norms(sys, coeffs, sys.cells)
-    sup = norms.max(axis=1)
-    return FejerMaximalReport(sup_norm=sup, at_n=norms.argmax(axis=1) + 1, ratio=sup / h1)
+    sup = fejer_l1_norms(sys, coeffs, sys.cells).max(axis=1)
+    return FejerMaximalReport(sup_norm=sup, ratio=sup / h1)
 
 
 def verify_decomposition_norm(

@@ -267,7 +267,7 @@ def test_cli_usage_errors_exit_1():
 
 
 @pytest.mark.parametrize("argv", [
-    ["divergence", "--alpha-rule", "k2", "--terms", "0"],
+    ["divergence", "--alphas", "1,x"],
     ["gat", "--count", "0"],
     ["gat", "--max-rank", "0"],
     ["lebesgue-scan", "--n-min", "0"],
@@ -389,15 +389,36 @@ def test_cli_transform_roundtrip(tmp_path):
 def test_cli_transform_takes_only_its_flags(tmp_path, capsys):
     fin = tmp_path / "f.json"
     fin.write_text(json.dumps(StepFunction.constant(build_radix_system([2], 4)).to_json_dict()))
-    for extra in (["--threads", "0"], ["--radix", "1^3"]):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radix=2^4\n")
+    for extra in (["--threads", "0"], ["--radix", "1^3"], ["--config", str(cfg)]):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--in", str(fin), *extra])
         assert exc.value.code == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("radix=2^4\n")
-    assert main(["transform", "--in", str(fin), "--config", str(cfg)]) == 1
-    assert "unknown config key 'radix'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the usage line is the subcommand's, which lists what it accepts
+        assert err.startswith("usage: vilenkin transform [-h]")
+        assert "{transform," not in err
+        assert "vilenkin transform: error: unrecognized arguments: --" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n", "3", "--seed", "1"],
+    ["lebesgue-scan", "--seed", "1"],
+    ["lemma1", "--seed", "1"],
+    ["divergence", "--seed", "1"],
+    ["lemma1", "--tolerance", "1e-9"],
+    ["gat", "--tolerance", "1e-9"],
+    ["divergence", "--alpha-rule", "k2"],
+    ["divergence", "--terms", "3"],
+])
+def test_cli_removed_options_exit_1(capsys, argv):
+    # each subcommand takes only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--radix", "2^4"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"vilenkin {argv[0]}: error: unrecognized arguments: {argv[-2]}" in err
 
 
 def test_cli_transform_verify(tmp_path, capsys):
@@ -410,6 +431,38 @@ def test_cli_transform_verify(tmp_path, capsys):
     # impossible tolerance: the deviation (>= 0) must now count as a violation
     rc = main(["transform", "--in", str(fin), "--verify", "--tolerance", "-1"])
     assert rc == 2
+    # the synthesis is checked too: the direct sum of its values gives back
+    # the input coefficients
+    for system in (sys_obj, build_radix_system([2, 3, 4], 6), build_radix_system([5, 2, 7], 3)):
+        rng = np.random.default_rng(31)
+        c = forward_fast(StepFunction(system, rng.standard_normal(system.cells) + 0.5j))
+        cin = tmp_path / "c.json"
+        cin.write_text(json.dumps(c.to_json_dict()))
+        args = ["transform", "--in", str(cin), "--inverse", "--verify", "--out", str(tmp_path / "g")]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "verify: max |naive(synthesis) - input| = " in err
+        assert float(err.split("= ")[1].split()[0]) <= 1e-14
+        assert main([*args, "--tolerance", "-1"]) == 2
+
+
+def test_cli_config_flags(tmp_path, capsys):
+    sys_obj = build_radix_system([2], 6)
+    fin = tmp_path / "c.json"
+    fin.write_text(json.dumps(forward_fast(random_step_corpus(sys_obj, 1, 3, 4)[0]).to_json_dict()))
+    cfg = tmp_path / "run.cfg"
+    # a config may name the input, and a value may start with '-'
+    cfg.write_text(f"in={fin}\ninverse=yes\nverify=1\ntolerance=-1e-9\n")
+    assert main(["transform", "--config", str(cfg)]) == 2
+    assert "naive(synthesis)" in capsys.readouterr().err
+    cfg.write_text(f"in={fin}\ninverse=false\nverify=0\n")
+    assert main(["transform", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    cfg.write_text(f"in={fin}\ninverse=maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "config key 'inverse' is a flag" in capsys.readouterr().err
 
 
 def test_cli_byte_identical_reruns(tmp_path):
@@ -418,21 +471,32 @@ def test_cli_byte_identical_reruns(tmp_path):
         ["divergence", "--radix", "2,3,4", "--depth", "4", "--alphas", "1,2"],
     )):
         runs = {}
-        for run, extra in (("a", []), ("b", []), ("c", ["--threads", "4"])):
+        for run, extra in (("a", []), ("b", ["--threads", "1"]), ("c", ["--threads", "4"])):
             folder = tmp_path / f"{k}{run}"
             folder.mkdir()
             assert main(args + extra + ["--out", str(folder / "r.csv")]) == 0
             runs[run] = {p.name: p.read_bytes() for p in folder.iterdir()}
-        assert runs["a"] == runs["b"]
-        # the thread count changes only the config hash, which records it
-        assert runs["c"].keys() == runs["a"].keys()
-        for name, text in runs["a"].items():
-            differ = [
-                (x, y) for x, y in zip(text.splitlines(), runs["c"][name].splitlines())
-                if x != y
-            ]
-            assert len(differ) == 1 and differ[0][0].startswith(b"# config_hash=")
-            assert len(runs["c"][name]) == len(text)
+        # the thread count changes nothing, so the config hash leaves it out
+        assert len(runs["a"]) == 1 + (k == 1)
+        assert runs["a"] == runs["b"] == runs["c"]
+
+
+def _config_hash_line(tmp_path, argv):
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    return [l for l in out.read_text().splitlines() if l.startswith("# config_hash=")]
+
+
+def test_cli_config_hash_records_defaults(tmp_path):
+    # a default and the same value given explicitly are the same setting
+    for plain, explicit, other in (
+        (["gat", "--radix", "2^6"], ["--count", "50"], ["--count", "49"]),
+        (["lemma1", "--radix", "2^6"], ["--n-max", "6"], ["--n-max", "5"]),
+    ):
+        want = _config_hash_line(tmp_path, plain)
+        assert len(want) == 1
+        assert _config_hash_line(tmp_path, [*plain, *explicit]) == want
+        assert _config_hash_line(tmp_path, [*plain, *other]) != want
 
 
 def test_cli_lebesgue_oracle_deviation_exit_2(tmp_path, monkeypatch):
@@ -477,29 +541,37 @@ def test_cli_config_precedence(tmp_path, capsys):
 
 
 def test_cli_config_errors(tmp_path, capsys):
+    # config values are checked like the same options on the command line
     bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense_key=1\n")
-    assert main(["lemma1", "--config", str(bad)]) == 1
-    assert "unknown config key" in capsys.readouterr().err
-    bad.write_text("seed=xyz\n")
-    assert main(["lemma1", "--config", str(bad)]) == 1
-    malformed = tmp_path / "m.cfg"
-    malformed.write_text("just a line\n")
-    assert main(["lemma1", "--config", str(malformed)]) == 1
+    for argv, text, message in (
+        (["lemma1"], "nonsense_key=1\n", "unrecognized arguments: --nonsense-key=1"),
+        (["lemma1"], "seed=1\n", "unrecognized arguments: --seed=1"),
+        (["gat"], "seed=xyz\n", "argument --seed: invalid int value: 'xyz'"),
+        (["kernel", "--n", "3"], "format=xml\n", "argument --format: invalid choice: 'xml'"),
+        (["lemma1"], "just a line\n", "expected key=value"),
+        (["lemma1"], None, "cannot read config file"),
+    ):
+        cfg = tmp_path / "missing.cfg"
+        if text is not None:
+            cfg = bad
+            bad.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert f"vilenkin {argv[0]}: error: " in captured.err and message in captured.err
+        assert captured.out == ""
 
 
-def test_cli_divergence_alpha_rules(tmp_path, capsys):
-    out = tmp_path / "d.csv"
-    rc = main([
-        "divergence", "--radix", "2^6", "--alpha-rule", "k2", "--terms", "2",
-        "--out", str(out),
-    ])
-    assert rc == 0
-    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-    assert len(rows) == 2 and rows[0].startswith("1,1,") and rows[1].startswith("2,4,")
-    assert main(["divergence", "--radix", "2^6", "--alphas", "1,2",
-                 "--alpha-rule", "k2"]) == 1
-    assert "not both" in capsys.readouterr().err
+def test_cli_kernel_n_from_config(tmp_path):
+    # a config may supply a required option
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("radix=2^4\nn=3\n")
+    out = tmp_path / "kern.csv"
+    assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
+    want = tmp_path / "want.csv"
+    assert main(["kernel", "--radix", "2^4", "--n", "3", "--out", str(want)]) == 0
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_cli_gat_and_equiv_smoke(tmp_path):

@@ -310,5 +310,4 @@ def test_fejer_maximal_check_manual(mixed):
         c = forward_fast(f)
         norms = [l1_norm(fejer_mean(c, n)) for n in range(1, mixed.cells + 1)]
         assert rep.sup_norm[i] == pytest.approx(max(norms), abs=1e-12)
-        assert rep.at_n[i] == int(np.argmax(norms)) + 1
         assert rep.ratio[i] == pytest.approx(max(norms) / h1_norm(f))
