@@ -11,8 +11,10 @@ the command line, so precedence is command line > config file > default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -48,7 +50,13 @@ from .spectral import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1, and a negative
+    number in any float form (-1, -.5, -1e-9) read as a value; argparse's own
+    pattern takes -1e-9 for an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -60,8 +68,10 @@ def _add_tolerance(parser: _Parser, default: float) -> None:
                         help="verification tolerance (default %(default)s)")
 
 
+@functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and the parser of each subcommand."""
+    """The top-level parser and the parser of each subcommand, built once per
+    process: parsing leaves them unchanged."""
     # options every subcommand reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (default: stdout)")

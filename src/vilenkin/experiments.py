@@ -35,13 +35,14 @@ from .hardy import (
     window_strong_average,
 )
 from .norms import (
+    l1_norm,
     lebesgue_constant,
     max_lebesgue_log_ratio,
     scan_variation_bounds,
     variation_sum,
 )
 from .radix import RadixSystem
-from .spectral import StepFunction, _scan_block, forward_fast
+from .spectral import StepFunction, _scan_block, forward_fast, partial_sum
 
 DEFAULT_EQUALITY_TOL = 1e-9
 DEFAULT_ORACLE_TOL = 1e-10
@@ -78,12 +79,6 @@ def report_meta(sys: RadixSystem, resolved: dict[str, object]) -> dict[str, str]
     }
 
 
-def _fmt(x: object) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def render_csv(report: ExperimentReport, table: Table | None = None) -> str:
     """One CSV table with `#` meta header lines; deterministic float text."""
     t = table if table is not None else report.table
@@ -93,7 +88,8 @@ def render_csv(report: ExperimentReport, table: Table | None = None) -> str:
         buf.write(f"# {key}={val}\n")
     buf.write(",".join(t.columns) + "\n")
     for row in t.rows:
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
+        # str of a float is its shortest round-trip text, so rereads are exact
+        buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue()
 
 
@@ -163,7 +159,7 @@ def random_step_corpus(
     for i in range(count):
         width = sys.products[1 + (i % max_rank)]
         base = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        out.append(StepFunction(sys, np.tile(base, sys.cells // width)))
+        out.append(StepFunction(sys, np.broadcast_to(base, (sys.cells // width, width))))
     return out
 
 
@@ -176,10 +172,10 @@ def random_step_corpus(
 # (about 560 as CSV, 1340 as JSON).  Per cell: one Dirichlet kernel (32 to
 # 47), a kernel report with its rendered rows (190 to 345), the divergence
 # vectors (about 40).  Per lemma1 index: 65 to 79.  Per cell of each corpus
-# function: about 74 in gat, 16 in equiv-check, which also holds N + 1 block
-# partial sums (16 per cell each) and, one synthesis at a time, the
-# coefficients and the transform scratch: its input, two level buffers and
-# the tiled result (88 to 97 per cell on 262144^1, 512^2, 64^3, 2^14 and
+# function: about 74 in gat, 16 in equiv-check, which also holds, one
+# function at a time, the check: the coefficients, two level buffers of the
+# synthesis, the block partial sums on G_0 .. G_N (at most 2 M_N values) and
+# both sups (64 to 93 per cell on 262144^1, 512^2, 64^3, 3^11, 7^6, 2^14 and
 # 2^18, shallow systems included).  Per element of a scan block: about 40 in
 # the partial-sum scan and 56 with the Fejer sums (the character block and
 # the scratch reused across blocks).
@@ -190,8 +186,7 @@ _DIVERGENCE_CELL_BYTES = 64
 _LEMMA_INDEX_BYTES = 128
 _GAT_CELL_BYTES = 80
 _EQUIV_CELL_BYTES = 16
-_BLOCK_SUM_CELL_BYTES = 16
-_TRANSFORM_CELL_BYTES = 112
+_EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
 
 
@@ -297,6 +292,12 @@ def run_divergence(
     )
 
     norms = partial_sum_l1_norms(coeffs, 1, sys.cells)
+    # the scan against S_l f synthesized directly, at each window's ends and at M_N
+    probes = {sys.cells}
+    for a in spec.alphas:
+        probes |= {sys.products[a], 2 * sys.products[a]}
+    oracle_dev = max(abs(float(norms[l - 1]) - l1_norm(partial_sum(coeffs, l)))
+                     for l in probes)
 
     rows = []
     for k, a in enumerate(spec.alphas):
@@ -331,8 +332,9 @@ def run_divergence(
             "fit_ratio": fit,
             "h1_spread": max(h1_values) / min(h1_values),
             "tail_sum": spec.tail_sum,
+            "oracle_max_deviation": oracle_dev,
         },
-        violations=0 if eq_dev <= tol else 1,
+        violations=sum(dev > tol for dev in (eq_dev, oracle_dev)),
     )
 
 
@@ -396,8 +398,7 @@ def run_equiv_check(
 ) -> ExperimentReport:
     require_memory(
         f"equiv-check of {count} functions on M_N = {sys.cells}",
-        sys.cells * (count * _EQUIV_CELL_BYTES + (sys.depth + 1) * _BLOCK_SUM_CELL_BYTES
-                     + _TRANSFORM_CELL_BYTES),
+        sys.cells * (count * _EQUIV_CELL_BYTES + _EQUIV_CHECK_CELL_BYTES),
     )
     corpus = random_step_corpus(sys, count, rank, seed)
     rows = []

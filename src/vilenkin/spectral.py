@@ -243,6 +243,21 @@ def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
 # axes are short.
 
 
+def _level_pass(view: np.ndarray, *, inverse: bool) -> np.ndarray:
+    """One level of the transform: the length-m DFTs along the middle axis of
+    view (-1, m, M_j), as a new array of the same shape."""
+    if view.shape[1] == 2:
+        out = np.empty(view.shape, dtype=np.complex128)
+        np.add(view[:, 0], view[:, 1], out=out[:, 0])
+        np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
+        if not inverse:
+            out *= 0.5
+        return out
+    if inverse:
+        return np.fft.ifft(view, axis=1, norm="forward")
+    return np.fft.fft(view, axis=1, norm="forward")
+
+
 def _transform(sys: RadixSystem, arr: np.ndarray, *, inverse: bool) -> np.ndarray:
     """Analysis (DFT / M_r) or, with inverse, synthesis of the digit tensor
     of G_r along the last axis of arr, one pass per level; its length M_r
@@ -250,17 +265,7 @@ def _transform(sys: RadixSystem, arr: np.ndarray, *, inverse: bool) -> np.ndarra
     out = arr
     r = sys.products.index(arr.shape[-1])
     for M_j, m in zip(sys.products[:r], sys.radices[:r]):
-        view = out.reshape(-1, m, M_j)
-        if m == 2:
-            out = np.empty(view.shape, dtype=np.complex128)
-            np.add(view[:, 0], view[:, 1], out=out[:, 0])
-            np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
-            if not inverse:
-                out *= 0.5
-        elif inverse:
-            out = np.fft.ifft(view, axis=1, norm="forward")
-        else:
-            out = np.fft.fft(view, axis=1, norm="forward")
+        out = _level_pass(out.reshape(-1, m, M_j), inverse=inverse)
     return out.reshape(arr.shape)
 
 
@@ -305,7 +310,25 @@ def _head_synthesis(sys: RadixSystem, head: np.ndarray) -> StepFunction:
     masked = np.zeros(width, dtype=np.complex128)
     masked[: head.size] = head
     vals = _transform(sys, masked, inverse=True)
-    return StepFunction(sys, np.tile(vals, sys.cells // width))
+    return StepFunction(sys, np.broadcast_to(vals, (sys.cells // width, width)))
+
+
+def _block_heads(c: SpectralVector) -> list[np.ndarray]:
+    """S_{M_n} f on G_n (M_n values) for n = 0 .. N, from one synthesis of c.
+
+    Level j of the synthesis mixes entries only inside each outer block of
+    M_{j+1} cells, so after levels 0 .. n-1 the first M_n entries are the
+    synthesis of c_0 .. c_{M_n - 1} on G_n: the same numbers, by the same
+    arithmetic, as partial_sum(c, M_n) on its first M_n cells.
+    """
+    sys = c.sys
+    out = c.coeffs
+    heads = [out[:1].copy()]
+    for M_j, m in zip(sys.products[:-1], sys.radices):
+        out = _level_pass(out.reshape(-1, m, M_j), inverse=True).reshape(-1)
+        # a copy, so that no head keeps a whole level buffer alive
+        heads.append(out[: m * M_j].copy())
+    return heads
 
 
 def partial_sum(c: SpectralVector, n: int) -> StepFunction:

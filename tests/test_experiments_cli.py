@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -71,7 +72,9 @@ def _tiny_report(sys):
 
 
 def test_render_csv_layout(dyadic6):
-    text = render_csv(_tiny_report(dyadic6))
+    report = _tiny_report(dyadic6)
+    report.table.rows.append((np.int64(3), np.float64(0.25)))
+    text = render_csv(report)
     lines = text.splitlines()
     assert lines[0] == "# experiment=demo"
     assert lines[1] == "# radix=2^6"
@@ -82,6 +85,8 @@ def test_render_csv_layout(dyadic6):
     assert lines[6] == "1,0.5"
     # repr keeps the full float so rereads are exact
     assert lines[7] == f"2,{1.0 / 3.0!r}"
+    # a numpy scalar in a row is written as its number, not as np.float64(...)
+    assert lines[8] == "3,0.25"
 
 
 def test_render_json_parses_back(dyadic6):
@@ -193,9 +198,29 @@ def test_run_divergence_small(dyadic6, dyadic10):
         norms = partial_sum_l1_norms(c, 1, sys_obj.cells)
         for n, avg in rep.extra_tables["cesaro"].rows:
             assert avg == pytest.approx(float(norms[:n].mean()), abs=1e-12)
-        # a hostile tolerance flips the verification outcome
+        assert rep.summary["oracle_max_deviation"] < 1e-12
+        # a hostile tolerance fails both the coefficient check and the oracle
         rep = run_divergence(sys_obj, alphas, -1.0, {"seed": 1})
-        assert rep.violations == 1
+        assert rep.violations == 2
+
+
+def test_cli_divergence_oracle_deviation_exit_2(tmp_path, monkeypatch):
+    # a partial-sum norm scan that is off by 1e-9 must fail against the
+    # directly synthesized partial sums
+    import vilenkin.experiments as experiments_mod
+
+    exact = experiments_mod.partial_sum_l1_norms
+    out = tmp_path / "div.json"
+    args = ["divergence", "--radix", "2,3,4", "--depth", "6", "--alphas", "1,2,5",
+            "--format", "json", "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads(out.read_text())["summary"]["oracle_max_deviation"] <= 1e-12
+    monkeypatch.setattr(experiments_mod, "partial_sum_l1_norms", lambda *a: exact(*a) + 1e-9)
+    assert main(args) == 2
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["oracle_max_deviation"] > 1e-12
+    assert payload["summary"]["eq_block_coeff_deviation"] <= 1e-12
+    assert payload["violations"] == 1
 
 
 def test_run_gat_small(dyadic6, mixed):
@@ -366,6 +391,10 @@ def test_cli_kernel_oracle_deviation_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == f"kernel n=37: L_n = {l_n!r}"
     assert err[1].startswith("kernel n=37: |L_n - closed form| = ")
+    # a negative tolerance is a value, as one token or as its own
+    for tol in (["--tolerance=-1e-9"], ["--tolerance", "-1e-9"], ["--tolerance", "-1"]):
+        assert main([*args, *tol]) == 2
+        assert "(tolerance -1.0e" in capsys.readouterr().err
     monkeypatch.setattr(cli_mod, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
     assert main(args) == 2
     assert "tolerance 1.0e-09" in capsys.readouterr().err
@@ -572,6 +601,40 @@ def test_cli_kernel_n_from_config(tmp_path):
     want = tmp_path / "want.csv"
     assert main(["kernel", "--radix", "2^4", "--n", "3", "--out", str(want)]) == 0
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_cli_parser_reuse_keeps_reports(tmp_path):
+    # the parser is built once per process: alternating subcommands, with and
+    # without a config file, give the bytes a freshly built parser gives
+    import vilenkin.cli as cli_mod
+
+    gat_cfg, equiv_cfg = tmp_path / "gat.cfg", tmp_path / "equiv.cfg"
+    gat_cfg.write_text("radix=2^6\ncount=4\nmax-rank=2\n")
+    equiv_cfg.write_text("radix=2,3,4\ncount=3\ntolerance=1e-6\n")
+    runs = (
+        ["gat", "--config", str(gat_cfg)],
+        ["equiv-check", "--radix", "2^6", "--count", "2"],
+        ["gat", "--radix", "2^6", "--count", "3"],
+        ["equiv-check", "--config", str(equiv_cfg), "--seed", "3"],
+        ["lemma1", "--radix", "2^6"],
+    )
+
+    def report(k, argv):
+        folder = tmp_path / str(k)
+        shutil.rmtree(folder, ignore_errors=True)
+        folder.mkdir()
+        assert main([*argv, "--out", str(folder / "r.csv")]) == 0
+        return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+    fresh = []
+    for k, argv in enumerate(runs):
+        cli_mod._build_parser.cache_clear()
+        fresh.append(report(k, argv))
+    for order in (runs, runs[::-1]):
+        for argv in order:
+            k = runs.index(argv)
+            assert report(k, argv) == fresh[k], argv
+    assert cli_mod._build_parser() is cli_mod._build_parser()
 
 
 def test_cli_gat_and_equiv_smoke(tmp_path):

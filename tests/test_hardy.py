@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin import (
     CounterexampleSpec,
@@ -31,7 +33,7 @@ from vilenkin import (
     verify_decomposition_norm,
     window_strong_average,
 )
-from conftest import random_values
+from conftest import random_values, small_systems
 
 
 def brute_maximal(f):
@@ -50,10 +52,13 @@ def brute_maximal(f):
 
 
 def test_cylinder_averages_endpoints(mixed):
+    # the rank-n means are a function on G_n: M_n values
     f = StepFunction(mixed, random_values(mixed, 60))
     rank0 = cylinder_averages(f, 0)
-    np.testing.assert_allclose(rank0, np.full(mixed.cells, f.values.mean()), atol=1e-12)
+    np.testing.assert_allclose(rank0, [f.values.mean()], atol=1e-12)
     np.testing.assert_allclose(cylinder_averages(f, mixed.depth), f.values, atol=0)
+    for rank in range(mixed.depth + 1):
+        assert cylinder_averages(f, rank).shape == (mixed.products[rank],)
     with pytest.raises(ValueError):
         cylinder_averages(f, mixed.depth + 1)
 
@@ -63,6 +68,33 @@ def test_maximal_function_brute_force(mixed):
     np.testing.assert_allclose(
         maximal_function(f).values.real, brute_maximal(f), atol=1e-12
     )
+
+
+def _tiled_maximal(f):
+    """f* by the tiled construction: every rank's means tiled out to M_N."""
+    sys = f.sys
+    best = np.full(sys.cells, abs(complex(f.values.mean())))
+    for rank in range(1, sys.depth + 1):
+        width = sys.products[rank]
+        means = f.values.reshape(-1, width).mean(axis=0)
+        np.maximum(best, np.abs(np.tile(means, sys.cells // width)), out=best)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys=small_systems, seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_maximal_function_equals_tiled_construction(sys, seed, rank):
+    # building both sups from coarse to fine changes no bit of the report
+    rank = min(rank, sys.depth)
+    width = sys.products[rank]
+    base = random_values(sys, seed)[:width]
+    f = StepFunction(sys, np.tile(base, sys.cells // width))
+    assert np.array_equal(maximal_function(f).values.real, _tiled_maximal(f))
+    rep = check_norm_equivalence(f)
+    c = forward_fast(f)
+    spectral = np.max([np.abs(partial_sum(c, M).values) for M in sys.products], axis=0)
+    assert rep.sup_block_norm == float(spectral.mean())
+    assert rep.max_pointwise_diff == float(np.max(np.abs(_tiled_maximal(f) - spectral)))
 
 
 def test_maximal_of_block_kernel(dyadic6):
@@ -88,7 +120,7 @@ def test_block_sums_equal_cylinder_averages(mixed):
     assert len(sums) == mixed.depth + 1
     for rank, s in enumerate(sums):
         np.testing.assert_allclose(
-            s.values, cylinder_averages(f, rank), atol=1e-10,
+            s, cylinder_averages(f, rank), atol=1e-10,
             err_msg=f"rank {rank}",
         )
 

@@ -28,7 +28,7 @@ from vilenkin import (
 )
 from vilenkin import spectral
 from vilenkin.experiments import random_step_corpus
-from vilenkin.spectral import _transform
+from vilenkin.spectral import _block_heads, _transform
 from conftest import random_values, small_systems
 
 
@@ -486,6 +486,25 @@ def test_quotient_partial_sums_match_full_synthesis(sys, seed):
             masked[:n] *= 1.0 - np.arange(1, n + 1) / n
             got = fejer_mean(c, n).values
             assert np.abs(got - _transform(sys, masked, inverse=True)).max() <= 1e-12
+
+
+def _assert_heads_are_partial_sums(sys, c):
+    heads = _block_heads(c)
+    assert len(heads) == sys.depth + 1
+    for M_n, head in zip(sys.products, heads):
+        assert np.array_equal(head, partial_sum(c, M_n).values[:M_n])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems, st.integers(0, 2**31 - 1))
+def test_block_heads_equal_partial_sums_property(sys, seed):
+    _assert_heads_are_partial_sums(sys, SpectralVector(sys, random_values(sys, seed)))
+
+
+@pytest.mark.parametrize("radices,depth", [([2], 10), ([3], 6), ([5], 4), ([7], 3), ([64], 2)])
+def test_block_heads_equal_partial_sums_fixed(radices, depth):
+    sys = build_radix_system(radices, depth)
+    _assert_heads_are_partial_sums(sys, SpectralVector(sys, random_values(sys, 48)))
 
 
 # ---------------------------------------------------------------------------
