@@ -54,7 +54,6 @@ from .norms import (
 from .hardy import (
     CounterexampleSpec,
     EquivalenceReport,
-    FejerMaximalReport,
     block_partial_sums,
     build_counterexample,
     check_norm_equivalence,

@@ -6,12 +6,18 @@ configuration errors, 2 when a verification check fails (bound violations,
 oracle deviations above tolerance).  A config file holds `key=value` lines
 whose keys are option names; they are parsed like the same options given on
 the command line, so precedence is command line > config file > default.
+
+Drivers return reports without a header; `main` adds it: the system, the
+version and a sha256 of the resolved settings, which leaves out where the
+report goes and the thread count, as they change nothing.  Reports are
+byte-identical for identical settings, `# config_hash=` line included.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import re
@@ -28,7 +34,6 @@ from .experiments import (
     ExperimentReport,
     Table,
     emit,
-    report_meta,
     require_memory,
     run_divergence,
     run_equiv_check,
@@ -38,7 +43,7 @@ from .experiments import (
     write_report,
 )
 from .norms import l1_norm, lebesgue_scan
-from .radix import parse_radix_spec
+from .radix import RadixSystem, parse_radix_spec
 from .spectral import (
     SpectralVector,
     StepFunction,
@@ -120,14 +125,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("gat", parents=[experiment, seeded], help="logarithmic means over a random corpus")
     p.add_argument("--count", type=int, default=50, help="corpus size (default %(default)s)")
-    p.add_argument("--max-rank", type=int, default=4,
-                   help="largest corpus rank (default %(default)s)")
+    p.add_argument("--max-rank", type=int,
+                   help="largest corpus rank (default: 4, or the depth if smaller)")
 
     p = sub.add_parser("equiv-check", parents=[experiment, seeded],
                        help="maximal function vs block partial sums")
     _add_tolerance(p, DEFAULT_EQUALITY_TOL)
     p.add_argument("--count", type=int, default=20, help="corpus size (default %(default)s)")
-    p.add_argument("--rank", type=int, help="corpus rank (default: depth)")
+    p.add_argument("--rank", type=int, help="largest corpus rank (default: depth)")
 
     return parser, sub.choices
 
@@ -187,6 +192,23 @@ def _resolved_for_hash(args: argparse.Namespace) -> dict[str, object]:
     # (its settings are in args) and the thread count
     skip = {"config", "out", "threads"}
     return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def config_hash(resolved: dict[str, object]) -> str:
+    """sha256 over the canonical key=value rendering of a resolved config."""
+    canon = "\n".join(f"{k}={resolved[k]}" for k in sorted(resolved))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def report_meta(sys: RadixSystem, resolved: dict[str, object]) -> dict[str, str]:
+    """The header of a report file: the system, the package version and the
+    hash of the resolved settings that produced it."""
+    return {
+        "radix": sys.spec_string(),
+        "depth": str(sys.depth),
+        "version": __version__,
+        "config_hash": config_hash(resolved),
+    }
 
 
 def _parse_alphas(alphas: str) -> tuple[int, ...]:
@@ -265,24 +287,25 @@ def main(argv: list[str] | None = None) -> int:
             args.n_max = sys_obj.cells - 1
         if command == "lemma1" and args.n_max is None:
             args.n_max = sys_obj.depth
+        if command == "gat" and args.max_rank is None:
+            args.max_rank = min(4, sys_obj.depth)
         if command == "equiv-check" and args.rank is None:
             args.rank = sys_obj.depth
-        resolved = _resolved_for_hash(args)
         t0 = time.monotonic()
 
         if command == "kernel":
             return _kernel_cmd(args, sys_obj)
         if command == "lebesgue-scan":
-            report = run_lebesgue_scan(sys_obj, args.n_min, args.n_max, args.tolerance, resolved)
+            report = run_lebesgue_scan(sys_obj, args.n_min, args.n_max, args.tolerance)
         elif command == "lemma1":
-            report = run_variation_average(sys_obj, args.n_max, resolved)
+            report = run_variation_average(sys_obj, args.n_max)
         elif command == "divergence":
-            report = run_divergence(sys_obj, _parse_alphas(args.alphas), args.tolerance, resolved)
+            report = run_divergence(sys_obj, _parse_alphas(args.alphas), args.tolerance)
         elif command == "gat":
-            report = run_gat(sys_obj, args.count, args.max_rank, args.seed, resolved)
+            report = run_gat(sys_obj, args.count, args.max_rank, args.seed)
         else:
-            report = run_equiv_check(sys_obj, args.count, args.rank, args.seed, args.tolerance,
-                                     resolved)
+            report = run_equiv_check(sys_obj, args.count, args.rank, args.seed, args.tolerance)
+        report.meta = report_meta(sys_obj, _resolved_for_hash(args))
 
         paths = write_report(report, args.out, args.format)
         elapsed = time.monotonic() - t0

@@ -82,18 +82,14 @@ class EquivalenceReport:
     h1_norm: float
     sup_block_norm: float
     max_pointwise_diff: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_pointwise_diff <= self.tolerance
 
 
-def check_norm_equivalence(f: StepFunction, tol: float = 1e-9) -> EquivalenceReport:
+def check_norm_equivalence(f: StepFunction) -> EquivalenceReport:
     """Compare f* (cylinder averages) against sup_n |S_{M_n} f| (spectral).
 
     The two families coincide pointwise for rank-N step functions, so the
-    report carries the max cellwise difference, not just the norms.
+    report carries the max cellwise difference, not just the norms; the
+    caller judges it against its own tolerance.
     """
     direct = maximal_function(f).values.real
     spectral = _sup_of_levels(f.sys, [np.abs(s) for s in block_partial_sums(f)])
@@ -102,7 +98,6 @@ def check_norm_equivalence(f: StepFunction, tol: float = 1e-9) -> EquivalenceRep
         h1_norm=float(direct.mean()),
         sup_block_norm=float(spectral.mean()),
         max_pointwise_diff=gap,
-        tolerance=tol,
     )
 
 
@@ -278,23 +273,9 @@ def gat_log_average(
     return means[len(coeffs):], means[: len(coeffs)]
 
 
-@dataclass(frozen=True, eq=False)
-class FejerMaximalReport:
-    """Per function: the largest ||sigma_n f||_1 over n = 1 .. M_N and its ratio to H1."""
-
-    sup_norm: np.ndarray
-    ratio: np.ndarray
-
-
-def fejer_maximal_check(
-    sys: RadixSystem, coeffs: np.ndarray, h1: np.ndarray
-) -> FejerMaximalReport:
-    """max_n ||sigma_n f_i||_1 for each coefficient row i, and its ratio to h1[i].
-
-    h1[i] is ||f_i||_{H_1}, which the caller already holds for its corpus.
-    """
-    sup = fejer_l1_norms(sys, coeffs, sys.cells).max(axis=1)
-    return FejerMaximalReport(sup_norm=sup, ratio=sup / h1)
+def fejer_maximal_check(sys: RadixSystem, coeffs: np.ndarray) -> np.ndarray:
+    """max_n ||sigma_n f_i||_1 over n = 1 .. M_N for each coefficient row i."""
+    return fejer_l1_norms(sys, coeffs, sys.cells).max(axis=1)
 
 
 def verify_decomposition_norm(

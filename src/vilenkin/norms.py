@@ -56,7 +56,8 @@ def lebesgue_constant(sys: RadixSystem, n: int) -> float:
     """L_n = ||D_n||_1.  Defined for 1 <= n <= M_N.
 
     D_n is measurable at rank order(n)+1, so the value does not depend on
-    the depth used to realize it (tested, not assumed).
+    the depth used to realize it (tested, not assumed).  Built from the
+    kernel, it is the oracle for the closed form of lebesgue_scan.
     """
     if not 1 <= n <= sys.cells:
         raise ValueError(f"Lebesgue constant index {n} out of range [1, {sys.cells}]")
@@ -102,6 +103,10 @@ class VariationProfile:
 
 
 def variation_profile(sys: RadixSystem, n: int) -> VariationProfile:
+    """The digit variations v(n) and v*(n) of one index, read digit by digit.
+
+    The per-index oracle for the vectorized variation_values and variation_sum.
+    """
     idx = decompose(sys, n)
     delta = tuple(1 if d else 0 for d in idx.digits)
     delta_star = tuple(

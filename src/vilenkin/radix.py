@@ -174,6 +174,7 @@ def cell_index(sys: RadixSystem, t: int) -> CellIndex:
 
 
 def cell_from_coords(sys: RadixSystem, coords: Sequence[int]) -> CellIndex:
+    """The cell with coordinates coords (x_0, .., x_{N-1}), validating their ranges."""
     return cell_index(sys, compose(sys, coords))
 
 

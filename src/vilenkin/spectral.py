@@ -153,13 +153,13 @@ def _period_level(sys: RadixSystem, rows: np.ndarray, r: int) -> int:
     """The smallest level q >= r such that every row (M_N columns) is M_q-periodic.
 
     An M_q-periodic row is also M_{q+1}-periodic, so the search walks down
-    from q = N and checks each period on the head that the previous one left.
+    from q = N.  A row already known to be M_q-periodic is M_{q-1}-periodic
+    when its first M_q values equal themselves shifted by M_{q-1}.
     """
     q = sys.depth
     while q > r:
-        period = sys.products[q - 1]
-        head = rows[:, : sys.products[q]].reshape(len(rows), sys.radices[q - 1], period)
-        if not (head == head[:, :1]).all():
+        period, width = sys.products[q - 1], sys.products[q]
+        if not (rows[:, period:width] == rows[:, : width - period]).all():
             break
         q -= 1
     return q
@@ -176,14 +176,20 @@ def _root_table(m: int) -> np.ndarray:
 
 
 def rademacher(k: int, x: CellIndex) -> complex:
-    """r_k(x) = exp(2 pi i x_k / m_k), read from the level-k root table."""
+    """r_k(x) = exp(2 pi i x_k / m_k), read from the level-k root table.
+
+    A pointwise oracle: products of its powers check vilenkin_char.
+    """
     if not 0 <= k < x.sys.depth:
         raise ValueError(f"level {k} out of range [0, {x.sys.depth})")
     return complex(_root_table(x.sys.radices[k])[x.coords[k]])
 
 
 def vilenkin_char(n: int | VilenkinIndex, x: CellIndex) -> complex:
-    """psi_n(x) = prod_k r_k(x)^{n_k}, evaluated through the root tables."""
+    """psi_n(x) = prod_k r_k(x)^{n_k}, evaluated through the root tables.
+
+    A pointwise oracle for the digit-tensor rows of character_block.
+    """
     sys = x.sys
     if isinstance(n, VilenkinIndex):
         if n.sys != sys:
@@ -332,7 +338,12 @@ def _block_heads(c: SpectralVector) -> list[np.ndarray]:
 
 
 def partial_sum(c: SpectralVector, n: int) -> StepFunction:
-    """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f identically zero."""
+    """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f identically zero.
+
+    One synthesis per call: the oracle for the cumulative scans
+    (cumulative_l1_norms) and for the block heads of one synthesis pass
+    (hardy.block_partial_sums).
+    """
     sys = c.sys
     if not 0 <= n <= sys.cells:
         raise ValueError(f"partial sum index {n} out of range [0, {sys.cells}]")
@@ -351,8 +362,6 @@ def dirichlet_kernel(sys: RadixSystem, n: int) -> StepFunction:
         raise ValueError(f"kernel index {n} out of range [0, {sys.cells}]")
     cells = sys.cells
     vals = np.zeros(cells, dtype=np.complex128)
-    if n == 0:
-        return StepFunction(sys, vals)
     if n == cells:
         vals[0] = cells
         return StepFunction(sys, vals)

@@ -25,15 +25,13 @@ from vilenkin import (
     partial_sum,
     partial_sum_l1_norms,
 )
-from vilenkin.cli import main
+from vilenkin.cli import config_hash, main, report_meta
 from vilenkin.experiments import (
     ExperimentReport,
     Table,
-    config_hash,
     random_step_corpus,
     render_csv,
     render_json,
-    report_meta,
     run_divergence,
     run_equiv_check,
     run_gat,
@@ -153,7 +151,7 @@ def test_corpus_validation(dyadic6):
 
 def test_run_lebesgue_scan_small(dyadic6, mixed2):
     for sys_obj, hi, frozen in ((dyadic6, 10, {2: 1.0, 3: 1.5}), (mixed2, 575, {})):
-        rep = run_lebesgue_scan(sys_obj, 1, hi, 1e-9, {"seed": 1})
+        rep = run_lebesgue_scan(sys_obj, 1, hi, 1e-9)
         assert rep.table.columns[:4] == ["n", "v", "v_star", "L_n"]
         assert rep.violations == 0
         by_n = {row[0]: row for row in rep.table.rows}
@@ -169,7 +167,7 @@ def test_run_lebesgue_scan_small(dyadic6, mixed2):
 
 
 def test_run_variation_average_frozen(dyadic6):
-    rep = run_variation_average(dyadic6, 4, {"seed": 1})
+    rep = run_variation_average(dyadic6, 4)
     assert rep.table.columns == ["n", "average_n_mn", "average_mn"]
     rows = {r[0]: r for r in rep.table.rows}
     assert rows[1][1] == pytest.approx(1.0)
@@ -185,7 +183,7 @@ def test_run_divergence_small(dyadic6, dyadic10):
         (dyadic6, (1, 2), None),
         (dyadic10, (1, 4, 9), (0.5, 0.685546875, 0.8759403228759763)),
     ):
-        rep = run_divergence(sys_obj, alphas, 1e-12, {"seed": 1})
+        rep = run_divergence(sys_obj, alphas, 1e-12)
         assert len(rep.table.rows) == len(alphas)
         assert rep.summary["eq_block_coeff_deviation"] < 1e-12
         assert rep.violations == 0
@@ -200,7 +198,7 @@ def test_run_divergence_small(dyadic6, dyadic10):
             assert avg == pytest.approx(float(norms[:n].mean()), abs=1e-12)
         assert rep.summary["oracle_max_deviation"] < 1e-12
         # a hostile tolerance fails both the coefficient check and the oracle
-        rep = run_divergence(sys_obj, alphas, -1.0, {"seed": 1})
+        rep = run_divergence(sys_obj, alphas, -1.0)
         assert rep.violations == 2
 
 
@@ -225,7 +223,7 @@ def test_cli_divergence_oracle_deviation_exit_2(tmp_path, monkeypatch):
 
 def test_run_gat_small(dyadic6, mixed):
     for sys_obj in (dyadic6, mixed):
-        rep = run_gat(sys_obj, 4, 2, 1, {"seed": 1})
+        rep = run_gat(sys_obj, 4, 2, 1)
         assert rep.table.columns == [
             "func_id", "rank", "n", "convergence_form", "bounded_form", "bounded_ratio",
         ]
@@ -267,12 +265,12 @@ def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
         return real_block(sub, lo, hi)
 
     monkeypatch.setattr(spectral, "character_block", spy)
-    run_gat(dyadic10, 8, 4, 1, {"seed": 1})
+    run_gat(dyadic10, 8, 4, 1)
     assert seen and max(seen) <= dyadic10.products[4]
 
 
 def test_run_equiv_check_small(mixed2):
-    rep = run_equiv_check(mixed2, 6, mixed2.depth, 1, 1e-9, {"seed": 1})
+    rep = run_equiv_check(mixed2, 6, mixed2.depth, 1, 1e-9)
     assert rep.violations == 0
     assert rep.summary["max_pointwise_diff"] < 1e-9
     assert len(rep.table.rows) == 6
@@ -520,6 +518,7 @@ def test_cli_config_hash_records_defaults(tmp_path):
     # a default and the same value given explicitly are the same setting
     for plain, explicit, other in (
         (["gat", "--radix", "2^6"], ["--count", "50"], ["--count", "49"]),
+        (["gat", "--radix", "2^6"], ["--max-rank", "4"], ["--max-rank", "3"]),
         (["lemma1", "--radix", "2^6"], ["--n-max", "6"], ["--n-max", "5"]),
     ):
         want = _config_hash_line(tmp_path, plain)
@@ -643,6 +642,33 @@ def test_cli_gat_and_equiv_smoke(tmp_path):
     assert (tmp_path / "g.fejer.csv").exists()
     assert main(["equiv-check", "--radix", "2,3,4", "--count", "3",
                  "--out", str(tmp_path / "e.csv")]) == 0
+
+
+def test_cli_gat_default_rank_fits_shallow_systems(tmp_path):
+    # the default largest rank is 4, or the depth when the system is shallower
+    out = tmp_path / "g.csv"
+    assert main(["gat", "--radix", "5,2,7", "--count", "4", "--out", str(out)]) == 0
+    data = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert sorted({int(row[1]) for row in data}) == [1, 2, 3]
+
+
+def test_cli_equiv_check_violations_exit_2(tmp_path):
+    out = tmp_path / "e.json"
+    assert main(["equiv-check", "--radix", "2^4", "--count", "3", "--tolerance=-1",
+                 "--format", "json", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["summary"]["violations"] == 3
+
+
+def test_cli_stamps_the_header(tmp_path):
+    # a driver returns its report without a header; the CLI adds it
+    rep = run_equiv_check(build_radix_system([2], 4), 3, 4, 1, 1e-9)
+    assert rep.meta == {}
+    out = tmp_path / "e.json"
+    assert main(["equiv-check", "--radix", "2^4", "--count", "3", "--format", "json",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload["meta"]) == {"radix", "depth", "version", "config_hash"}
+    assert payload["rows"] == [list(r) for r in rep.table.rows]
 
 
 def test_cli_depth_flag(tmp_path, capsys):

@@ -129,7 +129,7 @@ def test_norm_equivalence_random(dyadic6, mixed2):
     for sys in (dyadic6, mixed2):
         f = StepFunction(sys, random_values(sys, 64))
         rep = check_norm_equivalence(f)
-        assert rep.passed
+        assert rep.max_pointwise_diff <= 1e-9
         assert rep.max_pointwise_diff < 1e-10
         assert rep.h1_norm == pytest.approx(rep.sup_block_norm, abs=1e-10)
 
@@ -337,9 +337,9 @@ def test_gat_convergence_decreases_for_finite_rank(dyadic10):
 def test_fejer_maximal_check_manual(mixed):
     fs = [StepFunction(mixed, random_values(mixed, seed)) for seed in (70, 71)]
     h1 = np.array([h1_norm(f) for f in fs])
-    rep = fejer_maximal_check(mixed, np.vstack([forward_fast(f).coeffs for f in fs]), h1)
+    sup = fejer_maximal_check(mixed, np.vstack([forward_fast(f).coeffs for f in fs]))
     for i, f in enumerate(fs):
         c = forward_fast(f)
         norms = [l1_norm(fejer_mean(c, n)) for n in range(1, mixed.cells + 1)]
-        assert rep.sup_norm[i] == pytest.approx(max(norms), abs=1e-12)
-        assert rep.ratio[i] == pytest.approx(max(norms) / h1_norm(f))
+        assert sup[i] == pytest.approx(max(norms), abs=1e-12)
+        assert sup[i] / h1[i] == pytest.approx(max(norms) / h1_norm(f))
