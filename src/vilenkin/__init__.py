@@ -9,24 +9,15 @@ lacunary-block experiments around strong (non)convergence of partial sums.
 __version__ = "0.1.0"
 
 from .radix import (
-    CellIndex,
     RadixSystem,
-    VilenkinIndex,
     build_radix_system,
-    cell_from_coords,
-    cell_index,
-    cell_measure,
-    compose,
     decompose,
-    group_add,
-    group_neg,
     parse_radix_spec,
 )
 from .spectral import (
     SpectralVector,
     StepFunction,
     character_block,
-    character_column,
     cumulative_l1_norms,
     dirichlet_kernel,
     fejer_l1_norms,

@@ -136,7 +136,7 @@ def random_step_corpus(
     if count < 1:
         raise ValueError(f"corpus size must be >= 1, got {count}")
     if not 1 <= max_rank <= sys.depth:
-        raise ValueError(f"max rank {max_rank} out of range [1, {sys.depth}]")
+        raise ValueError(f"largest corpus rank {max_rank} out of range [1, {sys.depth}]")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -329,9 +329,12 @@ def run_gat(
     value_rows = np.vstack([f.values for f in corpus])
     h1s = np.array([h1_norm(f) for f in corpus])
 
-    # the table covers n = M_2 .. M_N; the summary is taken at n = M_N
+    # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
+    # last endpoint (on a depth-1 system the only one, and the table is empty)
     ends = sys.products[2:]
-    convergence, bounded = gat_log_average(sys, coeff_rows, value_rows, (*ends, sys.cells))
+    convergence, bounded = gat_log_average(
+        sys, coeff_rows, value_rows, sys.products[min(2, sys.depth):]
+    )
     ratios = bounded / h1s[:, None]
     rows = [
         (i, 1 + (i % max_rank), n, float(convergence[i, j]), float(bounded[i, j]),

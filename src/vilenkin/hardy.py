@@ -25,7 +25,7 @@ from .spectral import (
     SpectralVector,
     StepFunction,
     _block_heads,
-    character_column,
+    character_block,
     cumulative_l1_norms,
     dirichlet_kernel,
     fejer_l1_norms,
@@ -196,6 +196,10 @@ def partial_sum_decomposition(
     the block coefficients are constant and index addition below M_{a_k+1}
     carries no digit interaction.  ||second term||_1 is exactly
     a_k^{-1/2} L_{j - M_{a_k}} whenever j > M_{a_k}.
+
+    It checks the paper's block decomposition: acceptance criterion 6 reads
+    it, and a closed form for the counterexample's partial-sum norms would
+    be checked against it.
     """
     if coeffs.sys != spec.sys:
         raise ValueError("system mismatch: coefficients use a different radix system")
@@ -206,7 +210,7 @@ def partial_sum_decomposition(
     head = partial_sum(coeffs, lo)
     tail = (
         spec.weights[k]
-        * character_column(spec.sys, lo)
+        * character_block(spec.sys, lo, lo + 1)[0]
         * dirichlet_kernel(spec.sys, j - lo).values
     )
     return head, StepFunction(spec.sys, tail)
@@ -281,7 +285,12 @@ def fejer_maximal_check(sys: RadixSystem, coeffs: np.ndarray) -> np.ndarray:
 def verify_decomposition_norm(
     spec: CounterexampleSpec, j: int
 ) -> tuple[float, float]:
-    """(||tail||_1, expected a_k^{-1/2} L_{j - M_{a_k}}) for an in-block j."""
+    """(||tail||_1, expected a_k^{-1/2} L_{j - M_{a_k}}) for an in-block j.
+
+    An oracle for the paper's block decomposition: acceptance criterion 6
+    reads it, and a closed form for the counterexample's partial-sum norms
+    would be checked against it.
+    """
     k = spec.block_of(j)
     if k is None:
         raise ValueError(f"index {j} lies in no coefficient block of the schedule")

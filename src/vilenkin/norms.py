@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radix import RadixSystem, VilenkinIndex, decompose
+from .radix import RadixSystem, decompose
 from .spectral import StepFunction, dirichlet_kernel
 
 
@@ -95,7 +95,6 @@ def lebesgue_scan(sys: RadixSystem, lo: int = 1, hi: int | None = None) -> np.nd
 class VariationProfile:
     """Digit variation data for one index."""
 
-    index: VilenkinIndex
     delta: tuple[int, ...]
     delta_star: tuple[int, ...]
     v: int
@@ -107,17 +106,17 @@ def variation_profile(sys: RadixSystem, n: int) -> VariationProfile:
 
     The per-index oracle for the vectorized variation_values and variation_sum.
     """
-    idx = decompose(sys, n)
-    delta = tuple(1 if d else 0 for d in idx.digits)
+    digits = decompose(sys, n)
+    delta = tuple(1 if d else 0 for d in digits)
     delta_star = tuple(
         abs(((m - d) % m) - 1) * (1 if d else 0)
-        for d, m in zip(idx.digits, sys.radices)
+        for d, m in zip(digits, sys.radices)
     )
     v = delta[0] + sum(
         abs((delta[j + 1] if j + 1 < len(delta) else 0) - delta[j])
         for j in range(len(delta))
     )
-    return VariationProfile(idx, delta, delta_star, v, sum(delta_star))
+    return VariationProfile(delta, delta_star, v, sum(delta_star))
 
 
 def variation_values(sys: RadixSystem, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

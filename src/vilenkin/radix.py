@@ -1,10 +1,11 @@
-"""Mixed-radix number systems and the finite product group built on them.
+"""Mixed-radix number systems: place values, digit expansions, spec parsing.
 
 A radix sequence (m_0, ..., m_{N-1}), every entry at least 2, fixes both a
 number system and a group: place values M_0 = 1, M_{k+1} = m_k * M_k, so
 every integer n < M_N has a unique expansion n = sum_j n_j * M_j, and the
 cell numbers [0, M_N) address the points of Z_{m_0} x ... x Z_{m_{N-1}} by
-the same expansion.  Digits are stored least significant first throughout.
+the same expansion.  Indices and cells are plain integers; decompose gives
+their digits, least significant first.
 """
 
 from __future__ import annotations
@@ -110,94 +111,13 @@ def parse_radix_spec(spec: str, depth: int | None = None) -> RadixSystem:
     return build_radix_system(pattern, depth)
 
 
-@dataclass(frozen=True)
-class VilenkinIndex:
-    """A natural number below M_N with its digit expansion and order.
-
-    order is the largest position carrying a nonzero digit, with the
-    convention order == -1 for the value 0.
-    """
-
-    sys: RadixSystem
-    value: int
-    digits: tuple[int, ...]
-    order: int
-
-
-@dataclass(frozen=True)
-class CellIndex:
-    """A point of the product group, addressed by cell number and coordinates."""
-
-    sys: RadixSystem
-    t: int
-    coords: tuple[int, ...]
-
-
-def _expand(sys: RadixSystem, value: int) -> tuple[int, ...]:
-    digits = []
-    rest = value
-    for m in sys.radices:
-        rest, d = divmod(rest, m)
-        digits.append(d)
-    return tuple(digits)
-
-
-def decompose(sys: RadixSystem, n: int) -> VilenkinIndex:
-    """Digit expansion n = sum_j n_j * M_j with 0 <= n_j < m_j."""
+def decompose(sys: RadixSystem, n: int) -> tuple[int, ...]:
+    """The digits (n_0, ..., n_{N-1}) of n = sum_j n_j * M_j, 0 <= n_j < m_j."""
     n = int(n)
     if not 0 <= n < sys.cells:
         raise ValueError(f"index {n} out of range [0, {sys.cells})")
-    digits = _expand(sys, n)
-    order = max((j for j, d in enumerate(digits) if d), default=-1)
-    return VilenkinIndex(sys, n, digits, order)
-
-
-def compose(sys: RadixSystem, digits: Sequence[int]) -> int:
-    """Inverse of decompose: sum_j digits[j] * M_j, validating digit ranges."""
-    if len(digits) != sys.depth:
-        raise ValueError(f"expected {sys.depth} digits, got {len(digits)}")
-    total = 0
-    for j, (d, m) in enumerate(zip(digits, sys.radices)):
-        d = int(d)
-        if not 0 <= d < m:
-            raise ValueError(f"digit {d} at position {j} outside [0, {m})")
-        total += d * sys.products[j]
-    return total
-
-
-def cell_index(sys: RadixSystem, t: int) -> CellIndex:
-    """The cell numbered t, with coordinates from the shared expansion."""
-    t = int(t)
-    if not 0 <= t < sys.cells:
-        raise ValueError(f"cell {t} out of range [0, {sys.cells})")
-    return CellIndex(sys, t, _expand(sys, t))
-
-
-def cell_from_coords(sys: RadixSystem, coords: Sequence[int]) -> CellIndex:
-    """The cell with coordinates coords (x_0, .., x_{N-1}), validating their ranges."""
-    return cell_index(sys, compose(sys, coords))
-
-
-def _require_same_system(a: CellIndex, b: CellIndex) -> None:
-    if a.sys != b.sys:
-        raise ValueError("system mismatch: cells belong to different radix systems")
-
-
-def group_add(x: CellIndex, y: CellIndex) -> CellIndex:
-    """Coordinatewise addition modulo m_j."""
-    _require_same_system(x, y)
-    coords = tuple((a + b) % m for a, b, m in zip(x.coords, y.coords, x.sys.radices))
-    return cell_from_coords(x.sys, coords)
-
-
-def group_neg(x: CellIndex) -> CellIndex:
-    """Coordinatewise inverse: j-th coordinate becomes (m_j - x_j) mod m_j."""
-    coords = tuple((m - a) % m for a, m in zip(x.coords, x.sys.radices))
-    return cell_from_coords(x.sys, coords)
-
-
-def cell_measure(sys: RadixSystem, rank: int) -> float:
-    """Haar measure of one rank-n cylinder: 1/M_n.  Rank 0 is the whole group."""
-    if not 0 <= rank <= sys.depth:
-        raise ValueError(f"rank {rank} out of range [0, {sys.depth}]")
-    return 1.0 / sys.products[rank]
+    digits = []
+    for m in sys.radices:
+        n, d = divmod(n, m)
+        digits.append(d)
+    return tuple(digits)

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .radix import CellIndex, RadixSystem, VilenkinIndex, decompose
+from .radix import RadixSystem, decompose
 
 # Target element count per scratch block in the cumulative scans (~32 MB).
 _SCAN_BLOCK_ELEMENTS = 1 << 21
@@ -61,14 +61,6 @@ class StepFunction:
                 f"expected {self.sys.cells} cell values, got {vals.shape[0]}"
             )
         object.__setattr__(self, "values", _frozen(vals))
-
-    @classmethod
-    def constant(cls, sys: RadixSystem, value: complex = 1.0) -> "StepFunction":
-        return cls(sys, np.full(sys.cells, value, dtype=np.complex128))
-
-    def integral(self) -> complex:
-        """Integral against normalized Haar measure: the mean cell value."""
-        return complex(self.values.mean())
 
     def to_json_dict(self) -> dict:
         return _to_json_dict(self.sys, self.values)
@@ -175,38 +167,26 @@ def _root_table(m: int) -> np.ndarray:
 # pointwise and vectorized character evaluation
 
 
-def rademacher(k: int, x: CellIndex) -> complex:
-    """r_k(x) = exp(2 pi i x_k / m_k), read from the level-k root table.
+def rademacher(sys: RadixSystem, k: int, t: int) -> complex:
+    """r_k(t) = exp(2 pi i t_k / m_k) at cell t, read from the level-k root table.
 
     A pointwise oracle: products of its powers check vilenkin_char.
     """
-    if not 0 <= k < x.sys.depth:
-        raise ValueError(f"level {k} out of range [0, {x.sys.depth})")
-    return complex(_root_table(x.sys.radices[k])[x.coords[k]])
+    if not 0 <= k < sys.depth:
+        raise ValueError(f"level {k} out of range [0, {sys.depth})")
+    return complex(_root_table(sys.radices[k])[decompose(sys, t)[k]])
 
 
-def vilenkin_char(n: int | VilenkinIndex, x: CellIndex) -> complex:
-    """psi_n(x) = prod_k r_k(x)^{n_k}, evaluated through the root tables.
+def vilenkin_char(sys: RadixSystem, n: int, t: int) -> complex:
+    """psi_n(t) = prod_k r_k(t)^{n_k} at cell t, evaluated through the root tables.
 
     A pointwise oracle for the digit-tensor rows of character_block.
     """
-    sys = x.sys
-    if isinstance(n, VilenkinIndex):
-        if n.sys != sys:
-            raise ValueError("system mismatch: index and cell use different systems")
-        idx = n
-    else:
-        idx = decompose(sys, n)
     out = complex(1.0)
-    for k, (d, m) in enumerate(zip(idx.digits, sys.radices)):
+    for d, x, m in zip(decompose(sys, n), decompose(sys, t), sys.radices):
         if d:
-            out *= complex(_root_table(m)[(d * x.coords[k]) % m])
+            out *= complex(_root_table(m)[(d * x) % m])
     return out
-
-
-def character_column(sys: RadixSystem, n: int) -> np.ndarray:
-    """psi_n evaluated on every cell, as one complex array of length M_N."""
-    return character_block(sys, n, n + 1)[0]
 
 
 def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
@@ -366,7 +346,7 @@ def dirichlet_kernel(sys: RadixSystem, n: int) -> StepFunction:
         vals[0] = cells
         return StepFunction(sys, vals)
     tensor = vals.reshape(_tensor_shape(sys))
-    digits = decompose(sys, n).digits
+    digits = decompose(sys, n)
     mult = np.ones((1,) * sys.depth, dtype=np.complex128)
     for j in range(sys.depth - 1, -1, -1):
         d = digits[j]
@@ -391,8 +371,8 @@ def fejer_mean(c: SpectralVector, n: int) -> StepFunction:
     """Fejer mean sigma_n f = (1/n) sum_{k=0}^{n-1} S_k f.
 
     Evaluated through the equivalent weighted form
-    sum_{k < n} (1 - (k+1)/n) f_hat(k) psi_k; the direct average of partial
-    sums is the oracle the tests compare against.
+    sum_{k < n} (1 - (k+1)/n) f_hat(k) psi_k, one synthesis per call: the
+    per-n oracle for the scan fejer_l1_norms.
     """
     sys = c.sys
     if not 1 <= n <= sys.cells:

@@ -21,7 +21,7 @@ from vilenkin import (
     CounterexampleSpec,
     build_counterexample,
     build_radix_system,
-    character_column,
+    character_block,
     check_norm_equivalence,
     dirichlet_kernel,
     expected_counterexample_coefficients,
@@ -70,7 +70,7 @@ def test_criterion_1_kernel_identities():
         for n in range(sys.depth):
             M_n = sys.products[n]
             base = dirichlet_kernel(sys, M_n).values
-            r_n = character_column(sys, M_n)
+            r_n = character_block(sys, M_n, M_n + 1)[0]
             geom = np.zeros(sys.cells, dtype=np.complex128)
             for s in range(1, sys.radices[n]):
                 geom += r_n ** (s - 1)

@@ -269,6 +269,34 @@ def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
     assert seen and max(seen) <= dyadic10.products[4]
 
 
+def test_run_gat_asks_each_endpoint_once(dyadic10, monkeypatch):
+    import vilenkin.experiments as experiments_mod
+
+    asked = []
+    real = experiments_mod.gat_log_average
+
+    def spy(sys_obj, coeffs, values, ns):
+        asked.append(tuple(ns))
+        return real(sys_obj, coeffs, values, ns)
+
+    monkeypatch.setattr(experiments_mod, "gat_log_average", spy)
+    run_gat(dyadic10, 3, 2, 1)
+    assert asked == [dyadic10.products[2:]]
+
+
+def test_run_gat_depth_one():
+    # no table row below M_2; the summary is still taken at n = M_N = 2
+    sys_obj = build_radix_system([2], 1)
+    rep = run_gat(sys_obj, 4, 1, 1)
+    assert rep.table.rows == []
+    want = 0.0
+    for f in random_step_corpus(sys_obj, 4, 1, 1):
+        c = forward_fast(f)
+        bounded = (l1_norm(partial_sum(c, 1)) + l1_norm(partial_sum(c, 2)) / 2) / math.log(2)
+        want = max(want, bounded / h1_norm(f))
+    assert rep.summary["max_bounded_ratio"] == pytest.approx(want, abs=1e-12)
+
+
 def test_run_equiv_check_small(mixed2):
     rep = run_equiv_check(mixed2, 6, mixed2.depth, 1, 1e-9)
     assert rep.violations == 0
@@ -316,7 +344,7 @@ def test_cli_usage_errors_exit_1():
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg"}
     files["IN"].write_text(json.dumps(
-        StepFunction.constant(build_radix_system([2], 6), 1.0).to_json_dict()))
+        StepFunction(build_radix_system([2], 6), np.ones(64)).to_json_dict()))
     files["NAN_CFG"].write_text("tolerance=nan\n")
     argv = [str(files.get(arg, arg)) for arg in argv]
     # a --radix in the case comes later on the line, so it wins over 2^6
@@ -332,6 +360,18 @@ def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     assert "vilenkin: error:" in err
     assert "L_n" not in err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv-check", "--rank", "0"],
+    ["gat", "--max-rank", "0"],
+])
+def test_cli_corpus_rank_error_names_no_other_option(capsys, argv):
+    # both options are the largest rank of the corpus
+    assert main([argv[0], "--radix", "2^3", *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "largest corpus rank 0 out of range [1, 3]" in err
+    assert "max rank" not in err
 
 
 def test_cli_bad_radix_exit_1(capsys):
@@ -415,7 +455,7 @@ def test_cli_transform_roundtrip(tmp_path):
 
 def test_cli_transform_takes_only_its_flags(tmp_path, capsys):
     fin = tmp_path / "f.json"
-    fin.write_text(json.dumps(StepFunction.constant(build_radix_system([2], 4)).to_json_dict()))
+    fin.write_text(json.dumps(StepFunction(build_radix_system([2], 4), np.ones(16)).to_json_dict()))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("radix=2^4\n")
     for extra in (["--threads", "0"], ["--radix", "1^3"], ["--config", str(cfg)]):

@@ -1,4 +1,4 @@
-"""Indexing layer: digit expansions, group arithmetic, radix-spec parsing."""
+"""Indexing layer: place values, digit expansions, radix-spec parsing."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from vilenkin import (
     RadixSystem,
     build_radix_system,
-    cell_from_coords,
-    cell_index,
-    cell_measure,
-    compose,
     decompose,
-    group_add,
-    group_neg,
     parse_radix_spec,
 )
 
@@ -34,18 +28,13 @@ def test_products_and_cells(mixed):
 
 
 def test_decompose_known_values(dyadic4, mixed):
-    idx = decompose(dyadic4, 13)
-    assert idx.digits == (1, 0, 1, 1)
-    assert idx.order == 3
+    assert decompose(dyadic4, 13) == (1, 0, 1, 1)
     # 7 = 1*1 + 0*2 + 1*6 in the (2,3,4) system
-    idx = decompose(mixed, 7)
-    assert idx.digits == (1, 0, 1)
-    assert idx.order == 2
+    assert decompose(mixed, 7) == (1, 0, 1)
 
 
-def test_order_of_zero_is_minus_one(mixed):
-    assert decompose(mixed, 0).order == -1
-    assert decompose(mixed, 0).digits == (0, 0, 0)
+def test_decompose_zero(mixed):
+    assert decompose(mixed, 0) == (0, 0, 0)
 
 
 def test_decompose_range_check(mixed):
@@ -55,55 +44,18 @@ def test_decompose_range_check(mixed):
         decompose(mixed, -1)
 
 
-def test_compose_validates_digits(mixed):
-    assert compose(mixed, (1, 0, 1)) == 7
-    with pytest.raises(ValueError):
-        compose(mixed, (1, 3, 0))  # digit 3 at a radix-3 position
-    with pytest.raises(ValueError):
-        compose(mixed, (1, 0))  # wrong length
-
-
 @given(small_systems, st.data())
 def test_compose_decompose_roundtrip(sys, data):
     n = data.draw(st.integers(0, sys.cells - 1))
-    idx = decompose(sys, n)
-    assert compose(sys, idx.digits) == n
-    assert all(0 <= d < m for d, m in zip(idx.digits, sys.radices))
+    digits = decompose(sys, n)
+    assert sum(d * M for d, M in zip(digits, sys.products)) == n
+    assert len(digits) == sys.depth
+    assert all(0 <= d < m for d, m in zip(digits, sys.radices))
 
 
 def test_roundtrip_exhaustive(mixed2):
     for n in range(mixed2.cells):
-        assert compose(mixed2, decompose(mixed2, n).digits) == n
-
-
-@given(small_systems, st.data())
-def test_group_laws(sys, data):
-    draw = lambda: cell_index(sys, data.draw(st.integers(0, sys.cells - 1)))
-    x, y, z = draw(), draw(), draw()
-    zero = cell_index(sys, 0)
-    assert group_add(x, zero).t == x.t
-    assert group_add(x, y).t == group_add(y, x).t
-    assert group_add(group_add(x, y), z).t == group_add(x, group_add(y, z)).t
-    assert group_add(x, group_neg(x)).t == 0
-
-
-def test_group_add_rejects_mixed_systems(dyadic4, mixed):
-    with pytest.raises(ValueError, match="system mismatch"):
-        group_add(cell_index(dyadic4, 1), cell_index(mixed, 1))
-
-
-def test_cell_coords_roundtrip(mixed):
-    for t in range(mixed.cells):
-        c = cell_index(mixed, t)
-        assert cell_from_coords(mixed, c.coords).t == t
-
-
-def test_cell_measure(mixed):
-    assert cell_measure(mixed, 0) == 1.0
-    assert cell_measure(mixed, 2) == pytest.approx(1 / 6)
-    assert cell_measure(mixed, 3) == pytest.approx(1 / 24)
-    with pytest.raises(ValueError):
-        cell_measure(mixed, 4)
+        assert sum(d * M for d, M in zip(decompose(mixed2, n), mixed2.products)) == n
 
 
 def test_build_cycles_pattern():

@@ -11,16 +11,14 @@ from vilenkin import (
     SpectralVector,
     StepFunction,
     build_radix_system,
-    cell_index,
     character_block,
-    character_column,
     cumulative_l1_norms,
     dirichlet_kernel,
     fejer_l1_norms,
     fejer_mean,
     forward_fast,
+    decompose,
     forward_naive,
-    group_add,
     inverse_transform,
     partial_sum,
     rademacher,
@@ -38,55 +36,51 @@ from conftest import random_values, small_systems
 
 def test_rademacher_dyadic_is_sign(dyadic4):
     for t in range(dyadic4.cells):
-        x = cell_index(dyadic4, t)
-        for k in range(4):
-            want = -1.0 if x.coords[k] else 1.0
-            assert rademacher(k, x) == pytest.approx(want)
+        for k, x_k in enumerate(decompose(dyadic4, t)):
+            want = -1.0 if x_k else 1.0
+            assert rademacher(dyadic4, k, t) == pytest.approx(want)
 
 
 def test_rademacher_is_root_of_unity(mixed):
-    x = cell_index(mixed, 11)
-    for k, m in enumerate(mixed.radices):
-        r = rademacher(k, x)
+    for k, (x_k, m) in enumerate(zip(decompose(mixed, 11), mixed.radices)):
+        r = rademacher(mixed, k, 11)
         assert abs(r) == pytest.approx(1.0)
-        assert r == pytest.approx(np.exp(2j * np.pi * x.coords[k] / m))
+        assert r == pytest.approx(np.exp(2j * np.pi * x_k / m))
     with pytest.raises(ValueError):
-        rademacher(3, x)
+        rademacher(mixed, 3, 11)
 
 
 def test_char_zero_is_one(mixed):
     for t in range(mixed.cells):
-        assert vilenkin_char(0, cell_index(mixed, t)) == pytest.approx(1.0)
+        assert vilenkin_char(mixed, 0, t) == pytest.approx(1.0)
 
 
 def test_char_equals_digit_product(mixed):
     # psi_n(x) = prod_k r_k(x)^{n_k}, checked literally on every (n, x) pair
-    from vilenkin import decompose
-
     for n in range(mixed.cells):
-        digits = decompose(mixed, n).digits
+        digits = decompose(mixed, n)
         for t in range(mixed.cells):
-            x = cell_index(mixed, t)
-            want = np.prod([rademacher(k, x) ** d for k, d in enumerate(digits)])
-            assert vilenkin_char(n, x) == pytest.approx(complex(want), abs=1e-12)
+            want = np.prod([rademacher(mixed, k, t) ** d for k, d in enumerate(digits)])
+            assert vilenkin_char(mixed, n, t) == pytest.approx(complex(want), abs=1e-12)
 
 
 @settings(max_examples=60)
 @given(small_systems, st.data())
 def test_char_multiplicative_in_x(sys, data):
-    n = data.draw(st.integers(0, sys.cells - 1))
-    x = cell_index(sys, data.draw(st.integers(0, sys.cells - 1)))
-    y = cell_index(sys, data.draw(st.integers(0, sys.cells - 1)))
-    lhs = vilenkin_char(n, group_add(x, y))
-    rhs = vilenkin_char(n, x) * vilenkin_char(n, y)
+    n, x, y = (data.draw(st.integers(0, sys.cells - 1)) for _ in range(3))
+    # x + y in the group: digitwise addition modulo m_j
+    digits = zip(decompose(sys, x), decompose(sys, y), sys.radices, sys.products)
+    x_plus_y = sum((a + b) % m * M for a, b, m, M in digits)
+    lhs = vilenkin_char(sys, n, x_plus_y)
+    rhs = vilenkin_char(sys, n, x) * vilenkin_char(sys, n, y)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_character_column_matches_pointwise(mixed):
     for n in (0, 1, 5, 7, 23):
-        col = character_column(mixed, n)
+        col = character_block(mixed, n, n + 1)[0]
         for t in range(mixed.cells):
-            assert col[t] == pytest.approx(vilenkin_char(n, cell_index(mixed, t)), abs=1e-12)
+            assert col[t] == pytest.approx(vilenkin_char(mixed, n, t), abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,7 +91,7 @@ def test_character_block_matches_columns(sys):
     rows = character_block(sys, 0, sys.cells)
     assert rows.shape == (sys.cells, sys.cells)
     for n in range(sys.cells):
-        want = [vilenkin_char(n, cell_index(sys, t)) for t in range(sys.cells)]
+        want = [vilenkin_char(sys, n, t) for t in range(sys.cells)]
         assert np.abs(rows[n] - want).max() <= 1e-12, f"row {n}"
 
 
@@ -112,7 +106,7 @@ def test_orthonormality_random_pairs(dyadic10):
     rng = np.random.default_rng(5)
     for _ in range(50):
         a, b = rng.integers(0, dyadic10.cells, size=2)
-        ca, cb = character_column(dyadic10, int(a)), character_column(dyadic10, int(b))
+        ca, cb = character_block(dyadic10, a, a + 1)[0], character_block(dyadic10, b, b + 1)[0]
         inner = (ca * cb.conj()).mean()
         assert inner == pytest.approx(1.0 if a == b else 0.0, abs=1e-12)
 
@@ -232,10 +226,7 @@ def test_partial_sum_endpoints(mixed):
 
 
 def naive_kernel(sys, n):
-    vals = np.zeros(sys.cells, dtype=np.complex128)
-    for k in range(n):
-        vals += character_column(sys, k)
-    return vals
+    return character_block(sys, 0, n).sum(axis=0)
 
 
 def test_dirichlet_kernel_frozen_dyadic():
@@ -275,7 +266,7 @@ def test_dirichlet_geometric_factorization(mixed):
     for n in range(mixed.depth):
         M_n = mixed.products[n]
         base = dirichlet_kernel(mixed, M_n).values
-        r_n = character_column(mixed, M_n)
+        r_n = character_block(mixed, M_n, M_n + 1)[0]
         for s in range(1, mixed.radices[n]):
             geom = sum(r_n**u for u in range(s))
             np.testing.assert_allclose(
@@ -287,7 +278,7 @@ def test_dirichlet_shift_identity(mixed):
     # D_j - D_{M_a} = psi_{M_a} D_{j - M_a} across a whole digit block
     a = 2
     M_a = mixed.products[a]
-    psi = character_column(mixed, M_a)
+    psi = character_block(mixed, M_a, M_a + 1)[0]
     for j in range(M_a, mixed.products[a + 1]):
         lhs = dirichlet_kernel(mixed, j).values - dirichlet_kernel(mixed, M_a).values
         rhs = psi * dirichlet_kernel(mixed, j - M_a).values
@@ -312,7 +303,7 @@ def test_fejer_against_direct_average(mixed):
 
 
 def test_fejer_known_values(dyadic4):
-    one = StepFunction.constant(dyadic4, 1.0)
+    one = StepFunction(dyadic4, np.ones(dyadic4.cells))
     c = forward_fast(one)
     # sigma_1 f = S_0 f = 0 for any f; sigma_2 averages S_0 = 0 and S_1 = 1
     assert np.abs(fejer_mean(c, 1).values).max() == pytest.approx(0.0)
@@ -514,8 +505,8 @@ def test_block_heads_equal_partial_sums_fixed(radices, depth):
 def test_step_function_validation(mixed):
     with pytest.raises(ValueError):
         StepFunction(mixed, np.ones(7))
-    f = StepFunction.constant(mixed, 2.0)
-    assert f.integral() == pytest.approx(2.0)
+    f = StepFunction(mixed, np.full(mixed.cells, 2.0))
+    assert f.values.dtype == np.complex128 and (f.values == 2.0).all()
     with pytest.raises(ValueError):
         f.values[0] = 5.0  # stored array is frozen
 
@@ -531,7 +522,7 @@ def test_json_roundtrip(mixed):
 
 
 def test_json_parse_errors(mixed):
-    good = StepFunction.constant(mixed, 1.0).to_json_dict()
+    good = StepFunction(mixed, np.ones(mixed.cells)).to_json_dict()
     with pytest.raises(ValueError, match="parse error"):
         StepFunction.from_json_dict({k: v for k, v in good.items() if k != "depth"})
     bad = dict(good)
