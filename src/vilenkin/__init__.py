@@ -45,7 +45,6 @@ from .norms import (
 from .hardy import (
     CounterexampleSpec,
     EquivalenceReport,
-    block_partial_sums,
     build_counterexample,
     check_norm_equivalence,
     cylinder_averages,
@@ -53,6 +52,7 @@ from .hardy import (
     fejer_maximal_check,
     gat_log_average,
     h1_norm,
+    h1_pass,
     maximal_function,
     partial_sum_decomposition,
     partial_sum_l1_norms,

@@ -28,6 +28,7 @@ from .hardy import (
     fejer_maximal_check,
     gat_log_average,
     h1_norm,
+    h1_pass,
     partial_sum_l1_norms,
     strong_sum_average,
     window_strong_average,
@@ -40,7 +41,7 @@ from .norms import (
     variation_sum,
 )
 from .radix import RadixSystem
-from .spectral import StepFunction, _scan_block, forward_fast, partial_sum
+from .spectral import StepFunction, _chunk_rows, _scan_block, forward_fast, partial_sum
 
 DEFAULT_EQUALITY_TOL = 1e-9
 DEFAULT_ORACLE_TOL = 1e-10
@@ -155,20 +156,26 @@ def random_step_corpus(
 # (about 560 as CSV, 1340 as JSON).  Per cell: one Dirichlet kernel (32 to
 # 47), a kernel report with its rendered rows (190 to 345), the divergence
 # vectors (about 40).  Per lemma1 index: 65 to 79.  Per cell of each corpus
-# function: about 74 in gat, 16 in equiv-check, which also holds, one
-# function at a time, the check: the coefficients, two level buffers of the
-# synthesis, the block partial sums on G_0 .. G_N (at most 2 M_N values) and
-# both sups (64 to 93 per cell on 262144^1, 512^2, 64^3, 3^11, 7^6, 2^14 and
-# 2^18, shallow systems included).  Per element of a scan block: about 40 in
-# the partial-sum scan and 56 with the Fejer sums (the character block and
-# the scratch reused across blocks).
+# function: up to 144 in gat (its log means stack the coefficients and the
+# offsets twice, beside three norm arrays), 32 in equiv-check (the corpus
+# and its row stack), which also holds the check of one chunk of rows at a
+# time (spectral._chunk_rows): the coefficients, two level buffers of the
+# synthesis, the block partial sums on G_0 .. G_N (at most 2 M_N values per
+# row) and both sups (72 to 112 per chunk cell on 262144^1, 512^2, 64^3,
+# 3^11, 7^6, 2^10, 2^14 and 2^18, shallow systems included).  Per element of
+# a scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
+# (the character rows and the scratch reused across blocks).  The
+# partial-sum scan builds only the rows whose weights are not all exactly
+# zero: the divergence scan on 2^10 with alphas 1,4,9 (552 of 1023 rows)
+# peaks at 22 MB, and a coefficient block that covers a whole scan block
+# costs the full 40 per element.
 _SCAN_ROW_BYTES = 1536
 _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384
 _DIVERGENCE_CELL_BYTES = 64
 _LEMMA_INDEX_BYTES = 128
-_GAT_CELL_BYTES = 80
-_EQUIV_CELL_BYTES = 16
+_GAT_CELL_BYTES = 144
+_EQUIV_CELL_BYTES = 32
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
 
@@ -324,10 +331,12 @@ def run_gat(
         f"gat of {count} functions on M_N = {sys.cells}",
         count * sys.cells * _GAT_CELL_BYTES + _scan_scratch(sys),
     )
-    corpus = random_step_corpus(sys, count, max_rank, seed)
-    coeff_rows = np.vstack([forward_fast(f).coeffs for f in corpus])
-    value_rows = np.vstack([f.values for f in corpus])
-    h1s = np.array([h1_norm(f) for f in corpus])
+    value_rows = np.vstack([f.values for f in random_step_corpus(sys, count, max_rank, seed)])
+    coeff_rows = np.empty_like(value_rows)
+    h1s = np.empty(count)
+    for lo, coeffs, star in h1_pass(sys, value_rows):
+        coeff_rows[lo : lo + len(coeffs)] = coeffs
+        h1s[lo : lo + len(coeffs)] = star.mean(axis=1)
 
     # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
     # last endpoint (on a depth-1 system the only one, and the table is empty)
@@ -375,33 +384,24 @@ def run_equiv_check(
 ) -> ExperimentReport:
     require_memory(
         f"equiv-check of {count} functions on M_N = {sys.cells}",
-        sys.cells * (count * _EQUIV_CELL_BYTES + _EQUIV_CHECK_CELL_BYTES),
+        sys.cells * (count * _EQUIV_CELL_BYTES
+                     + min(count, _chunk_rows(sys)) * _EQUIV_CHECK_CELL_BYTES),
     )
-    corpus = random_step_corpus(sys, count, rank, seed)
-    rows = []
-    worst = 0.0
-    bad = 0
-    for i, f in enumerate(corpus):
-        rep = check_norm_equivalence(f)
-        rows.append(
-            (
-                i,
-                1 + (i % rank),
-                float(rep.h1_norm),
-                float(rep.sup_block_norm),
-                float(rep.max_pointwise_diff),
-            )
-        )
-        worst = max(worst, rep.max_pointwise_diff)
-        # a NaN gap counts as bad
-        if not rep.max_pointwise_diff <= tol:
-            bad += 1
+    values = np.vstack([f.values for f in random_step_corpus(sys, count, rank, seed)])
+    rep = check_norm_equivalence(sys, values)
+    gaps = rep.max_pointwise_diff
+    rows = [
+        (i, 1 + (i % rank), float(h1), float(sup), float(gap))
+        for i, (h1, sup, gap) in enumerate(zip(rep.h1_norm, rep.sup_block_norm, gaps))
+    ]
+    # a NaN gap counts as bad, and np.max keeps it in the summary
+    bad = int(np.count_nonzero(~(gaps <= tol)))
     return ExperimentReport(
         experiment="equiv-check",
         table=Table(
             ["func_id", "rank", "h1_norm", "sup_block_norm", "max_pointwise_diff"],
             rows,
         ),
-        summary={"max_pointwise_diff": worst, "violations": bad},
+        summary={"max_pointwise_diff": float(np.max(gaps)), "violations": bad},
         violations=bad,
     )

@@ -4,7 +4,9 @@ The maximal function of a step function is the sup over ranks of the
 absolute cylinder averages; its L1 norm is the martingale H1 norm.  For
 rank-N step functions the rank-n average coincides pointwise with the
 partial sum S_{M_n} f, which is what makes the norm equivalence checkable
-as an exact identity rather than a two-sided estimate.
+as an exact identity rather than a two-sided estimate.  The H1 routines
+take a stack of functions, one per row of a (rows, M_N) array, and run in
+chunks of rows (h1_pass), one numpy call per level for a whole chunk.
 
 The counterexample family lives here too: for increasing exponents a_k the
 function f = sum_k (D_{M_{a_k + 1}} - D_{M_{a_k}}) / sqrt(a_k) has block
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +27,10 @@ from .radix import RadixSystem
 from .spectral import (
     SpectralVector,
     StepFunction,
+    _as_rows,
     _block_heads,
+    _chunk_rows,
+    _forward_rows,
     character_block,
     cumulative_l1_norms,
     dirichlet_kernel,
@@ -34,16 +40,19 @@ from .spectral import (
 )
 
 
-def cylinder_averages(f: StepFunction, rank: int) -> np.ndarray:
-    """The M_n means of f over the rank-n cylinders, as a function on G_n."""
-    if not 0 <= rank <= f.sys.depth:
-        raise ValueError(f"rank {rank} out of range [0, {f.sys.depth}]")
-    width = f.sys.products[rank]
-    return f.values.reshape(f.sys.cells // width, width).mean(axis=0)
+def cylinder_averages(sys: RadixSystem, values: np.ndarray, rank: int) -> np.ndarray:
+    """The M_n means of each row of values over the rank-n cylinders: an
+    array (rows, M_n) whose rows are functions on G_n."""
+    if not 0 <= rank <= sys.depth:
+        raise ValueError(f"rank {rank} out of range [0, {sys.depth}]")
+    rows = _as_rows(values, sys.cells, "values")
+    width = sys.products[rank]
+    return rows.reshape(rows.shape[0], sys.cells // width, width).mean(axis=1)
 
 
 def _sup_of_levels(sys: RadixSystem, levels: list[np.ndarray]) -> np.ndarray:
-    """sup_n levels[n] at every cell, where levels[n] is a function on G_n.
+    """sup_n levels[n] at every cell of every row, where levels[n] is an
+    array (rows, M_n) of functions on G_n.
 
     Built from coarse to fine: on G_n the previous sup, a function on
     G_{n-1}, is broadcast along the digit-(n-1) axis, so no level is tiled
@@ -51,54 +60,67 @@ def _sup_of_levels(sys: RadixSystem, levels: list[np.ndarray]) -> np.ndarray:
     """
     best = levels[0]
     for level, m, M in zip(levels[1:], sys.radices, sys.products):
-        best = np.maximum(level.reshape(m, M), best).reshape(-1)
+        best = np.maximum(level.reshape(-1, m, M), best[:, None, :]).reshape(len(level), -1)
     return best
 
 
-def maximal_function(f: StepFunction) -> StepFunction:
-    """f*(x) = sup over ranks of |average of f over the cylinder at x|."""
+def maximal_function(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
+    """f*(x) = sup over ranks of |average of f over the cylinder at x|, for
+    each row f of values: an array (rows, M_N), one numpy call per rank."""
+    rows = _as_rows(values, sys.cells, "values")
     # rank 0 through Python's complex abs, which can differ from np.abs in
     # the last bit; the reports' h1_norm and gap columns hold its value
-    sizes = [np.array([abs(complex(f.values.mean()))])]
-    sizes += [np.abs(cylinder_averages(f, rank)) for rank in range(1, f.sys.depth + 1)]
-    return StepFunction(f.sys, _sup_of_levels(f.sys, sizes))
+    sizes = [np.array([[abs(complex(z))] for z in rows.mean(axis=1)])]
+    sizes += [np.abs(cylinder_averages(sys, rows, rank)) for rank in range(1, sys.depth + 1)]
+    return _sup_of_levels(sys, sizes)
 
 
 def h1_norm(f: StepFunction) -> float:
     """Martingale Hardy norm ||f||_{H_1} = ||f*||_1."""
-    return l1_norm(maximal_function(f))
+    return float(maximal_function(f.sys, f.values)[0].mean())
 
 
-def block_partial_sums(f: StepFunction) -> list[np.ndarray]:
-    """S_{M_n} f on G_n (M_n values) for n = 0 .. N, by the spectral route:
-    one forward transform and one synthesis."""
-    return _block_heads(forward_fast(f))
+def h1_pass(
+    sys: RadixSystem, values: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The stacked H1 pass over the rows of values (rows, M_N).
+
+    Yields (first row, coefficients, f*) for consecutive chunks of
+    _chunk_rows(sys) rows, so the scratch of a pass does not grow with the
+    number of rows.
+    """
+    values = _as_rows(values, sys.cells, "values")
+    step = _chunk_rows(sys)
+    for lo in range(0, values.shape[0], step):
+        chunk = values[lo : lo + step]
+        yield lo, _forward_rows(sys, chunk), maximal_function(sys, chunk)
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Two routes to the maximal function and their pointwise gap."""
+    """Two routes to the maximal function and their pointwise gap, one entry
+    per function."""
 
-    h1_norm: float
-    sup_block_norm: float
-    max_pointwise_diff: float
+    h1_norm: np.ndarray
+    sup_block_norm: np.ndarray
+    max_pointwise_diff: np.ndarray
 
 
-def check_norm_equivalence(f: StepFunction) -> EquivalenceReport:
-    """Compare f* (cylinder averages) against sup_n |S_{M_n} f| (spectral).
+def check_norm_equivalence(sys: RadixSystem, values: np.ndarray) -> EquivalenceReport:
+    """Compare f* (cylinder averages) against sup_n |S_{M_n} f| (spectral),
+    for each row f of values.
 
     The two families coincide pointwise for rank-N step functions, so the
     report carries the max cellwise difference, not just the norms; the
-    caller judges it against its own tolerance.
+    caller judges it against its own tolerance.  Each chunk of h1_pass gets
+    its block partial sums from one synthesis of its coefficients.
     """
-    direct = maximal_function(f).values.real
-    spectral = _sup_of_levels(f.sys, [np.abs(s) for s in block_partial_sums(f)])
-    gap = float(np.max(np.abs(direct - spectral)))
-    return EquivalenceReport(
-        h1_norm=float(direct.mean()),
-        sup_block_norm=float(spectral.mean()),
-        max_pointwise_diff=gap,
-    )
+    parts = []
+    for _, coeffs, direct in h1_pass(sys, values):
+        spectral = _sup_of_levels(sys, [np.abs(s) for s in _block_heads(sys, coeffs)])
+        parts.append((direct.mean(axis=1), spectral.mean(axis=1),
+                      np.abs(direct - spectral).max(axis=1)))
+    return EquivalenceReport(*(np.concatenate(col) for col in zip(*parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -141,20 +141,22 @@ def _level_holding(sys: RadixSystem, top: int) -> int:
     return max(1, bisect.bisect_left(sys.products, top))
 
 
-def _period_level(sys: RadixSystem, rows: np.ndarray, r: int) -> int:
-    """The smallest level q >= r such that every row (M_N columns) is M_q-periodic.
+def _period_levels(sys: RadixSystem, rows: np.ndarray, r: int) -> list[int]:
+    """For each row (M_N columns), the smallest level q >= r such that it is
+    M_q-periodic.
 
     An M_q-periodic row is also M_{q+1}-periodic, so the search walks down
     from q = N.  A row already known to be M_q-periodic is M_{q-1}-periodic
     when its first M_q values equal themselves shifted by M_{q-1}.
     """
-    q = sys.depth
-    while q > r:
+    levels = np.full(rows.shape[0], sys.depth)
+    for q in range(sys.depth, r, -1):
         period, width = sys.products[q - 1], sys.products[q]
-        if not (rows[:, period:width] == rows[:, : width - period]).all():
+        down = (levels == q) & (rows[:, period:width] == rows[:, : width - period]).all(axis=1)
+        if not down.any():
             break
-        q -= 1
-    return q
+        levels[down] = q - 1
+    return levels.tolist()
 
 
 @lru_cache(maxsize=64)
@@ -199,13 +201,18 @@ def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
     """
     if not 0 <= lo <= hi <= sys.cells:
         raise ValueError(f"character range [{lo}, {hi}) outside [0, {sys.cells}]")
-    ks = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, sys.cells), dtype=np.complex128)
+    return _characters(sys, np.arange(lo, hi, dtype=np.int64))
+
+
+def _characters(sys: RadixSystem, ks: np.ndarray) -> np.ndarray:
+    """Rows psi_k for the indices ks, filled as in character_block; a row
+    depends only on its own k."""
+    out = np.empty((ks.size, sys.cells), dtype=np.complex128)
     out[:, 0] = 1.0
     for M_j, m in zip(sys.products, sys.radices):
         # r_j^{k_j} at x_j = 1 .. m-1; at x_j = 0 the factor is 1
         factors = _root_table(m)[np.multiply.outer((ks // M_j) % m, np.arange(1, m)) % m]
-        low = out[:, : m * M_j].reshape(hi - lo, m, M_j)
+        low = out[:, : m * M_j].reshape(ks.size, m, M_j)
         np.multiply(low[:, :1], factors[:, :, None], out=low[:, 1:])
     return out
 
@@ -271,17 +278,30 @@ def forward_naive(f: StepFunction) -> SpectralVector:
     return SpectralVector(sys, out)
 
 
+def _forward_rows(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
+    """The coefficients of each row of values (rows, M_N).
+
+    The rows are grouped by their period level q, and each group is
+    transformed in one batch on G_q: the first M_q values of its rows, with
+    exact zeros written at k >= M_q.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, q in enumerate(_period_levels(sys, values, 1)):
+        groups.setdefault(q, []).append(i)
+    coeffs = np.zeros(values.shape, dtype=np.complex128)
+    for q, members in groups.items():
+        width = sys.products[q]
+        coeffs[members, :width] = _transform(sys, values[members, :width], inverse=False)
+    return coeffs
+
+
 def forward_fast(f: StepFunction) -> SpectralVector:
     """Fast transform: the DFT of the digit tensor, O(M_N * sum_k log m_k).
 
     An M_r-periodic f lives on G_r: its first M_r values are transformed
     there, and its coefficients at k >= M_r are exactly zero on every radix.
     """
-    sys = f.sys
-    width = sys.products[_period_level(sys, f.values[None, :], 1)]
-    coeffs = np.zeros(sys.cells, dtype=np.complex128)
-    coeffs[:width] = _transform(sys, f.values[:width], inverse=False)
-    return SpectralVector(sys, coeffs)
+    return SpectralVector(f.sys, _forward_rows(f.sys, f.values[None, :])[0])
 
 
 def inverse_transform(c: SpectralVector) -> StepFunction:
@@ -299,21 +319,22 @@ def _head_synthesis(sys: RadixSystem, head: np.ndarray) -> StepFunction:
     return StepFunction(sys, np.broadcast_to(vals, (sys.cells // width, width)))
 
 
-def _block_heads(c: SpectralVector) -> list[np.ndarray]:
-    """S_{M_n} f on G_n (M_n values) for n = 0 .. N, from one synthesis of c.
+def _block_heads(sys: RadixSystem, coeffs: np.ndarray) -> list[np.ndarray]:
+    """S_{M_n} f_i on G_n for n = 0 .. N, as (rows, M_n) arrays, from one
+    synthesis of the coefficient rows coeffs (rows, M_N).
 
     Level j of the synthesis mixes entries only inside each outer block of
-    M_{j+1} cells, so after levels 0 .. n-1 the first M_n entries are the
-    synthesis of c_0 .. c_{M_n - 1} on G_n: the same numbers, by the same
-    arithmetic, as partial_sum(c, M_n) on its first M_n cells.
+    M_{j+1} cells, so after levels 0 .. n-1 the first M_n entries of a row
+    are the synthesis of its c_0 .. c_{M_n - 1} on G_n: the same numbers, by
+    the same arithmetic, as partial_sum(c, M_n) on its first M_n cells.
     """
-    sys = c.sys
-    out = c.coeffs
-    heads = [out[:1].copy()]
+    count = coeffs.shape[0]
+    out = coeffs
+    heads = [out[:, :1].copy()]
     for M_j, m in zip(sys.products[:-1], sys.radices):
-        out = _level_pass(out.reshape(-1, m, M_j), inverse=True).reshape(-1)
+        out = _level_pass(out.reshape(-1, m, M_j), inverse=True).reshape(count, -1)
         # a copy, so that no head keeps a whole level buffer alive
-        heads.append(out[: m * M_j].copy())
+        heads.append(out[:, : m * M_j].copy())
     return heads
 
 
@@ -322,7 +343,7 @@ def partial_sum(c: SpectralVector, n: int) -> StepFunction:
 
     One synthesis per call: the oracle for the cumulative scans
     (cumulative_l1_norms) and for the block heads of one synthesis pass
-    (hardy.block_partial_sums).
+    (hardy.check_norm_equivalence).
     """
     sys = c.sys
     if not 0 <= n <= sys.cells:
@@ -394,7 +415,8 @@ def fejer_mean(c: SpectralVector, n: int) -> StepFunction:
 # exactly from M_r on and the offsets are M_r-periodic, so every running sum
 # is a function on G_r (M_r cells instead of M_N), and from m = M_r on it no
 # longer changes.  The block loops are the same at every r; full resolution
-# is r = N.
+# is r = N.  Inside a block, cumulative_l1_norms also leaves out the columns
+# whose weights are exactly zero in every row (see there).
 
 
 def _scan_level(
@@ -404,12 +426,17 @@ def _scan_level(
     zero and every offset row is M_r-periodic."""
     nonzero = np.flatnonzero(weights[:, :hi].any(axis=0))
     r = _level_holding(sys, int(nonzero[-1]) + 1 if nonzero.size else 0)
-    return r if offsets is None else _period_level(sys, offsets, r)
+    return r if offsets is None else max(_period_levels(sys, offsets, r))
 
 
 def _scan_block(sys: RadixSystem) -> int:
     """Character rows per scan block: about _SCAN_BLOCK_ELEMENTS cells, 16 to 1024 rows."""
     return max(16, min(1024, _SCAN_BLOCK_ELEMENTS // sys.cells))
+
+
+def _chunk_rows(sys: RadixSystem) -> int:
+    """Rows per chunk of a stacked pass: at most _SCAN_BLOCK_ELEMENTS cells, one row at least."""
+    return max(1, _SCAN_BLOCK_ELEMENTS // sys.cells)
 
 
 def _as_rows(arr: np.ndarray, cells: int, what: str) -> np.ndarray:
@@ -435,7 +462,9 @@ def cumulative_l1_norms(
     offsets[i] + sum_{k < m} weights[i, k] psi_k for m = lo .. hi inclusive.
     With unit weights this scans Dirichlet kernels; with Fourier coefficients
     as weights it scans partial sums S_m f (plus an optional fixed offset,
-    e.g. -f for convergence differences).
+    e.g. -f for convergence differences).  A column whose weight is exactly
+    zero in every row builds no character row and repeats the norm before
+    it, bit for bit.
     """
     cells = sys.cells
     if not 0 <= lo <= hi <= cells:
@@ -462,20 +491,36 @@ def cumulative_l1_norms(
 
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
+    # a column whose weight is exactly zero in every row adds exactly zero to
+    # every running sum, so it is left out of the character rows and the
+    # cumsum, and its step repeats the norm of the step before; the blocks
+    # stay where they are, so the other sums keep their association
+    live = rows[:, q_lo:q_hi].any(axis=0)
+    starts = range(q_lo, q_hi, step)
+    most = max((int(live[b0 - q_lo : b0 - q_lo + step].sum()) for b0 in starts), default=0)
     # scratch reused by every block and row
-    inc_buf = np.empty((min(step, q_hi - q_lo), width), dtype=np.complex128)
+    inc_buf = np.empty((most, width), dtype=np.complex128)
     mag_buf = np.empty(inc_buf.shape, dtype=np.float64)
-    for b0 in range(q_lo, q_hi, step):
+    for b0 in starts:
         b1 = min(b0 + step, q_hi)
-        chars = character_block(sub, b0, b1)
-        inc, mag = inc_buf[: b1 - b0], mag_buf[: b1 - b0]
-        for i in range(count):
-            np.multiply(rows[i, b0:b1, None], chars, out=inc)
-            np.cumsum(inc, axis=0, out=inc)
-            inc += state[i]
-            out[i, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc, out=mag).mean(axis=1)
-            state[i] = inc[-1]
-        del chars  # freed before the next block is built
+        cols = np.flatnonzero(live[b0 - q_lo : b1 - q_lo])
+        # seen[:, 0]: the norm before the block; seen[:, p + 1]: after live column p
+        seen = np.empty((count, cols.size + 1), dtype=np.float64)
+        seen[:, 0] = out[:, b0 - q_lo]
+        if cols.size:
+            ks = b0 + cols
+            chars = _characters(sub, ks)
+            inc, mag = inc_buf[: ks.size], mag_buf[: ks.size]
+            for i in range(count):
+                np.multiply(rows[i, ks][:, None], chars, out=inc)
+                np.cumsum(inc, axis=0, out=inc)
+                inc += state[i]
+                seen[i, 1:] = np.abs(inc, out=mag).mean(axis=1)
+                state[i] = inc[-1]
+            del chars  # freed before the next block is built
+        # step m = b0 + 1 + t repeats the last live column at or before b0 + t
+        last = np.searchsorted(cols, np.arange(b1 - b0), side="right")
+        out[:, b0 + 1 - q_lo : b1 + 1 - q_lo] = seen[:, last]
     out[:, q_hi - q_lo + 1 :] = out[:, q_hi - q_lo, None]
     return out
 

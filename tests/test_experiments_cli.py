@@ -699,6 +699,28 @@ def test_cli_equiv_check_violations_exit_2(tmp_path):
     assert json.loads(out.read_text())["summary"]["violations"] == 3
 
 
+def test_cli_equiv_check_nan_gap_exit_2(tmp_path, monkeypatch):
+    # one NaN gap is a violation, and the summary keeps it rather than max()'s 0.0
+    from vilenkin import experiments
+
+    real = experiments.check_norm_equivalence
+
+    def one_nan(sys, values):
+        rep = real(sys, values)
+        gaps = rep.max_pointwise_diff.copy()
+        gaps[1] = math.nan
+        return type(rep)(rep.h1_norm, rep.sup_block_norm, gaps)
+
+    monkeypatch.setattr(experiments, "check_norm_equivalence", one_nan)
+    out = tmp_path / "e.json"
+    assert main(["equiv-check", "--radix", "2^4", "--count", "3", "--format", "json",
+                 "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["violations"] == 1
+    assert math.isnan(payload["summary"]["max_pointwise_diff"])
+    assert math.isnan(payload["rows"][1][4])
+
+
 def test_cli_stamps_the_header(tmp_path):
     # a driver returns its report without a header; the CLI adds it
     rep = run_equiv_check(build_radix_system([2], 4), 3, 4, 1, 1e-9)
@@ -730,3 +752,33 @@ def test_cli_version_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("vilenkin ")
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    # numpy.ma costs tens of milliseconds to import (np.unique is one way in),
+    # so no report path may pull it in
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(StepFunction(build_radix_system([2], 6), np.ones(64)).to_json_dict()))
+    commands = [
+        ["transform", "--in", str(f), "--verify"],
+        ["kernel", "--n", "37"],
+        ["lebesgue-scan"],
+        ["lemma1"],
+        ["divergence", "--alphas", "1,4"],
+        ["gat", "--count", "5"],
+        ["equiv-check", "--count", "5"],
+    ]
+    argvs = [[*c, *([] if c[0] == "transform" else ["--radix", "2^6"]),
+              "--out", str(tmp_path / f"{i}.out")] for i, c in enumerate(commands)]
+    script = (
+        "import sys\n"
+        "from vilenkin.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=pathlib.Path(vilenkin.__file__).resolve().parent.parent,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0]", "False"]

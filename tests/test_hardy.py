@@ -12,7 +12,6 @@ from vilenkin import (
     StepFunction,
     build_counterexample,
     build_radix_system,
-    block_partial_sums,
     check_norm_equivalence,
     cumulative_l1_norms,
     cylinder_averages,
@@ -23,6 +22,7 @@ from vilenkin import (
     forward_fast,
     gat_log_average,
     h1_norm,
+    h1_pass,
     l1_norm,
     lebesgue_constant,
     maximal_function,
@@ -33,6 +33,7 @@ from vilenkin import (
     verify_decomposition_norm,
     window_strong_average,
 )
+from vilenkin import spectral
 from conftest import random_values, small_systems
 
 
@@ -52,22 +53,20 @@ def brute_maximal(f):
 
 
 def test_cylinder_averages_endpoints(mixed):
-    # the rank-n means are a function on G_n: M_n values
+    # the rank-n means are a function on G_n: M_n values per row
     f = StepFunction(mixed, random_values(mixed, 60))
-    rank0 = cylinder_averages(f, 0)
-    np.testing.assert_allclose(rank0, [f.values.mean()], atol=1e-12)
-    np.testing.assert_allclose(cylinder_averages(f, mixed.depth), f.values, atol=0)
+    rank0 = cylinder_averages(mixed, f.values, 0)
+    np.testing.assert_allclose(rank0, [[f.values.mean()]], atol=1e-12)
+    np.testing.assert_allclose(cylinder_averages(mixed, f.values, mixed.depth), [f.values], atol=0)
     for rank in range(mixed.depth + 1):
-        assert cylinder_averages(f, rank).shape == (mixed.products[rank],)
+        assert cylinder_averages(mixed, f.values, rank).shape == (1, mixed.products[rank])
     with pytest.raises(ValueError):
-        cylinder_averages(f, mixed.depth + 1)
+        cylinder_averages(mixed, f.values, mixed.depth + 1)
 
 
 def test_maximal_function_brute_force(mixed):
     f = StepFunction(mixed, random_values(mixed, 61))
-    np.testing.assert_allclose(
-        maximal_function(f).values.real, brute_maximal(f), atol=1e-12
-    )
+    np.testing.assert_allclose(maximal_function(mixed, f.values)[0], brute_maximal(f), atol=1e-12)
 
 
 def _tiled_maximal(f):
@@ -89,19 +88,19 @@ def test_maximal_function_equals_tiled_construction(sys, seed, rank):
     width = sys.products[rank]
     base = random_values(sys, seed)[:width]
     f = StepFunction(sys, np.tile(base, sys.cells // width))
-    assert np.array_equal(maximal_function(f).values.real, _tiled_maximal(f))
-    rep = check_norm_equivalence(f)
+    assert np.array_equal(maximal_function(sys, f.values)[0], _tiled_maximal(f))
+    rep = check_norm_equivalence(sys, f.values)
     c = forward_fast(f)
     spectral = np.max([np.abs(partial_sum(c, M).values) for M in sys.products], axis=0)
-    assert rep.sup_block_norm == float(spectral.mean())
-    assert rep.max_pointwise_diff == float(np.max(np.abs(_tiled_maximal(f) - spectral)))
+    assert rep.sup_block_norm[0] == float(spectral.mean())
+    assert rep.max_pointwise_diff[0] == float(np.max(np.abs(_tiled_maximal(f) - spectral)))
 
 
 def test_maximal_of_block_kernel(dyadic6):
     # f = D_{M_n}: on I_n the nested averages are M_0, ..., M_n, so f* = M_n
     n = 3
     M_n = dyadic6.products[n]
-    star = maximal_function(dirichlet_kernel(dyadic6, M_n)).values.real
+    star = maximal_function(dyadic6, dirichlet_kernel(dyadic6, M_n).values)[0]
     on_cyl = star[::M_n]
     np.testing.assert_allclose(on_cyl, np.full(on_cyl.size, M_n), atol=1e-12)
     # the H1 norm of D_{M_n} on the dyadic system is 1 + n/2
@@ -116,11 +115,11 @@ def test_h1_dominates_l1(mixed2):
 def test_block_sums_equal_cylinder_averages(mixed):
     # S_{M_n} f is the rank-n conditional expectation, cell by cell
     f = StepFunction(mixed, random_values(mixed, 63))
-    sums = block_partial_sums(f)
+    sums = spectral._block_heads(mixed, forward_fast(f).coeffs[None, :])
     assert len(sums) == mixed.depth + 1
     for rank, s in enumerate(sums):
         np.testing.assert_allclose(
-            s, cylinder_averages(f, rank), atol=1e-10,
+            s, cylinder_averages(mixed, f.values, rank), atol=1e-10,
             err_msg=f"rank {rank}",
         )
 
@@ -128,10 +127,81 @@ def test_block_sums_equal_cylinder_averages(mixed):
 def test_norm_equivalence_random(dyadic6, mixed2):
     for sys in (dyadic6, mixed2):
         f = StepFunction(sys, random_values(sys, 64))
-        rep = check_norm_equivalence(f)
-        assert rep.max_pointwise_diff <= 1e-9
-        assert rep.max_pointwise_diff < 1e-10
-        assert rep.h1_norm == pytest.approx(rep.sup_block_norm, abs=1e-10)
+        rep = check_norm_equivalence(sys, f.values)
+        assert rep.max_pointwise_diff[0] <= 1e-9
+        assert rep.max_pointwise_diff[0] < 1e-10
+        assert rep.h1_norm[0] == pytest.approx(rep.sup_block_norm[0], abs=1e-10)
+
+
+# One function at a time, as the H1 pass ran before it took row stacks: the
+# bitwise oracles for the stacked, chunked pass.
+
+
+def _one_maximal(f):
+    sys = f.sys
+    best = np.array([abs(complex(f.values.mean()))])
+    for rank, m, M in zip(range(1, sys.depth + 1), sys.radices, sys.products):
+        width = sys.products[rank]
+        level = np.abs(f.values.reshape(sys.cells // width, width).mean(axis=0))
+        best = np.maximum(level.reshape(m, M), best).reshape(-1)
+    return StepFunction(sys, best)
+
+
+def _one_forward(f):
+    sys = f.sys
+    q = sys.depth
+    while q > 1:
+        period, width = sys.products[q - 1], sys.products[q]
+        if not (f.values[period:width] == f.values[: width - period]).all():
+            break
+        q -= 1
+    coeffs = np.zeros(sys.cells, dtype=np.complex128)
+    coeffs[: sys.products[q]] = spectral._transform(sys, f.values[: sys.products[q]], inverse=False)
+    return coeffs
+
+
+def _one_check(f):
+    """(h1_norm, sup_block_norm, max_pointwise_diff) of one function."""
+    sys = f.sys
+    direct = _one_maximal(f).values.real
+    out = _one_forward(f)
+    best = np.abs(out[:1])
+    for M_j, m in zip(sys.products[:-1], sys.radices):
+        out = spectral._level_pass(out.reshape(-1, m, M_j), inverse=True).reshape(-1)
+        best = np.maximum(np.abs(out[: m * M_j]).reshape(m, M_j), best).reshape(-1)
+    return float(direct.mean()), float(best.mean()), float(np.max(np.abs(direct - best)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys=small_systems, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stacked_h1_pass_is_bitwise_one_function_at_a_time(sys, seed, data):
+    # a stack of mixed ranks (0 is a constant) in chunks of 1 to 3 rows
+    ranks = data.draw(st.lists(st.integers(0, sys.depth), min_size=1, max_size=7))
+    rng = np.random.default_rng(seed)
+    fs = []
+    for rank in ranks:
+        width = sys.products[rank]
+        base = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        fs.append(StepFunction(sys, np.tile(base, sys.cells // width)))
+    values = np.vstack([f.values for f in fs])
+    chunk = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", chunk * sys.cells)
+        rep = check_norm_equivalence(sys, values)
+        starts, coeffs, h1s = [], [], []
+        for lo, c, star in h1_pass(sys, values):
+            starts.append(lo)
+            coeffs.append(c)
+            h1s.append(star.mean(axis=1))
+    assert starts == list(range(0, len(fs), chunk))
+    want = np.array([_one_check(f) for f in fs])
+    assert np.array_equal(rep.h1_norm, want[:, 0])
+    assert np.array_equal(rep.sup_block_norm, want[:, 1])
+    assert np.array_equal(rep.max_pointwise_diff, want[:, 2])
+    assert np.array_equal(np.vstack(coeffs), [_one_forward(f) for f in fs])
+    assert np.array_equal(np.concatenate(h1s), [l1_norm(_one_maximal(f)) for f in fs])
+    assert [h1_norm(f) for f in fs] == [l1_norm(_one_maximal(f)) for f in fs]
+    assert all(np.array_equal(forward_fast(f).coeffs, _one_forward(f)) for f in fs)
 
 
 # ---------------------------------------------------------------------------

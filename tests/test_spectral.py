@@ -348,6 +348,76 @@ def test_cumulative_l1_multirow_and_blocks(mixed, monkeypatch):
     assert whole.shape == (2, 18)
 
 
+def _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets=None):
+    """The scan with every column of every block built and summed: the
+    bitwise oracle for cumulative_l1_norms, which leaves out the columns
+    whose weights are exactly zero in every row."""
+    rows = np.atleast_2d(weights)
+    count = rows.shape[0]
+    sub = sys.truncate(spectral._scan_level(sys, rows, hi, offsets))
+    width = sub.cells
+    rows = rows[:, :width]
+    q_lo, q_hi = min(lo, width), min(hi, width)
+    step = spectral._scan_block(sub)
+    masked = np.zeros((count, width), dtype=np.complex128)
+    masked[:, :q_lo] = rows[:, :q_lo]
+    state = _transform(sub, masked, inverse=True)
+    if offsets is not None:
+        state += offsets[:, :width]
+    out = np.empty((count, hi - lo + 1), dtype=np.float64)
+    out[:, 0] = np.abs(state).mean(axis=1)
+    for b0 in range(q_lo, q_hi, step):
+        b1 = min(b0 + step, q_hi)
+        chars = character_block(sub, b0, b1)
+        for i in range(count):
+            inc = np.cumsum(rows[i, b0:b1, None] * chars, axis=0)
+            inc += state[i]
+            out[i, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc).mean(axis=1)
+            state[i] = inc[-1]
+    out[:, q_hi - q_lo + 1 :] = out[:, q_hi - q_lo, None]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems, st.integers(0, 2**31 - 1), st.data())
+def test_zero_skipping_scan_is_bitwise_dense(sys, seed, data):
+    # weights with exact-zero stretches, some across every row and some in
+    # one row only, scanned in blocks of 16 or more rows
+    rng = np.random.default_rng(seed)
+    count = data.draw(st.integers(1, 3))
+    weights = rng.standard_normal((count, sys.cells)) + 1j * rng.standard_normal((count, sys.cells))
+    for _ in range(data.draw(st.integers(0, 6))):
+        a = int(rng.integers(sys.cells))
+        b = a + int(rng.integers(1, max(2, sys.cells // 3)))
+        rows = slice(None) if rng.random() < 0.7 else int(rng.integers(count))
+        weights[rows, a:b] = 0.0
+    offsets = None
+    if data.draw(st.booleans()):
+        offsets = rng.standard_normal((count, sys.cells)) + 0j
+    lo = data.draw(st.integers(0, sys.cells))
+    hi = data.draw(st.integers(lo, sys.cells))
+    block = data.draw(st.sampled_from([1, 24 * sys.cells, 1 << 21]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", block)
+        got = cumulative_l1_norms(sys, weights, lo, hi, offsets=offsets)
+        want = _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets)
+    assert np.array_equal(got, want)
+
+
+def test_zero_columns_build_no_character_rows(dyadic6, monkeypatch):
+    # the counterexample's shape: weights on two runs of columns only
+    weights = np.zeros(dyadic6.cells, dtype=np.complex128)
+    weights[2:4] = 1.0
+    weights[16:32] = 0.5
+    built = []
+    real_rows = spectral._characters
+    monkeypatch.setattr(spectral, "_characters",
+                        lambda sub, ks: built.extend(ks.tolist()) or real_rows(sub, ks))
+    got = cumulative_l1_norms(dyadic6, weights, 0, dyadic6.cells)
+    assert built == [2, 3, *range(16, 32)]
+    assert np.array_equal(got, _dense_cumulative_l1_norms(dyadic6, weights, 0, dyadic6.cells))
+
+
 def test_cumulative_l1_validation(mixed):
     with pytest.raises(ValueError):
         cumulative_l1_norms(mixed, np.ones(5), 1, 4)
@@ -438,17 +508,19 @@ def test_quotient_scans_match_direct(sys, seed, data):
     for offsets, level in cases:
         width = sys.products[level]
         cells_seen = []
-        real_block = character_block
+        real_rows = spectral._characters
 
-        def spy(sub, b0, b1):
+        def spy(sub, ks):
             cells_seen.append(sub.cells)
-            return real_block(sub, b0, b1)
+            return real_rows(sub, ks)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("vilenkin.spectral.character_block", spy)
+            mp.setattr("vilenkin.spectral._characters", spy)
             got = cumulative_l1_norms(sys, weights, lo, hi, offsets=offsets)
         assert got.shape == (3, hi - lo + 1)
-        assert set(cells_seen) == ({width} if lo < min(hi, width) else set())
+        # columns whose weights are all exactly zero build no character row
+        live = weights[:, lo : min(hi, width)].any()
+        assert set(cells_seen) == ({width} if live else set())
         for i, c in enumerate(coeffs):
             off = 0.0 if offsets is None else offsets[i]
             for m in range(lo, hi + 1):
@@ -480,10 +552,10 @@ def test_quotient_partial_sums_match_full_synthesis(sys, seed):
 
 
 def _assert_heads_are_partial_sums(sys, c):
-    heads = _block_heads(c)
+    heads = _block_heads(sys, c.coeffs[None, :])
     assert len(heads) == sys.depth + 1
     for M_n, head in zip(sys.products, heads):
-        assert np.array_equal(head, partial_sum(c, M_n).values[:M_n])
+        assert np.array_equal(head[0], partial_sum(c, M_n).values[:M_n])
 
 
 @settings(max_examples=40, deadline=None)
