@@ -49,7 +49,6 @@ from .hardy import (
     check_norm_equivalence,
     cylinder_averages,
     expected_counterexample_coefficients,
-    fejer_maximal_check,
     gat_log_average,
     h1_norm,
     h1_pass,

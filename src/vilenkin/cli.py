@@ -274,8 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     command = args.command
     try:
-        if math.isnan(getattr(args, "tolerance", 0.0)):
+        tolerance = getattr(args, "tolerance", 0.0)
+        if math.isnan(tolerance):
             raise ValueError("tolerance must be a number, got nan")
+        if tolerance < 0:
+            raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         if command == "transform":
             return _transform_cmd(args)
 

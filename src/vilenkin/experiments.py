@@ -25,7 +25,6 @@ from .hardy import (
     build_counterexample,
     check_norm_equivalence,
     expected_counterexample_coefficients,
-    fejer_maximal_check,
     gat_log_average,
     h1_norm,
     h1_pass,
@@ -41,7 +40,14 @@ from .norms import (
     variation_sum,
 )
 from .radix import RadixSystem
-from .spectral import StepFunction, _chunk_rows, _scan_block, forward_fast, partial_sum
+from .spectral import (
+    StepFunction,
+    _chunk_rows,
+    _scan_block,
+    fejer_l1_norms,
+    forward_fast,
+    partial_sum,
+)
 
 DEFAULT_EQUALITY_TOL = 1e-9
 DEFAULT_ORACLE_TOL = 1e-10
@@ -156,15 +162,19 @@ def random_step_corpus(
 # (about 560 as CSV, 1340 as JSON).  Per cell: one Dirichlet kernel (32 to
 # 47), a kernel report with its rendered rows (190 to 345), the divergence
 # vectors (about 40).  Per lemma1 index: 65 to 79.  Per cell of each corpus
-# function: up to 144 in gat (its log means stack the coefficients and the
-# offsets twice, beside three norm arrays), 32 in equiv-check (the corpus
+# function: 152 to 157 in gat (its log means stack the coefficients and the
+# offsets twice, beside three norm arrays; 2^12 .. 2^18, 3^9 and 7^6 with
+# ranks up to 4, where no scan block is large), 32 in equiv-check (the corpus
 # and its row stack), which also holds the check of one chunk of rows at a
 # time (spectral._chunk_rows): the coefficients, two level buffers of the
 # synthesis, the block partial sums on G_0 .. G_N (at most 2 M_N values per
 # row) and both sups (72 to 112 per chunk cell on 262144^1, 512^2, 64^3,
 # 3^11, 7^6, 2^10, 2^14 and 2^18, shallow systems included).  Per element of
 # a scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
-# (the character rows and the scratch reused across blocks).  The
+# (the character rows and the scratch reused across blocks and row batches,
+# each at most one block); past M_r the Fejer maximum evaluates its two
+# ends, and inner n only for rows within rounding of a tie, at most
+# spectral._SCAN_BLOCK_ELEMENTS cells at a time.  The
 # partial-sum scan builds only the rows whose weights are not all exactly
 # zero: the divergence scan on 2^10 with alphas 1,4,9 (552 of 1023 rows)
 # peaks at 22 MB, and a coefficient block that covers a whole scan block
@@ -174,7 +184,7 @@ _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384
 _DIVERGENCE_CELL_BYTES = 64
 _LEMMA_INDEX_BYTES = 128
-_GAT_CELL_BYTES = 144
+_GAT_CELL_BYTES = 160
 _EQUIV_CELL_BYTES = 32
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
@@ -351,7 +361,7 @@ def run_gat(
         for i in range(count)
         for j, n in enumerate(ends)
     ]
-    fejer_sup = fejer_maximal_check(sys, coeff_rows)
+    fejer_sup = fejer_l1_norms(sys, coeff_rows, sys.cells)
     fejer_ratios = fejer_sup / h1s
     fejer_rows = [
         (i, float(fejer_sup[i]), float(h1s[i]), float(fejer_ratios[i]))

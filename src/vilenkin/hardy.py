@@ -34,7 +34,6 @@ from .spectral import (
     character_block,
     cumulative_l1_norms,
     dirichlet_kernel,
-    fejer_l1_norms,
     forward_fast,
     partial_sum,
 )
@@ -297,11 +296,6 @@ def gat_log_average(
     sums = np.cumsum(norms / np.arange(1, n_max + 1, dtype=np.float64), axis=1)
     means = sums[:, [n - 1 for n in ns]] / np.array([math.log(n) for n in ns])
     return means[len(coeffs):], means[: len(coeffs)]
-
-
-def fejer_maximal_check(sys: RadixSystem, coeffs: np.ndarray) -> np.ndarray:
-    """max_n ||sigma_n f_i||_1 over n = 1 .. M_N for each coefficient row i."""
-    return fejer_l1_norms(sys, coeffs, sys.cells).max(axis=1)
 
 
 def verify_decomposition_norm(

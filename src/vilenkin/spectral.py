@@ -31,6 +31,7 @@ exactly nothing to a running sum.  Full resolution is the case r = N.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -498,9 +499,11 @@ def cumulative_l1_norms(
     live = rows[:, q_lo:q_hi].any(axis=0)
     starts = range(q_lo, q_hi, step)
     most = max((int(live[b0 - q_lo : b0 - q_lo + step].sum()) for b0 in starts), default=0)
-    # scratch reused by every block and row
-    inc_buf = np.empty((most, width), dtype=np.complex128)
-    mag_buf = np.empty(inc_buf.shape, dtype=np.float64)
+    # rows go through a block in batches of at most step // most, so the
+    # scratch, reused by every block and batch, is at most one block's size
+    batch = min(count, max(1, step // max(1, most)))
+    inc_buf = np.empty(batch * most * width, dtype=np.complex128)
+    mag_buf = np.empty(inc_buf.size, dtype=np.float64)
     for b0 in starts:
         b1 = min(b0 + step, q_hi)
         cols = np.flatnonzero(live[b0 - q_lo : b1 - q_lo])
@@ -510,13 +513,14 @@ def cumulative_l1_norms(
         if cols.size:
             ks = b0 + cols
             chars = _characters(sub, ks)
-            inc, mag = inc_buf[: ks.size], mag_buf[: ks.size]
-            for i in range(count):
-                np.multiply(rows[i, ks][:, None], chars, out=inc)
-                np.cumsum(inc, axis=0, out=inc)
-                inc += state[i]
-                seen[i, 1:] = np.abs(inc, out=mag).mean(axis=1)
-                state[i] = inc[-1]
+            for i0 in range(0, count, batch):
+                i1 = min(i0 + batch, count)
+                inc, mag = _scratch((inc_buf, mag_buf), (i1 - i0, ks.size, width))
+                np.multiply(rows[i0:i1, ks, None], chars, out=inc)
+                np.cumsum(inc, axis=1, out=inc)
+                inc += state[i0:i1, None]
+                seen[i0:i1, 1:] = np.abs(inc, out=mag).mean(axis=2)
+                state[i0:i1] = inc[:, -1]
             del chars  # freed before the next block is built
         # step m = b0 + 1 + t repeats the last live column at or before b0 + t
         last = np.searchsorted(cols, np.arange(b1 - b0), side="right")
@@ -526,10 +530,12 @@ def cumulative_l1_norms(
 
 
 def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndarray:
-    """L1 norms of the Fejer means sigma_n for n = 1 .. n_max, rowwise.
+    """max_{1 <= n <= n_max} ||sigma_n f_i||_1 for each weight row i, shape (rows,).
 
     Uses sigma_n = S_n - U_n / n with U_n = sum_{k<n} (k+1) w_k psi_k, so the
-    scan needs only two running sums per weight row.
+    scan needs only two running sums per weight row.  It scans n up to M_r;
+    past M_r both sums are frozen, and only the n that can hold the maximum
+    are evaluated (_frozen_tail_max).
     """
     cells = sys.cells
     if not 1 <= n_max <= cells:
@@ -544,32 +550,87 @@ def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndar
 
     s_state = np.zeros((count, width), dtype=np.complex128)
     u_state = np.zeros((count, width), dtype=np.complex128)
-    out = np.empty((count, n_max), dtype=np.float64)
-    inc_buf = np.empty((min(step, q_max), width), dtype=np.complex128)
+    best = np.full(count, -np.inf)
+    # rows in batches of at most step // steps, as in cumulative_l1_norms
+    steps = min(step, q_max)
+    batch = min(count, max(1, step // steps))
+    inc_buf = np.empty(batch * steps * width, dtype=np.complex128)
     u_buf = np.empty_like(inc_buf)
-    mag_buf = np.empty(inc_buf.shape, dtype=np.float64)
+    mag_buf = np.empty(inc_buf.size, dtype=np.float64)
     for b0 in range(0, q_max, step):
         b1 = min(b0 + step, q_max)
         chars = character_block(sub, b0, b1)
         ranks = np.arange(b0 + 1, b1 + 1, dtype=np.float64)[:, None]
-        inc, u_inc, mag = inc_buf[: b1 - b0], u_buf[: b1 - b0], mag_buf[: b1 - b0]
-        for i in range(count):
-            np.multiply(rows[i, b0:b1, None], chars, out=inc)
+        for i0 in range(0, count, batch):
+            i1 = min(i0 + batch, count)
+            inc, u_inc, mag = _scratch((inc_buf, u_buf, mag_buf), (i1 - i0, b1 - b0, width))
+            np.multiply(rows[i0:i1, b0:b1, None], chars, out=inc)
             np.multiply(ranks, inc, out=u_inc)
-            np.cumsum(inc, axis=0, out=inc)
-            np.cumsum(u_inc, axis=0, out=u_inc)
-            inc += s_state[i]
-            u_inc += u_state[i]
-            s_state[i] = inc[-1]
-            u_state[i] = u_inc[-1]
+            np.cumsum(inc, axis=1, out=inc)
+            np.cumsum(u_inc, axis=1, out=u_inc)
+            inc += s_state[i0:i1, None]
+            u_inc += u_state[i0:i1, None]
+            s_state[i0:i1] = inc[:, -1]
+            u_state[i0:i1] = u_inc[:, -1]
             u_inc /= ranks
             inc -= u_inc
-            out[i, b0:b1] = np.abs(inc, out=mag).mean(axis=1)
+            norms = np.abs(inc, out=mag).mean(axis=2)
+            np.maximum(best[i0:i1], norms.max(axis=1), out=best[i0:i1])
         del chars
-    # past M_r, S_n and U_n are frozen: sigma_n = S - U / n, in bounded blocks of n
-    tail = max(1, _SCAN_BLOCK_ELEMENTS // max(1, count * width))
-    for n0 in range(q_max + 1, n_max + 1, tail):
-        ranks = np.arange(n0, min(n0 + tail, n_max + 1), dtype=np.float64)
-        sigma = s_state[:, None, :] - u_state[:, None, :] / ranks[:, None]
-        out[:, n0 - 1 : n0 - 1 + ranks.size] = np.abs(sigma).mean(axis=2)
-    return out
+    if n_max > q_max:
+        np.maximum(best, _frozen_tail_max(s_state, u_state, q_max + 1, n_max), out=best)
+    return best
+
+
+def _scratch(bufs: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """C-contiguous views of the given shape on the leading elements of flat buffers."""
+    size = math.prod(shape)
+    return [buf[:size].reshape(shape) for buf in bufs]
+
+
+def _sigma_norms(s: np.ndarray, u: np.ndarray, rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """mean |s_i - u_i / n| over the cells for the pairs (i, n) = (rows[p], ns[p])."""
+    return np.abs(s[rows] - u[rows] / ns[:, None]).mean(axis=1)
+
+
+def _frozen_tail_max(s: np.ndarray, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """max_{lo <= n <= hi} mean |s_i - u_i / n| for each row i of the frozen
+    sums s and u, bit for bit the maximum of every n evaluated.
+
+    Each cell term |s - u t| is convex in t = 1/n, so their mean g is, and
+    its exact values lie on or below the chord through the ends t_lo = 1/lo
+    and t_hi = 1/hi.  A computed value differs from the exact one by a few
+    ulps of mean|s| + mean|u| / lo per pairwise-summation level; so does the
+    computed chord.  The allowance 1e-12 (mean|s| + mean|u| / lo), thousands
+    of ulps, bounds all of these together, so an inner n whose chord plus the
+    allowance does not exceed the larger end value cannot exceed it either.
+    Only the other inner n are evaluated, in chunks of at most
+    _SCAN_BLOCK_ELEMENTS cells; on the gat corpora none are.
+    """
+    count, width = s.shape
+    every = np.arange(count)
+    g_lo = _sigma_norms(s, u, every, np.full(count, float(lo)))
+    g_hi = _sigma_norms(s, u, every, np.full(count, float(hi)))
+    ends = np.maximum(g_lo, g_hi)
+    if hi - lo < 2:
+        return ends
+    allowance = 1e-12 * (np.abs(s).mean(axis=1) + np.abs(u).mean(axis=1) / lo)
+    t_lo = 1.0 / lo
+    slope = (g_hi - g_lo) / (t_lo - 1.0 / hi)
+
+    def reaches(i: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        chord = g_lo[i, None] + slope[i, None] * (t_lo - 1.0 / ns)
+        return chord + allowance[i, None] > ends[i, None]
+
+    # the chord rises toward the larger end, so a row with no candidate next
+    # to either end has none at all
+    near = np.flatnonzero(reaches(every, np.array([lo + 1.0, hi - 1.0])).any(axis=1))
+    if not near.size:
+        return ends
+    best = ends.copy()
+    chunk = max(1, _SCAN_BLOCK_ELEMENTS // (near.size * width))
+    for n0 in range(lo + 1, hi, chunk):
+        ns = np.arange(n0, min(n0 + chunk, hi), dtype=np.float64)
+        i, j = np.nonzero(reaches(near, ns))
+        np.maximum.at(best, near[i], _sigma_norms(s, u, near[i], ns[j]))
+    return best

@@ -340,6 +340,9 @@ def test_cli_usage_errors_exit_1():
     ["equiv-check", "--count", "2", "--tolerance", "nan"],
     ["transform", "--in", "IN", "--verify", "--tolerance", "nan"],
     ["kernel", "--n", "3", "--config", "NAN_CFG"],
+    # so is a negative one, which would count every gap as a violation
+    ["equiv-check", "--count", "2", "--tolerance", "-1"],
+    ["transform", "--in", "IN", "--verify", "--tolerance=-1e-9"],
 ])
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg"}
@@ -429,10 +432,12 @@ def test_cli_kernel_oracle_deviation_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == f"kernel n=37: L_n = {l_n!r}"
     assert err[1].startswith("kernel n=37: |L_n - closed form| = ")
-    # a negative tolerance is a value, as one token or as its own
-    for tol in (["--tolerance=-1e-9"], ["--tolerance", "-1e-9"], ["--tolerance", "-1"]):
-        assert main([*args, *tol]) == 2
-        assert "(tolerance -1.0e" in capsys.readouterr().err
+    # a negative tolerance is read as a value, as one token or as its own,
+    # and refused
+    for tol, shown in ((["--tolerance=-1e-9"], "-1e-09"), (["--tolerance", "-1e-9"], "-1e-09"),
+                       (["--tolerance", "-1"], "-1.0")):
+        assert main([*args, *tol]) == 1
+        assert f"tolerance must be >= 0, got {shown}" in capsys.readouterr().err
     monkeypatch.setattr(cli_mod, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
     assert main(args) == 2
     assert "tolerance 1.0e-09" in capsys.readouterr().err
@@ -495,8 +500,8 @@ def test_cli_transform_verify(tmp_path, capsys):
     fin.write_text(json.dumps(f.to_json_dict()))
     assert main(["transform", "--in", str(fin), "--verify"]) == 0
     assert "max |fast - naive|" in capsys.readouterr().err
-    # impossible tolerance: the deviation (>= 0) must now count as a violation
-    rc = main(["transform", "--in", str(fin), "--verify", "--tolerance", "-1"])
+    # zero tolerance: the rounding-level deviation (> 0) counts as a violation
+    rc = main(["transform", "--in", str(fin), "--verify", "--tolerance", "0"])
     assert rc == 2
     # the synthesis is checked too: the direct sum of its values gives back
     # the input coefficients
@@ -510,7 +515,7 @@ def test_cli_transform_verify(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "verify: max |naive(synthesis) - input| = " in err
         assert float(err.split("= ")[1].split()[0]) <= 1e-14
-        assert main([*args, "--tolerance", "-1"]) == 2
+        assert main([*args, "--tolerance", "0"]) == 2
 
 
 def test_cli_config_flags(tmp_path, capsys):
@@ -519,9 +524,12 @@ def test_cli_config_flags(tmp_path, capsys):
     fin.write_text(json.dumps(forward_fast(random_step_corpus(sys_obj, 1, 3, 4)[0]).to_json_dict()))
     cfg = tmp_path / "run.cfg"
     # a config may name the input, and a value may start with '-'
-    cfg.write_text(f"in={fin}\ninverse=yes\nverify=1\ntolerance=-1e-9\n")
+    cfg.write_text(f"in={fin}\ninverse=yes\nverify=1\ntolerance=0\n")
     assert main(["transform", "--config", str(cfg)]) == 2
     assert "naive(synthesis)" in capsys.readouterr().err
+    cfg.write_text(f"in={fin}\ntolerance=-1e-9\n")
+    assert main(["transform", "--config", str(cfg)]) == 1
+    assert "tolerance must be >= 0, got -1e-09" in capsys.readouterr().err
     cfg.write_text(f"in={fin}\ninverse=false\nverify=0\n")
     assert main(["transform", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
@@ -694,9 +702,12 @@ def test_cli_gat_default_rank_fits_shallow_systems(tmp_path):
 
 def test_cli_equiv_check_violations_exit_2(tmp_path):
     out = tmp_path / "e.json"
-    assert main(["equiv-check", "--radix", "2^4", "--count", "3", "--tolerance=-1",
+    assert main(["equiv-check", "--radix", "2^4", "--count", "3", "--tolerance=0",
                  "--format", "json", "--out", str(out)]) == 2
-    assert json.loads(out.read_text())["summary"]["violations"] == 3
+    report = json.loads(out.read_text())
+    # every row with a nonzero gap is a violation at zero tolerance
+    gaps = [row[report["columns"].index("max_pointwise_diff")] for row in report["rows"]]
+    assert report["summary"]["violations"] == sum(gap > 0 for gap in gaps) >= 1
 
 
 def test_cli_equiv_check_nan_gap_exit_2(tmp_path, monkeypatch):

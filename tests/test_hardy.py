@@ -17,7 +17,7 @@ from vilenkin import (
     cylinder_averages,
     dirichlet_kernel,
     expected_counterexample_coefficients,
-    fejer_maximal_check,
+    fejer_l1_norms,
     fejer_mean,
     forward_fast,
     gat_log_average,
@@ -404,10 +404,10 @@ def test_gat_convergence_decreases_for_finite_rank(dyadic10):
     assert conv[0, 1] < conv[0, 0]
 
 
-def test_fejer_maximal_check_manual(mixed):
+def test_fejer_maximum_manual(mixed):
     fs = [StepFunction(mixed, random_values(mixed, seed)) for seed in (70, 71)]
     h1 = np.array([h1_norm(f) for f in fs])
-    sup = fejer_maximal_check(mixed, np.vstack([forward_fast(f).coeffs for f in fs]))
+    sup = fejer_l1_norms(mixed, np.vstack([forward_fast(f).coeffs for f in fs]), mixed.cells)
     for i, f in enumerate(fs):
         c = forward_fast(f)
         norms = [l1_norm(fejer_mean(c, n)) for n in range(1, mixed.cells + 1)]

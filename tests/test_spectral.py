@@ -384,7 +384,7 @@ def test_zero_skipping_scan_is_bitwise_dense(sys, seed, data):
     # weights with exact-zero stretches, some across every row and some in
     # one row only, scanned in blocks of 16 or more rows
     rng = np.random.default_rng(seed)
-    count = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(1, 8))
     weights = rng.standard_normal((count, sys.cells)) + 1j * rng.standard_normal((count, sys.cells))
     for _ in range(data.draw(st.integers(0, 6))):
         a = int(rng.integers(sys.cells))
@@ -429,14 +429,139 @@ def test_cumulative_l1_validation(mixed):
         )
 
 
+def _dense_fejer_l1_norms(sys, weights, n_max):
+    """||sigma_n f_i||_1 for every n = 1 .. n_max, shape (rows, n_max): the
+    scan row by row, then every frozen n past M_r.  Its maximum over n is the
+    bitwise oracle for fejer_l1_norms, which evaluates only the tail n that
+    can hold the maximum."""
+    rows = np.atleast_2d(weights)
+    count = rows.shape[0]
+    sub = sys.truncate(spectral._scan_level(sys, rows, n_max, None))
+    width = sub.cells
+    rows = rows[:, :width]
+    q_max = min(n_max, width)
+    step = spectral._scan_block(sub)
+    s_state = np.zeros((count, width), dtype=np.complex128)
+    u_state = np.zeros((count, width), dtype=np.complex128)
+    out = np.empty((count, n_max), dtype=np.float64)
+    for b0 in range(0, q_max, step):
+        b1 = min(b0 + step, q_max)
+        chars = character_block(sub, b0, b1)
+        ranks = np.arange(b0 + 1, b1 + 1, dtype=np.float64)[:, None]
+        for i in range(count):
+            inc = rows[i, b0:b1, None] * chars
+            u_inc = np.cumsum(ranks * inc, axis=0) + u_state[i]
+            inc = np.cumsum(inc, axis=0) + s_state[i]
+            s_state[i], u_state[i] = inc[-1], u_inc[-1]
+            out[i, b0:b1] = np.abs(inc - u_inc / ranks).mean(axis=1)
+    tail = np.arange(q_max + 1, n_max + 1, dtype=np.float64)
+    out[:, q_max:] = _dense_tail(s_state, u_state, tail)
+    return out
+
+
+def _dense_tail(s, u, ranks):
+    """mean |s_i - u_i / n| for every row i and every n in ranks."""
+    return np.abs(s[:, None, :] - u[:, None, :] / ranks[:, None]).mean(axis=2)
+
+
 def test_fejer_l1_norms_match_per_n(mixed):
     f = StepFunction(mixed, random_values(mixed, 51))
     c = forward_fast(f)
-    got = fejer_l1_norms(mixed, c.coeffs, mixed.cells)
-    assert got.shape == (1, mixed.cells)
+    dense = _dense_fejer_l1_norms(mixed, c.coeffs, mixed.cells)
     for n in range(1, mixed.cells + 1):
         want = float(np.abs(fejer_mean(c, n).values).mean())
-        assert got[0, n - 1] == pytest.approx(want, abs=1e-12), f"n={n}"
+        assert dense[0, n - 1] == pytest.approx(want, abs=1e-12), f"n={n}"
+    got = fejer_l1_norms(mixed, c.coeffs, mixed.cells)
+    assert got.shape == (1,)
+    assert np.array_equal(got, dense.max(axis=1))
+
+
+def _degenerate_rows(sys, rng, rank):
+    """Coefficient rows living on G_rank, with the degenerate kinds mixed in:
+    all zero, constant, rank 1 and full rank on G_rank."""
+    width = sys.products[rank]
+    rows = np.zeros((6, sys.cells), dtype=np.complex128)
+    rows[1, 0] = rng.standard_normal()  # a constant function
+    rows[2, : sys.products[1]] = rng.standard_normal(sys.products[1])  # rank 1
+    rows[3:, :width] = rng.standard_normal((3, width)) + 1j * rng.standard_normal((3, width))
+    rows[4, :width] = rows[4, :width].real  # real weights
+    return rows[rng.permutation(6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems, st.integers(0, 2**31 - 1), st.data())
+def test_fejer_maximum_is_bitwise_dense(sys, seed, data):
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(1, sys.depth))
+    weights = _degenerate_rows(sys, rng, rank)
+    n_max = data.draw(st.integers(1, sys.cells))
+    block = data.draw(st.sampled_from([1, 24 * sys.cells, 1 << 21]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", block)
+        got = fejer_l1_norms(sys, weights, n_max)
+        want = _dense_fejer_l1_norms(sys, weights, n_max).max(axis=1)
+    assert np.array_equal(got, want)
+
+
+def _flat_tails(lo, hi, rows, seed):
+    """Frozen sums (s, u) on two cells whose Fejer norm mean |s - u / n| is
+    the same at every n in [lo, hi] in exact arithmetic: with a <= b / hi
+    and c >= b / lo, |a - b t| rises and |c - b t| falls at the same rate
+    for t = 1 / n in that range."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(1, 10, rows)
+    a = b / hi * rng.uniform(0, 1, rows)
+    c = b / lo * rng.uniform(1, 2, rows)
+    return np.stack([a, c], axis=1).astype(np.complex128), np.stack([b, b], axis=1) + 0j
+
+
+@pytest.mark.parametrize("lo,hi", [(4, 8), (17, 1024), (3, 5), (5, 6), (9, 2**14)])
+@pytest.mark.parametrize("block", [1, 1 << 21])
+def test_frozen_tail_ties_are_bitwise_dense(lo, hi, block, monkeypatch):
+    # every inner n is a candidate, taken in one chunk of n or in chunks of
+    # a single n; rounding puts some maxima inside and ties some ends exactly
+    monkeypatch.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", block)
+    s, u = _flat_tails(lo, hi, 40, lo)
+    dense = _dense_tail(s, u, np.arange(lo, hi + 1, dtype=np.float64))
+    assert np.array_equal(spectral._frozen_tail_max(s, u, lo, hi), dense.max(axis=1))
+    assert (dense[:, 0] == dense[:, -1]).any()
+    if (lo, hi) in ((4, 8), (17, 1024)):
+        assert (dense.max(axis=1) > np.maximum(dense[:, 0], dense[:, -1])).any()
+
+
+@pytest.mark.parametrize("offsets", [None, "periodic", "aperiodic"])
+def test_row_batches_are_bitwise_per_row(dyadic6, offsets, monkeypatch):
+    # 16-row blocks on G_2 (4 cells): rows go in batches of 4, so 10 rows take
+    # three batches per block
+    monkeypatch.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", 1)
+    corpus = random_step_corpus(dyadic6, 10, 2, 5)
+    weights = np.vstack([forward_fast(f).coeffs for f in corpus])
+    offs = None
+    if offsets is not None:
+        offs = -np.vstack([f.values for f in corpus])
+        if offsets == "aperiodic":
+            offs[3, -1] += 1.0
+    got = cumulative_l1_norms(dyadic6, weights, 1, dyadic6.cells, offsets=offs)
+    assert np.array_equal(got, _dense_cumulative_l1_norms(dyadic6, weights, 1, dyadic6.cells, offs))
+    for n_max in (3, 4, 5, 40, dyadic6.cells):
+        want = _dense_fejer_l1_norms(dyadic6, weights, n_max).max(axis=1)
+        assert np.array_equal(fejer_l1_norms(dyadic6, weights, n_max), want)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 4111])
+def test_strong_means_fejer_tail_evaluates_its_ends(seed, monkeypatch):
+    # the gat corpus on 2^10 (ranks 1 .. 4): past M_4 only n = 17 and
+    # n = 1024 are evaluated, for every row
+    sys = build_radix_system([2], 10)
+    weights = np.vstack([forward_fast(f).coeffs for f in random_step_corpus(sys, 50, 4, seed)])
+    evaluated = []
+    real = spectral._sigma_norms
+    monkeypatch.setattr(spectral, "_sigma_norms",
+                        lambda s, u, rows, ns: evaluated.extend(ns.tolist()) or real(s, u, rows, ns))
+    got = fejer_l1_norms(sys, weights, sys.cells)
+    assert sorted(set(evaluated)) == [17.0, 1024.0]
+    assert len(evaluated) == 2 * len(weights)
+    assert np.array_equal(got, _dense_fejer_l1_norms(sys, weights, sys.cells).max(axis=1))
 
 
 def test_scans_reuse_their_scratch(dyadic10, monkeypatch):
@@ -530,9 +655,8 @@ def test_quotient_scans_match_direct(sys, seed, data):
     n_max = data.draw(st.sampled_from([p for p in points if p >= 1]))
     got = fejer_l1_norms(sys, weights, n_max)
     for i, c in enumerate(coeffs):
-        for n in range(1, n_max + 1):
-            want = float(np.abs(fejer_mean(c, n).values).mean())
-            assert abs(got[i, n - 1] - want) <= 1e-12, (i, n)
+        want = max(float(np.abs(fejer_mean(c, n).values).mean()) for n in range(1, n_max + 1))
+        assert abs(got[i] - want) <= 1e-12, i
 
 
 @settings(max_examples=25, deadline=None)
