@@ -47,6 +47,7 @@ from .hardy import (
     EquivalenceReport,
     build_counterexample,
     check_norm_equivalence,
+    counterexample_l1_norms,
     cylinder_averages,
     expected_counterexample_coefficients,
     gat_log_average,

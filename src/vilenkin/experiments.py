@@ -24,11 +24,11 @@ from .hardy import (
     CounterexampleSpec,
     build_counterexample,
     check_norm_equivalence,
+    counterexample_l1_norms,
     expected_counterexample_coefficients,
     gat_log_average,
     h1_norm,
     h1_pass,
-    partial_sum_l1_norms,
     strong_sum_average,
     window_strong_average,
 )
@@ -160,8 +160,12 @@ def random_step_corpus(
 # Peak bytes, measured with tracemalloc on 2^10 .. 2^18 and rounded up.  Per
 # lebesgue-scan table row: the columns, the row tuples and the rendered text
 # (about 560 as CSV, 1340 as JSON).  Per cell: one Dirichlet kernel (32 to
-# 47), a kernel report with its rendered rows (190 to 345), the divergence
-# vectors (about 40).  Per lemma1 index: 65 to 79.  Per cell of each corpus
+# 47), a kernel report with its rendered rows (190 to 345), a divergence run
+# (88 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and (5,2,7)x3:
+# the function, its coefficients and their check, the norms, the oracle's
+# synthesized partial sums and the H1 norms of the truncations; the closed
+# form holds at most spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a time
+# and no scan scratch).  Per lemma1 index: 65 to 79.  Per cell of each corpus
 # function: 152 to 157 in gat (its log means stack the coefficients and the
 # offsets twice, beside three norm arrays; 2^12 .. 2^18, 3^9 and 7^6 with
 # ranks up to 4, where no scan block is large), 32 in equiv-check (the corpus
@@ -176,13 +180,12 @@ def random_step_corpus(
 # ends, and inner n only for rows within rounding of a tie, at most
 # spectral._SCAN_BLOCK_ELEMENTS cells at a time.  The
 # partial-sum scan builds only the rows whose weights are not all exactly
-# zero: the divergence scan on 2^10 with alphas 1,4,9 (552 of 1023 rows)
-# peaks at 22 MB, and a coefficient block that covers a whole scan block
-# costs the full 40 per element.
+# zero, and a coefficient block that covers a whole scan block costs the
+# full 40 per element.
 _SCAN_ROW_BYTES = 1536
 _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384
-_DIVERGENCE_CELL_BYTES = 64
+_DIVERGENCE_CELL_BYTES = 160
 _LEMMA_INDEX_BYTES = 128
 _GAT_CELL_BYTES = 160
 _EQUIV_CELL_BYTES = 32
@@ -277,7 +280,7 @@ def run_divergence(
     spec = CounterexampleSpec(sys, tuple(alphas))
     require_memory(
         f"divergence on M_N = {sys.cells}",
-        sys.cells * _DIVERGENCE_CELL_BYTES + _scan_scratch(sys),
+        sys.cells * _DIVERGENCE_CELL_BYTES,
     )
     f = build_counterexample(spec)
     coeffs = forward_fast(f)
@@ -285,8 +288,8 @@ def run_divergence(
         np.max(np.abs(coeffs.coeffs - expected_counterexample_coefficients(spec)))
     )
 
-    norms = partial_sum_l1_norms(coeffs, 1, sys.cells)
-    # the scan against S_l f synthesized directly, at each window's ends and at M_N
+    norms = counterexample_l1_norms(spec)
+    # the closed form against S_l f synthesized directly, at each window's ends and at M_N
     probes = {sys.cells}
     for a in spec.alphas:
         probes |= {sys.products[a], 2 * sys.products[a]}

@@ -11,7 +11,8 @@ chunks of rows (h1_pass), one numpy call per level for a whole chunk.
 The counterexample family lives here too: for increasing exponents a_k the
 function f = sum_k (D_{M_{a_k + 1}} - D_{M_{a_k}}) / sqrt(a_k) has block
 constant coefficients, uniformly bounded H1 norm, and window averages of
-partial-sum norms growing like sqrt(a_k).
+partial-sum norms growing like sqrt(a_k).  Those norms have a closed form
+over the Paley pieces (counterexample_l1_norms), checked against the scan.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ import numpy as np
 from .norms import l1_norm, lebesgue_constant
 from .radix import RadixSystem
 from .spectral import (
+    _SCAN_BLOCK_ELEMENTS,
     SpectralVector,
     StepFunction,
     _as_rows,
     _block_heads,
     _chunk_rows,
     _forward_rows,
+    _root_table,
     character_block,
     cumulative_l1_norms,
     dirichlet_kernel,
@@ -219,8 +222,7 @@ def partial_sum_decomposition(
     a_k^{-1/2} L_{j - M_{a_k}} whenever j > M_{a_k}.
 
     It checks the paper's block decomposition: acceptance criterion 6 reads
-    it, and a closed form for the counterexample's partial-sum norms would
-    be checked against it.
+    it, and the closed form counterexample_l1_norms is checked against it.
     """
     if coeffs.sys != spec.sys:
         raise ValueError("system mismatch: coefficients use a different radix system")
@@ -237,12 +239,102 @@ def partial_sum_decomposition(
     return head, StepFunction(spec.sys, tail)
 
 
+def _completed_blocks(spec: CounterexampleSpec, k: int) -> np.ndarray:
+    """S_{M_{a_k}} f on the Paley pieces: entry p (0 .. N) is its value where
+    the first nonzero digit of x is x_p, entry N its value at x = 0.
+
+    S_{M_{a_k}} f is a sum of the kernels D_{M_q} = M_q 1_{I_q}, and x lies
+    in I_q exactly when its first nonzero digit is at q or above.
+    """
+    sys = spec.sys
+    p = np.arange(sys.depth + 1)
+    out = np.zeros(sys.depth + 1)
+    for a, w in zip(spec.alphas[:k], spec.weights[:k]):
+        out += w * (sys.products[a + 1] * (p > a) - sys.products[a] * (p >= a))
+    return out
+
+
+def _block_norms(
+    sys: RadixSystem, a: int, weight: float, head: np.ndarray, js: np.ndarray
+) -> np.ndarray:
+    """||head + weight r_a D_j||_1 for the offsets js in [1, (m_a - 1) M_a],
+    with head the piece values of _completed_blocks.
+
+    On I_{a+1} (the pieces p > a and the point 0) r_a = 1 and D_j = j.  On
+    the piece x_0 .. x_{p-1} = 0, x_p = c != 0, of measure 1/M_{p+1}, Paley's
+    lemma gives D_j = prod_{q>p} r_q^{j_q} Phi_p(c, j), with
+    Phi_p(c, j) = o^{c j_p} (j mod M_p) + M_p sum_{u<j_p} o^{c u} and
+    o = exp(2 pi i / m_p).  For p = a the piece value is
+    |head + weight o^c Phi_a|.  For p < a the digits x_q, p < q <= a, are
+    free and enter only through the phase prod_q r_q^{e_q} (e_q = j_q, and
+    e_a = j_a + 1 for the factor r_a), which is uniform on the L-th roots of
+    unity, L = lcm_q m_q / gcd(m_q, e_q); the piece value is the mean over
+    those roots.  L is built from the top digit down.
+    """
+    total = np.abs(head[a] + weight * js) / sys.products[a + 1]
+    order = np.ones(js.shape, dtype=np.int64)  # L of piece p: the lcm over p < q <= a
+    for p in range(a, -1, -1):
+        m, M_p = sys.radices[p], sys.products[p]
+        digit, rest = (js // M_p) % m, js % M_p
+        roots = _root_table(m)
+        powers = roots[np.multiply.outer(np.arange(m), np.arange(m)) % m]
+        # geom[c, d] = M_p sum_{u < d} o^{c u}
+        geom = M_p * (np.cumsum(powers, axis=1) - powers)
+        orders = np.flatnonzero(np.bincount(order))
+        piece = np.zeros(js.shape)
+        for c in range(1, m):
+            z = weight * (roots[(c * digit) % m] * rest + geom[c, digit])
+            if p == a:
+                z *= roots[c]
+            for L in orders.tolist():
+                sel = order == L
+                zs = z[sel]
+                acc = np.zeros(zs.shape)
+                for s in range(L):
+                    acc += np.abs(head[p] + _root_table(L)[s] * zs)
+                piece[sel] += acc / L
+        total += piece / sys.products[p + 1]
+        e = (digit + 1) % m if p == a else digit
+        order = np.lcm(order, m // np.gcd(m, e))
+    return total
+
+
+def counterexample_l1_norms(spec: CounterexampleSpec) -> np.ndarray:
+    """||S_l f||_1 for l = 1 .. M_N (entry l - 1) of the counterexample f, in
+    closed form.
+
+    S_l f = 0 for l <= M_{a_0}, and it stays put between blocks.  Inside
+    block k, l = M_a + j with a = a_k, and partial_sum_decomposition gives
+    S_l f = S_{M_a} f + a^{-1/2} r_a D_j, whose norm _block_norms sums over
+    the Paley pieces: O(sum_p (m_p - 1) L) per index, with no character row
+    and no length-M_N complex array.  The offsets j go in chunks of at most
+    _SCAN_BLOCK_ELEMENTS / 16.  partial_sum_l1_norms is its oracle.
+    """
+    sys = spec.sys
+    norms = np.zeros(sys.cells)
+    step = _SCAN_BLOCK_ELEMENTS // 16
+    # S_l f stays put from l = M_{a_k + 1} to the start of the next block
+    stops = [sys.products[a] for a in spec.alphas[1:]] + [sys.cells]
+    for k, (a, w) in enumerate(zip(spec.alphas, spec.weights)):
+        lo, hi = sys.products[a], sys.products[a + 1]
+        head = _completed_blocks(spec, k)
+        # l = lo itself holds the value carried over from before the block
+        for j0 in range(1, hi - lo + 1, step):
+            js = np.arange(j0, min(j0 + step, hi - lo + 1))
+            norms[lo + j0 - 1 : lo + js[-1]] = _block_norms(sys, a, w, head, js)
+        norms[hi : stops[k]] = norms[hi - 1]
+    return norms
+
+
 # ---------------------------------------------------------------------------
 # strong means and logarithmic averages
 
 
 def partial_sum_l1_norms(c: SpectralVector, lo: int, hi: int) -> np.ndarray:
-    """||S_m f||_1 for m = lo .. hi inclusive, via one scan."""
+    """||S_m f||_1 for m = lo .. hi inclusive, via one scan.
+
+    The oracle for the closed form counterexample_l1_norms.
+    """
     return cumulative_l1_norms(c.sys, c.coeffs, lo, hi)[0]
 
 
@@ -304,8 +396,8 @@ def verify_decomposition_norm(
     """(||tail||_1, expected a_k^{-1/2} L_{j - M_{a_k}}) for an in-block j.
 
     An oracle for the paper's block decomposition: acceptance criterion 6
-    reads it, and a closed form for the counterexample's partial-sum norms
-    would be checked against it.
+    reads it, and the closed form counterexample_l1_norms is checked
+    against it.
     """
     k = spec.block_of(j)
     if k is None:

@@ -203,23 +203,51 @@ def test_run_divergence_small(dyadic6, dyadic10):
 
 
 def test_cli_divergence_oracle_deviation_exit_2(tmp_path, monkeypatch):
-    # a partial-sum norm scan that is off by 1e-9 must fail against the
-    # directly synthesized partial sums
+    # closed-form partial-sum norms that are off by 1e-9 must fail against
+    # the directly synthesized partial sums
     import vilenkin.experiments as experiments_mod
 
-    exact = experiments_mod.partial_sum_l1_norms
+    exact = experiments_mod.counterexample_l1_norms
     out = tmp_path / "div.json"
     args = ["divergence", "--radix", "2,3,4", "--depth", "6", "--alphas", "1,2,5",
             "--format", "json", "--out", str(out)]
     assert main(args) == 0
     assert json.loads(out.read_text())["summary"]["oracle_max_deviation"] <= 1e-12
-    monkeypatch.setattr(experiments_mod, "partial_sum_l1_norms", lambda *a: exact(*a) + 1e-9)
+    monkeypatch.setattr(experiments_mod, "counterexample_l1_norms", lambda *a: exact(*a) + 1e-9)
     assert main(args) == 2
     payload = json.loads(out.read_text())
     assert payload["summary"]["oracle_max_deviation"] > 1e-12
     assert payload["summary"]["eq_block_coeff_deviation"] <= 1e-12
     assert payload["violations"] == 1
 
+
+
+def test_run_divergence_builds_no_character_rows(dyadic10, monkeypatch):
+    # the partial-sum norms come from the closed form, not from a scan
+    import vilenkin.spectral as spectral
+
+    calls = []
+    real = spectral._characters
+
+    def spy(sub, ks):
+        calls.append(ks.size)
+        return real(sub, ks)
+
+    monkeypatch.setattr(spectral, "_characters", spy)
+    rep = run_divergence(dyadic10, (1, 4, 9), 1e-12)
+    assert rep.violations == 0
+    assert calls == []
+
+
+def test_cli_divergence_depth_16(tmp_path):
+    # O(M_N^2) as a scan; the closed form takes a fraction of a second
+    out = tmp_path / "div.json"
+    args = ["divergence", "--radix", "2^16", "--alphas", "1,4,9,15",
+            "--format", "json", "--out", str(out)]
+    assert main(args) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["oracle_max_deviation"] <= 1e-12
+    assert summary["eq_block_coeff_deviation"] <= 1e-12
 
 def test_run_gat_small(dyadic6, mixed):
     for sys_obj in (dyadic6, mixed):

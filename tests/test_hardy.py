@@ -13,6 +13,7 @@ from vilenkin import (
     build_counterexample,
     build_radix_system,
     check_norm_equivalence,
+    counterexample_l1_norms,
     cumulative_l1_norms,
     cylinder_averages,
     dirichlet_kernel,
@@ -26,6 +27,7 @@ from vilenkin import (
     l1_norm,
     lebesgue_constant,
     maximal_function,
+    parse_radix_spec,
     partial_sum,
     partial_sum_decomposition,
     partial_sum_l1_norms,
@@ -331,6 +333,51 @@ def test_decomposition_norm_is_weighted_lebesgue(dyadic10):
             spec.weights[k] * lebesgue_constant(dyadic10, j - lo)
         )
         assert got == pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form partial-sum norms
+
+
+def _check_closed_form(spec):
+    sys_obj = spec.sys
+    norms = counterexample_l1_norms(spec)
+    assert norms.shape == (sys_obj.cells,)
+    c = forward_fast(build_counterexample(spec))
+    scan = partial_sum_l1_norms(c, 1, sys_obj.cells)
+    np.testing.assert_allclose(norms, scan, rtol=0, atol=1e-12)
+    # S_l f = 0 up to the first block, and S_l f stays put between blocks
+    first = sys_obj.products[spec.alphas[0]]
+    assert not norms[:first].any()
+    ends = [sys_obj.products[a] for a in spec.alphas[1:]] + [sys_obj.cells]
+    for a, end in zip(spec.alphas, ends):
+        stop = sys_obj.products[a + 1]
+        assert (norms[stop - 1 : end] == norms[stop - 1]).all()
+    return norms, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(sys_obj=small_systems.filter(lambda s: s.depth >= 2), data=st.data())
+def test_closed_form_norms_match_scan(sys_obj, data):
+    levels = data.draw(st.sets(st.integers(1, sys_obj.depth - 1), min_size=1))
+    _check_closed_form(CounterexampleSpec(sys_obj, tuple(sorted(levels))))
+
+
+@pytest.mark.parametrize("radix,alphas", [("3^7", (1, 3, 5)), ("2^12", (1, 4, 9, 11))])
+def test_closed_form_norms_fixed_cases(radix, alphas):
+    spec = CounterexampleSpec(parse_radix_spec(radix), alphas)
+    norms, c = _check_closed_form(spec)
+    # and against the block decomposition S_l f = head + tail at in-block l
+    for k in range(spec.terms):
+        lo, hi = spec.block(k)
+        for l in (lo + 1, (lo + hi) // 2, hi - 1):
+            head, tail = partial_sum_decomposition(spec, c, l)
+            whole = StepFunction(spec.sys, head.values + tail.values)
+            assert norms[l - 1] == pytest.approx(l1_norm(whole), abs=1e-12)
+            if k == 0:
+                # no completed block: S_l f is the tail, of norm a^{-1/2} L_j
+                assert norms[l - 1] == pytest.approx(
+                    verify_decomposition_norm(spec, l)[1], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
