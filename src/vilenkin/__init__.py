@@ -55,7 +55,6 @@ from .hardy import (
     h1_pass,
     maximal_function,
     partial_sum_decomposition,
-    partial_sum_l1_norms,
     strong_sum_average,
     verify_decomposition_norm,
     window_strong_average,

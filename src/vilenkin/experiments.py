@@ -178,10 +178,7 @@ def random_step_corpus(
 # (the character rows and the scratch reused across blocks and row batches,
 # each at most one block); past M_r the Fejer maximum evaluates its two
 # ends, and inner n only for rows within rounding of a tie, at most
-# spectral._SCAN_BLOCK_ELEMENTS cells at a time.  The
-# partial-sum scan builds only the rows whose weights are not all exactly
-# zero, and a coefficient block that covers a whole scan block costs the
-# full 40 per element.
+# spectral._SCAN_BLOCK_ELEMENTS cells at a time.
 _SCAN_ROW_BYTES = 1536
 _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384

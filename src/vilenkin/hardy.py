@@ -308,7 +308,8 @@ def counterexample_l1_norms(spec: CounterexampleSpec) -> np.ndarray:
     S_l f = S_{M_a} f + a^{-1/2} r_a D_j, whose norm _block_norms sums over
     the Paley pieces: O(sum_p (m_p - 1) L) per index, with no character row
     and no length-M_N complex array.  The offsets j go in chunks of at most
-    _SCAN_BLOCK_ELEMENTS / 16.  partial_sum_l1_norms is its oracle.
+    _SCAN_BLOCK_ELEMENTS / 16.  The scan spectral.cumulative_l1_norms of the
+    coefficients is its oracle.
     """
     sys = spec.sys
     norms = np.zeros(sys.cells)
@@ -328,14 +329,6 @@ def counterexample_l1_norms(spec: CounterexampleSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # strong means and logarithmic averages
-
-
-def partial_sum_l1_norms(c: SpectralVector, lo: int, hi: int) -> np.ndarray:
-    """||S_m f||_1 for m = lo .. hi inclusive, via one scan.
-
-    The oracle for the closed form counterexample_l1_norms.
-    """
-    return cumulative_l1_norms(c.sys, c.coeffs, lo, hi)[0]
 
 
 def strong_sum_average(norms: np.ndarray, n: int) -> float:

@@ -85,7 +85,10 @@ def build_radix_system(radices: Sequence[int], depth: int | None = None) -> Radi
         depth = len(pattern)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    return RadixSystem(tuple(pattern[i % len(pattern)] for i in range(depth)))
+    # every radix is at least 2, so M_63 > _MAX_CELLS: a deeper system fails
+    # within its first 63 levels, and only those are built
+    levels = min(depth, max(len(pattern), 63))
+    return RadixSystem(tuple(pattern[i % len(pattern)] for i in range(levels)))
 
 
 _CONSTANT_SPEC = re.compile(r"^\s*(\d+)\s*\^\s*(\d+)\s*$")

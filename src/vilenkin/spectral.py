@@ -202,12 +202,7 @@ def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
     """
     if not 0 <= lo <= hi <= sys.cells:
         raise ValueError(f"character range [{lo}, {hi}) outside [0, {sys.cells}]")
-    return _characters(sys, np.arange(lo, hi, dtype=np.int64))
-
-
-def _characters(sys: RadixSystem, ks: np.ndarray) -> np.ndarray:
-    """Rows psi_k for the indices ks, filled as in character_block; a row
-    depends only on its own k."""
+    ks = np.arange(lo, hi, dtype=np.int64)
     out = np.empty((ks.size, sys.cells), dtype=np.complex128)
     out[:, 0] = 1.0
     for M_j, m in zip(sys.products, sys.radices):
@@ -416,8 +411,7 @@ def fejer_mean(c: SpectralVector, n: int) -> StepFunction:
 # exactly from M_r on and the offsets are M_r-periodic, so every running sum
 # is a function on G_r (M_r cells instead of M_N), and from m = M_r on it no
 # longer changes.  The block loops are the same at every r; full resolution
-# is r = N.  Inside a block, cumulative_l1_norms also leaves out the columns
-# whose weights are exactly zero in every row (see there).
+# is r = N.  Both scans walk their blocks through _blocks.
 
 
 def _scan_level(
@@ -433,6 +427,38 @@ def _scan_level(
 def _scan_block(sys: RadixSystem) -> int:
     """Character rows per scan block: about _SCAN_BLOCK_ELEMENTS cells, 16 to 1024 rows."""
     return max(16, min(1024, _SCAN_BLOCK_ELEMENTS // sys.cells))
+
+
+def _blocks(sub: RadixSystem, rows: np.ndarray, lo: int, hi: int, sums: int):
+    """Walk the steps k = lo .. hi-1 of a scan on G_r = sub: the character
+    rows in blocks of _scan_block(sub), one character_block each, and the
+    weight rows through each block in batches.
+
+    Yields (b0, b1, i0, i1, *views) for block [b0, b1) and row batch
+    [i0, i1): sums complex views and one real view, each of shape
+    (i1 - i0, b1 - b0, M_r), on flat buffers that every block and batch
+    reuses.  The first complex view holds rows[i0:i1, b0:b1] times the
+    character rows; the others are free scratch.
+    """
+    count, width = rows.shape[0], sub.cells
+    step = _scan_block(sub)
+    # batches of at most step // steps rows, so each buffer holds at most
+    # one block's elements
+    steps = min(step, hi - lo)
+    batch = min(count, max(1, step // max(1, steps)))
+    size = batch * steps * width
+    bufs = [np.empty(size, dtype=np.complex128) for _ in range(sums)]
+    bufs.append(np.empty(size, dtype=np.float64))
+    for b0 in range(lo, hi, step):
+        b1 = min(b0 + step, hi)
+        chars = character_block(sub, b0, b1)
+        for i0 in range(0, count, batch):
+            i1 = min(i0 + batch, count)
+            shape = (i1 - i0, b1 - b0, width)
+            views = [buf[: math.prod(shape)].reshape(shape) for buf in bufs]
+            np.multiply(rows[i0:i1, b0:b1, None], chars, out=views[0])
+            yield (b0, b1, i0, i1, *views)
+        del chars  # freed before the next block is built
 
 
 def _chunk_rows(sys: RadixSystem) -> int:
@@ -463,9 +489,7 @@ def cumulative_l1_norms(
     offsets[i] + sum_{k < m} weights[i, k] psi_k for m = lo .. hi inclusive.
     With unit weights this scans Dirichlet kernels; with Fourier coefficients
     as weights it scans partial sums S_m f (plus an optional fixed offset,
-    e.g. -f for convergence differences).  A column whose weight is exactly
-    zero in every row builds no character row and repeats the norm before
-    it, bit for bit.
+    e.g. -f for convergence differences).
     """
     cells = sys.cells
     if not 0 <= lo <= hi <= cells:
@@ -481,7 +505,6 @@ def cumulative_l1_norms(
     rows = rows[:, :width]
     # the scan walks m = q_lo .. q_hi on G_r; past M_r the sums stay put
     q_lo, q_hi = min(lo, width), min(hi, width)
-    step = _scan_block(sub)
 
     # checkpoint: state rows hold offsets + S_{q_lo}
     masked = np.zeros((count, width), dtype=np.complex128)
@@ -492,39 +515,11 @@ def cumulative_l1_norms(
 
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
-    # a column whose weight is exactly zero in every row adds exactly zero to
-    # every running sum, so it is left out of the character rows and the
-    # cumsum, and its step repeats the norm of the step before; the blocks
-    # stay where they are, so the other sums keep their association
-    live = rows[:, q_lo:q_hi].any(axis=0)
-    starts = range(q_lo, q_hi, step)
-    most = max((int(live[b0 - q_lo : b0 - q_lo + step].sum()) for b0 in starts), default=0)
-    # rows go through a block in batches of at most step // most, so the
-    # scratch, reused by every block and batch, is at most one block's size
-    batch = min(count, max(1, step // max(1, most)))
-    inc_buf = np.empty(batch * most * width, dtype=np.complex128)
-    mag_buf = np.empty(inc_buf.size, dtype=np.float64)
-    for b0 in starts:
-        b1 = min(b0 + step, q_hi)
-        cols = np.flatnonzero(live[b0 - q_lo : b1 - q_lo])
-        # seen[:, 0]: the norm before the block; seen[:, p + 1]: after live column p
-        seen = np.empty((count, cols.size + 1), dtype=np.float64)
-        seen[:, 0] = out[:, b0 - q_lo]
-        if cols.size:
-            ks = b0 + cols
-            chars = _characters(sub, ks)
-            for i0 in range(0, count, batch):
-                i1 = min(i0 + batch, count)
-                inc, mag = _scratch((inc_buf, mag_buf), (i1 - i0, ks.size, width))
-                np.multiply(rows[i0:i1, ks, None], chars, out=inc)
-                np.cumsum(inc, axis=1, out=inc)
-                inc += state[i0:i1, None]
-                seen[i0:i1, 1:] = np.abs(inc, out=mag).mean(axis=2)
-                state[i0:i1] = inc[:, -1]
-            del chars  # freed before the next block is built
-        # step m = b0 + 1 + t repeats the last live column at or before b0 + t
-        last = np.searchsorted(cols, np.arange(b1 - b0), side="right")
-        out[:, b0 + 1 - q_lo : b1 + 1 - q_lo] = seen[:, last]
+    for b0, b1, i0, i1, inc, mag in _blocks(sub, rows, q_lo, q_hi, 1):
+        np.cumsum(inc, axis=1, out=inc)
+        inc += state[i0:i1, None]
+        out[i0:i1, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc, out=mag).mean(axis=2)
+        state[i0:i1] = inc[:, -1]
     out[:, q_hi - q_lo + 1 :] = out[:, q_hi - q_lo, None]
     return out
 
@@ -546,46 +541,26 @@ def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndar
     width = sub.cells
     rows = rows[:, :width]
     q_max = min(n_max, width)
-    step = _scan_block(sub)
 
     s_state = np.zeros((count, width), dtype=np.complex128)
     u_state = np.zeros((count, width), dtype=np.complex128)
     best = np.full(count, -np.inf)
-    # rows in batches of at most step // steps, as in cumulative_l1_norms
-    steps = min(step, q_max)
-    batch = min(count, max(1, step // steps))
-    inc_buf = np.empty(batch * steps * width, dtype=np.complex128)
-    u_buf = np.empty_like(inc_buf)
-    mag_buf = np.empty(inc_buf.size, dtype=np.float64)
-    for b0 in range(0, q_max, step):
-        b1 = min(b0 + step, q_max)
-        chars = character_block(sub, b0, b1)
+    for b0, b1, i0, i1, inc, u_inc, mag in _blocks(sub, rows, 0, q_max, 2):
         ranks = np.arange(b0 + 1, b1 + 1, dtype=np.float64)[:, None]
-        for i0 in range(0, count, batch):
-            i1 = min(i0 + batch, count)
-            inc, u_inc, mag = _scratch((inc_buf, u_buf, mag_buf), (i1 - i0, b1 - b0, width))
-            np.multiply(rows[i0:i1, b0:b1, None], chars, out=inc)
-            np.multiply(ranks, inc, out=u_inc)
-            np.cumsum(inc, axis=1, out=inc)
-            np.cumsum(u_inc, axis=1, out=u_inc)
-            inc += s_state[i0:i1, None]
-            u_inc += u_state[i0:i1, None]
-            s_state[i0:i1] = inc[:, -1]
-            u_state[i0:i1] = u_inc[:, -1]
-            u_inc /= ranks
-            inc -= u_inc
-            norms = np.abs(inc, out=mag).mean(axis=2)
-            np.maximum(best[i0:i1], norms.max(axis=1), out=best[i0:i1])
-        del chars
+        np.multiply(ranks, inc, out=u_inc)
+        np.cumsum(inc, axis=1, out=inc)
+        np.cumsum(u_inc, axis=1, out=u_inc)
+        inc += s_state[i0:i1, None]
+        u_inc += u_state[i0:i1, None]
+        s_state[i0:i1] = inc[:, -1]
+        u_state[i0:i1] = u_inc[:, -1]
+        u_inc /= ranks
+        inc -= u_inc
+        norms = np.abs(inc, out=mag).mean(axis=2)
+        np.maximum(best[i0:i1], norms.max(axis=1), out=best[i0:i1])
     if n_max > q_max:
         np.maximum(best, _frozen_tail_max(s_state, u_state, q_max + 1, n_max), out=best)
     return best
-
-
-def _scratch(bufs: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> list[np.ndarray]:
-    """C-contiguous views of the given shape on the leading elements of flat buffers."""
-    size = math.prod(shape)
-    return [buf[:size].reshape(shape) for buf in bufs]
 
 
 def _sigma_norms(s: np.ndarray, u: np.ndarray, rows: np.ndarray, ns: np.ndarray) -> np.ndarray:

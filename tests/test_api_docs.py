@@ -20,7 +20,6 @@ ORACLES = {
     "rademacher",
     "vilenkin_char",
     "fejer_mean",
-    "partial_sum_l1_norms",
     "variation_profile",
     "verify_decomposition_norm",
 }

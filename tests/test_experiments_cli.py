@@ -17,13 +17,13 @@ from vilenkin import (
     StepFunction,
     build_counterexample,
     build_radix_system,
+    cumulative_l1_norms,
     fejer_mean,
     forward_fast,
     h1_norm,
     l1_norm,
     lebesgue_constant,
     partial_sum,
-    partial_sum_l1_norms,
 )
 from vilenkin.cli import config_hash, main, report_meta
 from vilenkin.experiments import (
@@ -193,7 +193,7 @@ def test_run_divergence_small(dyadic6, dyadic10):
             assert [row[3] for row in rep.table.rows] == pytest.approx(frozen_b)
         spec = CounterexampleSpec(sys_obj, alphas)
         c = forward_fast(build_counterexample(spec))
-        norms = partial_sum_l1_norms(c, 1, sys_obj.cells)
+        norms = cumulative_l1_norms(sys_obj, c.coeffs, 1, sys_obj.cells)[0]
         for n, avg in rep.extra_tables["cesaro"].rows:
             assert avg == pytest.approx(float(norms[:n].mean()), abs=1e-12)
         assert rep.summary["oracle_max_deviation"] < 1e-12
@@ -227,13 +227,13 @@ def test_run_divergence_builds_no_character_rows(dyadic10, monkeypatch):
     import vilenkin.spectral as spectral
 
     calls = []
-    real = spectral._characters
+    real = spectral.character_block
 
-    def spy(sub, ks):
-        calls.append(ks.size)
-        return real(sub, ks)
+    def spy(sub, lo, hi):
+        calls.append(hi - lo)
+        return real(sub, lo, hi)
 
-    monkeypatch.setattr(spectral, "_characters", spy)
+    monkeypatch.setattr(spectral, "character_block", spy)
     rep = run_divergence(dyadic10, (1, 4, 9), 1e-12)
     assert rep.violations == 0
     assert calls == []
@@ -281,8 +281,8 @@ def test_run_gat_small(dyadic6, mixed):
 
 
 def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
-    # every function of a max-rank-4 corpus lives on G_4, so no character row
-    # of the scans may be longer than M_4 = 16 cells
+    # every function of a max-rank-4 corpus lives on G_4, so each of the two
+    # scans (partial sums, Fejer means) builds one block of rows on M_4 = 16 cells
     import vilenkin.spectral as spectral
 
     seen = []
@@ -294,7 +294,7 @@ def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
 
     monkeypatch.setattr(spectral, "character_block", spy)
     run_gat(dyadic10, 8, 4, 1)
-    assert seen and max(seen) <= dyadic10.products[4]
+    assert seen == [16, 16]
 
 
 def test_run_gat_asks_each_endpoint_once(dyadic10, monkeypatch):
@@ -363,6 +363,9 @@ def test_cli_usage_errors_exit_1():
     ["gat", "--radix", "2^34"],
     ["equiv-check", "--radix", "2^34"],
     ["divergence", "--radix", "2^34", "--alphas", "1,4,9"],
+    # a depth whose cell count overflows 64 bits is refused within 63 levels
+    ["lemma1", "--radix", "2^4", "--depth", "10000000"],
+    ["lemma1", "--radix", "2^10000000"],
     # a NaN tolerance is refused before any check is made with it
     ["kernel", "--n", "3", "--tolerance", "nan"],
     ["equiv-check", "--count", "2", "--tolerance", "nan"],

@@ -26,43 +26,38 @@ CASES = regen.cases()
 REL, ABS = 1e-12, 1e-14
 
 
-def _same_number(got, want) -> bool:
-    if isinstance(want, bool) or isinstance(got, bool):
-        return got is want
-    if isinstance(want, int) or isinstance(got, int):
-        return type(got) is type(want) and got == want
+def _same_cell(got, want) -> bool:
+    """Equal type, and equal value but for floats, which agree within REL and ABS."""
+    if type(got) is not type(want):
+        return False
+    if not isinstance(want, float):
+        return got == want
     if math.isnan(want):
         return math.isnan(got)
     return abs(got - want) <= REL * abs(want) + ABS
 
 
 def _assert_same_json(got, want, where="$"):
-    assert type(got) is type(want) or (isinstance(got, (int, float))
-                                       and isinstance(want, (int, float))), where
     if isinstance(want, dict):
-        assert list(got) == list(want), f"{where}: keys differ"
+        assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys differ"
         for key in want:
             _assert_same_json(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):
-        assert len(got) == len(want), f"{where}: length differs"
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: length differs"
         for i, (g, w) in enumerate(zip(got, want)):
             _assert_same_json(g, w, f"{where}[{i}]")
-    elif isinstance(want, (int, float)):
-        assert _same_number(got, want), f"{where}: {got!r} != {want!r}"
     else:
-        assert got == want, where
+        assert _same_cell(got, want), f"{where}: {got!r} != {want!r}"
 
 
 def _cell(text: str):
     """An integer cell as int, any other number as float, anything else as text."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _assert_same_csv(got: str, want: str, name: str):
@@ -71,7 +66,7 @@ def _assert_same_csv(got: str, want: str, name: str):
     header = True
     for lineno, (g, w) in enumerate(zip(got_lines, want_lines), 1):
         where = f"{name}:{lineno}"
-        if w.startswith("#") or header:
+        if header:
             # the meta lines and then the column names
             assert g == w, where
             header = w.startswith("#")
@@ -79,11 +74,7 @@ def _assert_same_csv(got: str, want: str, name: str):
         g_cells, w_cells = g.split(","), w.split(",")
         assert len(g_cells) == len(w_cells), where
         for gc, wc in zip(g_cells, w_cells):
-            gv, wv = _cell(gc), _cell(wc)
-            if isinstance(wv, str) or isinstance(gv, str):
-                assert gc == wc, where
-            else:
-                assert _same_number(gv, wv), f"{where}: {gc} != {wc}"
+            assert _same_cell(_cell(gc), _cell(wc)), f"{where}: {gc} != {wc}"
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

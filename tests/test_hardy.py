@@ -30,7 +30,6 @@ from vilenkin import (
     parse_radix_spec,
     partial_sum,
     partial_sum_decomposition,
-    partial_sum_l1_norms,
     strong_sum_average,
     verify_decomposition_norm,
     window_strong_average,
@@ -344,7 +343,7 @@ def _check_closed_form(spec):
     norms = counterexample_l1_norms(spec)
     assert norms.shape == (sys_obj.cells,)
     c = forward_fast(build_counterexample(spec))
-    scan = partial_sum_l1_norms(c, 1, sys_obj.cells)
+    scan = cumulative_l1_norms(sys_obj, c.coeffs, 1, sys_obj.cells)[0]
     np.testing.assert_allclose(norms, scan, rtol=0, atol=1e-12)
     # S_l f = 0 up to the first block, and S_l f stays put between blocks
     first = sys_obj.products[spec.alphas[0]]
@@ -384,10 +383,10 @@ def test_closed_form_norms_fixed_cases(radix, alphas):
 # averages
 
 
-def test_partial_sum_l1_norms_matches_direct(mixed):
+def test_partial_sum_scan_matches_direct(mixed):
     f = StepFunction(mixed, random_values(mixed, 66))
     c = forward_fast(f)
-    norms = partial_sum_l1_norms(c, 1, mixed.cells)
+    norms = cumulative_l1_norms(mixed, c.coeffs, 1, mixed.cells)[0]
     for m in (1, 7, 24):
         assert norms[m - 1] == pytest.approx(
             l1_norm(partial_sum(c, m)), abs=1e-12
@@ -399,7 +398,7 @@ def test_partial_sum_l1_norms_matches_direct(mixed):
 def test_strong_sum_average_manual(mixed):
     f = StepFunction(mixed, random_values(mixed, 67))
     c = forward_fast(f)
-    norms = partial_sum_l1_norms(c, 1, mixed.cells)
+    norms = cumulative_l1_norms(mixed, c.coeffs, 1, mixed.cells)[0]
     n = 10
     want = np.mean([l1_norm(partial_sum(c, m)) for m in range(1, n + 1)])
     assert strong_sum_average(norms, n) == pytest.approx(float(want), abs=1e-12)
@@ -410,7 +409,7 @@ def test_strong_sum_average_manual(mixed):
 def test_window_average_frozen(dyadic10):
     spec = CounterexampleSpec(dyadic10, (1, 4, 9))
     c = forward_fast(build_counterexample(spec))
-    norms = partial_sum_l1_norms(c, 1, dyadic10.cells)
+    norms = cumulative_l1_norms(dyadic10, c.coeffs, 1, dyadic10.cells)[0]
     # B_1 window is l = 2..4 over normalizer M_2 = 4
     assert window_strong_average(spec, norms, 0) == pytest.approx(0.5)
     assert window_strong_average(spec, norms, 1) == pytest.approx(0.685546875)

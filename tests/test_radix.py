@@ -1,5 +1,7 @@
 """Indexing layer: place values, digit expansions, radix-spec parsing."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,23 @@ def test_build_rejects_bad_input():
 def test_overflow_guard():
     with pytest.raises(ValueError, match="overflow"):
         build_radix_system([2], 64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_radix_system([2], 10**7),
+    lambda: build_radix_system([2, 3, 4], 10**7),
+    lambda: parse_radix_spec("2^10000000"),
+], ids=["walsh", "mixed", "spec"])
+def test_oversized_depth_fails_fast(build):
+    # the cell count overflows within 63 levels, so no longer tuple is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="depth too large.*at level"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_parse_radix_spec():

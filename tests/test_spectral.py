@@ -349,9 +349,9 @@ def test_cumulative_l1_multirow_and_blocks(mixed, monkeypatch):
 
 
 def _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets=None):
-    """The scan with every column of every block built and summed: the
-    bitwise oracle for cumulative_l1_norms, which leaves out the columns
-    whose weights are exactly zero in every row."""
+    """The scan one row at a time, every block through one cumsum: the
+    bitwise oracle for cumulative_l1_norms, which takes its rows through
+    each block in batches."""
     rows = np.atleast_2d(weights)
     count = rows.shape[0]
     sub = sys.truncate(spectral._scan_level(sys, rows, hi, offsets))
@@ -380,7 +380,7 @@ def _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets=None):
 
 @settings(max_examples=60, deadline=None)
 @given(small_systems, st.integers(0, 2**31 - 1), st.data())
-def test_zero_skipping_scan_is_bitwise_dense(sys, seed, data):
+def test_scan_is_bitwise_dense(sys, seed, data):
     # weights with exact-zero stretches, some across every row and some in
     # one row only, scanned in blocks of 16 or more rows
     rng = np.random.default_rng(seed)
@@ -402,20 +402,6 @@ def test_zero_skipping_scan_is_bitwise_dense(sys, seed, data):
         got = cumulative_l1_norms(sys, weights, lo, hi, offsets=offsets)
         want = _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets)
     assert np.array_equal(got, want)
-
-
-def test_zero_columns_build_no_character_rows(dyadic6, monkeypatch):
-    # the counterexample's shape: weights on two runs of columns only
-    weights = np.zeros(dyadic6.cells, dtype=np.complex128)
-    weights[2:4] = 1.0
-    weights[16:32] = 0.5
-    built = []
-    real_rows = spectral._characters
-    monkeypatch.setattr(spectral, "_characters",
-                        lambda sub, ks: built.extend(ks.tolist()) or real_rows(sub, ks))
-    got = cumulative_l1_norms(dyadic6, weights, 0, dyadic6.cells)
-    assert built == [2, 3, *range(16, 32)]
-    assert np.array_equal(got, _dense_cumulative_l1_norms(dyadic6, weights, 0, dyadic6.cells))
 
 
 def test_cumulative_l1_validation(mixed):
@@ -633,19 +619,18 @@ def test_quotient_scans_match_direct(sys, seed, data):
     for offsets, level in cases:
         width = sys.products[level]
         cells_seen = []
-        real_rows = spectral._characters
+        real_block = spectral.character_block
 
-        def spy(sub, ks):
+        def spy(sub, b0, b1):
             cells_seen.append(sub.cells)
-            return real_rows(sub, ks)
+            return real_block(sub, b0, b1)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("vilenkin.spectral._characters", spy)
+            mp.setattr("vilenkin.spectral.character_block", spy)
             got = cumulative_l1_norms(sys, weights, lo, hi, offsets=offsets)
         assert got.shape == (3, hi - lo + 1)
-        # columns whose weights are all exactly zero build no character row
-        live = weights[:, lo : min(hi, width)].any()
-        assert set(cells_seen) == ({width} if live else set())
+        # character rows on G_r whenever the scan has a step there
+        assert set(cells_seen) == ({width} if lo < min(hi, width) else set())
         for i, c in enumerate(coeffs):
             off = 0.0 if offsets is None else offsets[i]
             for m in range(lo, hi + 1):
