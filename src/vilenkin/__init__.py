@@ -30,13 +30,11 @@ from .spectral import (
     vilenkin_char,
 )
 from .norms import (
-    LemmaReport,
     VariationProfile,
     l1_norm,
     lebesgue_constant,
     lebesgue_scan,
     max_lebesgue_log_ratio,
-    scan_variation_bounds,
     variation_bound_arrays,
     variation_profile,
     variation_sum,

@@ -126,13 +126,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("gat", parents=[experiment, seeded], help="logarithmic means over a random corpus")
     p.add_argument("--count", type=int, default=50, help="corpus size (default %(default)s)")
     p.add_argument("--max-rank", type=int,
-                   help="largest corpus rank (default: 4, or the depth if smaller)")
+                   help="largest corpus rank (default: 4, or the depth if smaller); "
+                        "function i has rank 1 + (i mod max-rank), so ranks above --count do not occur")
 
     p = sub.add_parser("equiv-check", parents=[experiment, seeded],
                        help="maximal function vs block partial sums")
     _add_tolerance(p, DEFAULT_EQUALITY_TOL)
     p.add_argument("--count", type=int, default=20, help="corpus size (default %(default)s)")
-    p.add_argument("--rank", type=int, help="largest corpus rank (default: depth)")
+    p.add_argument("--rank", type=int,
+                   help="largest corpus rank (default: depth); function i has rank "
+                        "1 + (i mod rank), so ranks above --count do not occur")
 
     return parser, sub.choices
 

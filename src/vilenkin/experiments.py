@@ -35,9 +35,11 @@ from .hardy import (
 from .norms import (
     l1_norm,
     lebesgue_constant,
+    lebesgue_scan,
     max_lebesgue_log_ratio,
-    scan_variation_bounds,
+    variation_bound_arrays,
     variation_sum,
+    variation_values,
 )
 from .radix import RadixSystem
 from .spectral import (
@@ -212,23 +214,28 @@ def run_lebesgue_scan(
     n_hi: int,
     tol: float,
 ) -> ExperimentReport:
-    rows = max(0, n_hi - n_lo + 1)
+    if not 1 <= n_lo <= n_hi < sys.cells:
+        raise ValueError(f"bound scan range [{n_lo}, {n_hi}] outside [1, {sys.cells - 1}]")
+    rows = n_hi - n_lo + 1
     require_memory(
         f"lebesgue-scan of {rows} rows on M_N = {sys.cells}",
         rows * _SCAN_ROW_BYTES + sys.cells * _KERNEL_CELL_BYTES,
     )
-    scan = scan_variation_bounds(sys, n_lo, n_hi, tol)
-    columns = (scan.n, scan.v, scan.v_star, scan.lebesgue, scan.lower, scan.upper,
-               scan.lower_slack, scan.upper_slack)
-    ratio, at_n = max_lebesgue_log_ratio(scan.lebesgue, n_lo)
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    lebesgue = lebesgue_scan(sys, n_lo, n_hi)
+    v, v_star = variation_values(sys, ns)
+    lower, upper = variation_bound_arrays(v, v_star, sys.max_radix)
+    lower_slack, upper_slack = lebesgue - lower, upper - lebesgue
+    columns = (ns, v, v_star, lebesgue, lower, upper, lower_slack, upper_slack)
+    ratio, at_n = max_lebesgue_log_ratio(lebesgue, n_lo)
     # the kernel route re-evaluates the ends and the rows the summary names
-    probes = {n_lo, n_hi, int(scan.n[scan.lower_slack.argmin()]),
-              int(scan.n[scan.upper_slack.argmin()])}
+    probes = {n_lo, n_hi, int(ns[lower_slack.argmin()]), int(ns[upper_slack.argmin()])}
     if at_n:
         probes.add(at_n)
-    oracle_dev = float(np.max([abs(scan.lebesgue[n - n_lo] - lebesgue_constant(sys, n))
+    oracle_dev = float(np.max([abs(lebesgue[n - n_lo] - lebesgue_constant(sys, n))
                                for n in sorted(probes)]))
-    violations = len(scan.violations) + (0 if oracle_dev <= tol else 1)
+    bad = (lower_slack < -tol) | (upper_slack < -tol)
+    violations = int(bad.sum()) + (0 if oracle_dev <= tol else 1)
     return ExperimentReport(
         experiment="lebesgue-scan",
         table=Table(
@@ -237,10 +244,10 @@ def run_lebesgue_scan(
             list(zip(*(col.tolist() for col in columns))),
         ),
         summary={
-            "checked": int(scan.n.size),
+            "checked": int(ns.size),
             "violations": violations,
-            "min_lower_slack": float(scan.lower_slack.min()),
-            "min_upper_slack": float(scan.upper_slack.min()),
+            "min_lower_slack": float(lower_slack.min()),
+            "min_upper_slack": float(upper_slack.min()),
             "max_L_over_log_n": ratio,
             "max_L_over_log_n_at": at_n,
             "oracle_max_deviation": oracle_dev,

@@ -70,10 +70,7 @@ def maximal_function(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
     """f*(x) = sup over ranks of |average of f over the cylinder at x|, for
     each row f of values: an array (rows, M_N), one numpy call per rank."""
     rows = _as_rows(values, sys.cells, "values")
-    # rank 0 through Python's complex abs, which can differ from np.abs in
-    # the last bit; the reports' h1_norm and gap columns hold its value
-    sizes = [np.array([[abs(complex(z))] for z in rows.mean(axis=1)])]
-    sizes += [np.abs(cylinder_averages(sys, rows, rank)) for rank in range(1, sys.depth + 1)]
+    sizes = [np.abs(cylinder_averages(sys, rows, rank)) for rank in range(sys.depth + 1)]
     return _sup_of_levels(sys, sizes)
 
 

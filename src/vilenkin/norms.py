@@ -33,7 +33,6 @@ takes the Dirichlet-kernel route and serves as its oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +63,13 @@ def lebesgue_constant(sys: RadixSystem, n: int) -> float:
     return l1_norm(dirichlet_kernel(sys, n))
 
 
-def lebesgue_scan(sys: RadixSystem, lo: int = 1, hi: int | None = None) -> np.ndarray:
+def lebesgue_scan(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
     """L_n for every n = lo .. hi inclusive, by the piecewise closed form.
 
     Dividing the piece value by w_p^{c n_p} turns it into
     |(n mod M_p) + M_p sum_{v=1}^{n_p} w_p^{-c v}|, so each level needs one
     small table and one gather per c.  No length-M_N array is built.
     """
-    if hi is None:
-        hi = sys.cells - 1
     if not 1 <= lo <= hi <= sys.cells:
         raise ValueError(f"scan range [{lo}, {hi}] outside [1, {sys.cells}]")
     ns = np.arange(lo, hi + 1, dtype=np.int64)
@@ -149,52 +146,6 @@ def variation_bound_arrays(
     lower = v / (4.0 * lam) + v_star / lam + 1.0 / (2.0 * lam)
     upper = 1.5 * v + 4.0 * v_star - 1.0
     return lower, upper
-
-
-@dataclass(frozen=True, eq=False)
-class LemmaReport:
-    """The two-sided bound at every scanned index, as aligned per-index arrays."""
-
-    n: np.ndarray
-    v: np.ndarray
-    v_star: np.ndarray
-    lebesgue: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    lower_slack: np.ndarray
-    upper_slack: np.ndarray
-    violations: tuple[int, ...]
-
-
-def scan_variation_bounds(
-    sys: RadixSystem,
-    lo: int = 1,
-    hi: int | None = None,
-    tol: float = 1e-9,
-) -> LemmaReport:
-    """Check the two-sided bound for every n in [lo, hi] against lebesgue_scan."""
-    if hi is None:
-        hi = sys.cells - 1
-    if not 1 <= lo <= hi < sys.cells:
-        raise ValueError(f"bound scan range [{lo}, {hi}] outside [1, {sys.cells - 1}]")
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    lebesgue = lebesgue_scan(sys, lo, hi)
-    v, v_star = variation_values(sys, ns)
-    lower, upper = variation_bound_arrays(v, v_star, sys.max_radix)
-    lower_slack = lebesgue - lower
-    upper_slack = upper - lebesgue
-    bad = (lower_slack < -tol) | (upper_slack < -tol)
-    return LemmaReport(
-        n=ns,
-        v=v,
-        v_star=v_star,
-        lebesgue=lebesgue,
-        lower=lower,
-        upper=upper,
-        lower_slack=lower_slack,
-        upper_slack=upper_slack,
-        violations=tuple(ns[bad].tolist()),
-    )
 
 
 def variation_sum(sys: RadixSystem, n: int) -> int:

@@ -111,8 +111,11 @@ def _from_json_dict(data: dict) -> tuple[RadixSystem, np.ndarray]:
         pairs = data["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"parse error: missing interchange field {exc}") from None
-    sys = RadixSystem(tuple(int(m) for m in radices))
-    if int(depth) != sys.depth:
+    # JSON integers only: int() would truncate 2.7, and True is an int
+    if not (isinstance(radices, list) and all(type(m) is int for m in [*radices, depth])):
+        raise ValueError("parse error: radices must be a list of integers, depth an integer")
+    sys = RadixSystem(tuple(radices))
+    if depth != sys.depth:
         raise ValueError(
             f"parse error: depth field {depth} disagrees with {sys.depth} radices"
         )

@@ -3,6 +3,9 @@
     PYTHONPATH=src python3 tests/data/regen_golden.py            # rewrite the files
     PYTHONPATH=src python3 tests/data/regen_golden.py --check    # exit 1 on any byte difference
 
+`--check` names each file that differs, its first differing line and the
+largest relative gap between float cells in the same places of its lines.
+
 Each case is one `vilenkin` command line run through `cli.main` with
 `--out <golden>/<name>`; a CSV report with side tables also writes
 `<stem>.<table>.csv` beside it.  tests/test_golden.py regenerates the same
@@ -20,6 +23,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -71,6 +76,38 @@ def _files(folder: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in folder.iterdir() if p.name != TRANSFORM_INPUT}
 
 
+def _float_cells(line: str) -> list[float]:
+    """The non-integer numbers of a CSV or JSON line, in order."""
+    cells = []
+    for token in re.split(r'[\s,:\[\]{}"]+', line):
+        try:
+            int(token)
+        except ValueError:
+            with contextlib.suppress(ValueError):
+                cells.append(float(token))
+    return cells
+
+
+def _describe(name: str, fresh: bytes | None, kept: bytes | None) -> str:
+    """Where the regenerated and the checked-in file first differ, and the
+    largest relative gap between their float cells, line by line."""
+    if fresh is None or kept is None:
+        return f"{name}: {'not regenerated' if fresh is None else 'not checked in'}"
+    new, old = fresh.decode().splitlines(), kept.decode().splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(new, old), 1) if a != b),
+                 min(len(new), len(old)) + 1)
+    gap = 0.0
+    for a, b in zip(new, old):
+        xs, ys = _float_cells(a), _float_cells(b)
+        if len(xs) != len(ys):
+            continue
+        for x, y in zip(xs, ys):
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                rel = abs(x - y) / max(abs(x), abs(y))
+                gap = max(gap, rel if math.isfinite(rel) else math.inf)
+    return f"{name}: first differs at line {first}, largest relative float gap {gap:.3g}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
@@ -87,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     names = fresh.keys() | kept.keys()
     differ = sorted(name for name in names if fresh.get(name) != kept.get(name))
     for name in differ:
-        print(f"differs: {name}", file=sys.stderr)
+        print(f"differs: {_describe(name, fresh.get(name), kept.get(name))}", file=sys.stderr)
     print(f"{len(names) - len(differ)} of {len(names)} golden files identical", file=sys.stderr)
     return 1 if differ else 0
 

@@ -351,6 +351,8 @@ def test_cli_usage_errors_exit_1():
     ["gat", "--max-rank", "0"],
     ["lebesgue-scan", "--n-min", "0"],
     ["lebesgue-scan", "--n-max", "0"],
+    ["lebesgue-scan", "--n-max", "64"],
+    ["lebesgue-scan", "--n-min", "5", "--n-max", "4"],
     ["lemma1", "--n-max", "0"],
     ["equiv-check", "--rank", "0"],
     ["equiv-check", "--count", "0"],
@@ -374,11 +376,15 @@ def test_cli_usage_errors_exit_1():
     # so is a negative one, which would count every gap as a violation
     ["equiv-check", "--count", "2", "--tolerance", "-1"],
     ["transform", "--in", "IN", "--verify", "--tolerance=-1e-9"],
+    # interchange input whose radices are not a list of integers
+    ["transform", "--in", "NULL_RADICES"],
 ])
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
-    files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg"}
-    files["IN"].write_text(json.dumps(
-        StepFunction(build_radix_system([2], 6), np.ones(64)).to_json_dict()))
+    files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg",
+             "NULL_RADICES": tmp_path / "null.json"}
+    data = StepFunction(build_radix_system([2], 6), np.ones(64)).to_json_dict()
+    files["IN"].write_text(json.dumps(data))
+    files["NULL_RADICES"].write_text(json.dumps({**data, "radices": None}))
     files["NAN_CFG"].write_text("tolerance=nan\n")
     argv = [str(files.get(arg, arg)) for arg in argv]
     # a --radix in the case comes later on the line, so it wins over 2^6
@@ -392,6 +398,7 @@ def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert "vilenkin: error:" in err
+    assert "Traceback" not in err
     assert "L_n" not in err
     assert peak < 2**20
 
@@ -608,8 +615,8 @@ def test_cli_config_hash_records_defaults(tmp_path):
 
 def test_cli_lebesgue_oracle_deviation_exit_2(tmp_path, monkeypatch):
     # a closed form that is off by 1e-6 must fail against the kernel route
-    exact = vilenkin.norms.lebesgue_scan
-    monkeypatch.setattr(vilenkin.norms, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
+    exact = vilenkin.experiments.lebesgue_scan
+    monkeypatch.setattr(vilenkin.experiments, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
     out = tmp_path / "scan.json"
     rc = main(["lebesgue-scan", "--radix", "2,3,4", "--depth", "6", "--format", "json",
                "--out", str(out)])

@@ -11,6 +11,7 @@ import importlib.util
 import io
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,22 @@ def test_golden_set_is_complete_and_small():
     assert {name for name, _ in CASES} <= names
     assert regen.TRANSFORM_INPUT in names
     assert sum(p.stat().st_size for p in regen.GOLDEN.iterdir()) < 150_000
+
+
+def test_check_names_file_line_and_gap(tmp_path, monkeypatch, capsys):
+    # one float cell of a copied golden file moved by 20%: --check names the
+    # file, the line and the gap
+    for p in regen.GOLDEN.iterdir():
+        shutil.copy(p, tmp_path / p.name)
+    target = tmp_path / "lebesgue-scan-2p6.csv"
+    lines = target.read_text().splitlines(keepends=True)
+    assert lines[8] == "3,2,0,1.5,0.5,2.0,1.0,0.5\n"
+    lines[8] = "3,2,0,1.2,0.5,2.0,1.0,0.5\n"
+    target.write_text("".join(lines))
+    monkeypatch.setattr(regen, "GOLDEN", tmp_path)
+    assert regen.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert ("differs: lebesgue-scan-2p6.csv: first differs at line 9, "
+            "largest relative float gap 0.2\n") in err
+    assert err.count("differs:") == 1
+    assert "35 of 36 golden files identical" in err

@@ -73,7 +73,7 @@ def test_maximal_function_brute_force(mixed):
 def _tiled_maximal(f):
     """f* by the tiled construction: every rank's means tiled out to M_N."""
     sys = f.sys
-    best = np.full(sys.cells, abs(complex(f.values.mean())))
+    best = np.full(sys.cells, np.abs(f.values.mean()))
     for rank in range(1, sys.depth + 1):
         width = sys.products[rank]
         means = f.values.reshape(-1, width).mean(axis=0)
@@ -140,7 +140,7 @@ def test_norm_equivalence_random(dyadic6, mixed2):
 
 def _one_maximal(f):
     sys = f.sys
-    best = np.array([abs(complex(f.values.mean()))])
+    best = np.array([np.abs(f.values.mean())])
     for rank, m, M in zip(range(1, sys.depth + 1), sys.radices, sys.products):
         width = sys.products[rank]
         level = np.abs(f.values.reshape(sys.cells // width, width).mean(axis=0))

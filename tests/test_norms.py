@@ -15,12 +15,13 @@ from vilenkin import (
     l1_norm,
     lebesgue_scan,
     max_lebesgue_log_ratio,
-    scan_variation_bounds,
     variation_bound_arrays,
     variation_profile,
     variation_sum,
     variation_values,
 )
+from vilenkin import experiments
+from vilenkin.experiments import run_lebesgue_scan
 from conftest import small_systems
 
 
@@ -138,44 +139,63 @@ def test_variation_values_range_check(mixed):
 # the two-sided bound
 
 
+def _column(report, name):
+    return np.array([row[report.table.columns.index(name)] for row in report.table.rows])
+
+
 def test_bound_check_frozen_dyadic(dyadic6):
     # n=1..3: v=2, v*=0, lambda=2 -> bounds [0.5, 2] around L = 1, 1, 1.5
-    rep = scan_variation_bounds(dyadic6, 1, 3)
-    assert rep.n.tolist() == [1, 2, 3]
-    assert rep.v.tolist() == [2, 2, 2]
-    assert rep.v_star.tolist() == [0, 0, 0]
-    assert rep.lower == pytest.approx([0.5] * 3)
-    assert rep.upper == pytest.approx([2.0] * 3)
-    assert rep.lebesgue == pytest.approx([1.0, 1.0, 1.5])
-    assert rep.lower_slack == pytest.approx([0.5, 0.5, 1.0])
-    assert rep.upper_slack == pytest.approx([1.0, 1.0, 0.5])
-    assert rep.violations == ()
+    rep = run_lebesgue_scan(dyadic6, 1, 3, 1e-9)
+    assert _column(rep, "n").tolist() == [1, 2, 3]
+    assert _column(rep, "v").tolist() == [2, 2, 2]
+    assert _column(rep, "v_star").tolist() == [0, 0, 0]
+    assert _column(rep, "lower_bound") == pytest.approx([0.5] * 3)
+    assert _column(rep, "upper_bound") == pytest.approx([2.0] * 3)
+    assert _column(rep, "L_n") == pytest.approx([1.0, 1.0, 1.5])
+    assert _column(rep, "lower_slack") == pytest.approx([0.5, 0.5, 1.0])
+    assert _column(rep, "upper_slack") == pytest.approx([1.0, 1.0, 0.5])
+    assert rep.violations == 0
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_bound_check_counts_slacks_below_minus_tol(dyadic6, monkeypatch, side):
+    # a bound moved 0.25 past L_n = 1, 1, 1.5 (exact in binary) leaves that
+    # slack at -0.25 in every row: within a tolerance of 0.25, beyond 0.125
+    lebesgue = np.array([1.0, 1.0, 1.5])
+    if side == "lower":
+        bounds = (lebesgue + 0.25, np.full(3, 2.0))
+    else:
+        bounds = (np.full(3, 0.5), lebesgue - 0.25)
+    monkeypatch.setattr(experiments, "variation_bound_arrays", lambda v, v_star, lam: bounds)
+    assert run_lebesgue_scan(dyadic6, 1, 3, 0.25).violations == 0
+    assert run_lebesgue_scan(dyadic6, 1, 3, 0.125).violations == 3
 
 
 def test_bounds_hold_exhaustively(dyadic6, triadic, mixed2):
     # 2^20 and (2,3,4)x4 take every n below about 10^6 and 3.3 * 10^5
     dyadic20 = build_radix_system([2], 20)
     for sys in (dyadic6, triadic, mixed2, dyadic20, build_radix_system([2, 3, 4], 12)):
-        report = scan_variation_bounds(sys)
-        assert report.n.size == sys.cells - 1
-        assert report.violations == (), f"violations on {sys.spec_string()}"
-        assert report.lower_slack.min() >= 0
-        assert report.upper_slack.min() >= 0
+        lebesgue = lebesgue_scan(sys, 1, sys.cells - 1)
+        v, v_star = variation_values(sys, np.arange(1, sys.cells))
+        lower, upper = variation_bound_arrays(v, v_star, sys.max_radix)
+        assert lebesgue.size == sys.cells - 1
+        assert (lebesgue - lower).min() >= 0, f"lower bound fails on {sys.spec_string()}"
+        assert (upper - lebesgue).min() >= 0, f"upper bound fails on {sys.spec_string()}"
         if sys is dyadic20:
             # the largest L_n (699051) and the tightest upper slack (M_N - 1)
             for n in (1, 3, 699051, sys.cells - 1):
-                assert report.lebesgue[n - 1] == pytest.approx(
+                assert lebesgue[n - 1] == pytest.approx(
                     lebesgue_constant(sys, n), abs=1e-12
                 )
 
 
 def test_scan_accepts_precomputed_norms(mixed):
     # the bound scan reads L_n from the closed form, exactly
-    scan = scan_variation_bounds(mixed, 1, 10)
-    np.testing.assert_array_equal(scan.lebesgue, lebesgue_scan(mixed, 1, 10))
+    rep = run_lebesgue_scan(mixed, 1, 10, 1e-9)
+    np.testing.assert_array_equal(_column(rep, "L_n"), lebesgue_scan(mixed, 1, 10))
     for lo, hi in ((0, 5), (3, 2), (1, mixed.cells)):
-        with pytest.raises(ValueError, match="range"):
-            scan_variation_bounds(mixed, lo, hi)
+        with pytest.raises(ValueError, match="bound scan range"):
+            run_lebesgue_scan(mixed, lo, hi, 1e-9)
 
 
 def test_bound_arrays_shapes():

@@ -718,3 +718,10 @@ def test_json_parse_errors(mixed):
         bad["values"] = [pair] + good["values"][1:]
         with pytest.raises(ValueError, match="parse error"):
             StepFunction.from_json_dict(bad)
+    # a radix or depth that is not a JSON integer is refused, not truncated
+    for key, value in (("radices", None), ("radices", 234), ("radices", "234"),
+                       ("radices", [2, 3.0, 4]), ("radices", [2.7, 3, 4]),
+                       ("radices", [True, 3, 4]), ("depth", None), ("depth", 1.5),
+                       ("depth", 3.0)):
+        with pytest.raises(ValueError, match="parse error"):
+            StepFunction.from_json_dict({**good, key: value})
