@@ -255,11 +255,11 @@ def _kernel_cmd(args: argparse.Namespace, sys_obj) -> int:
     if args.format == "json":
         emit(json.dumps(kern.to_json_dict()) + "\n", args.out)
     else:
-        rows = [(t, float(z.real), float(z.imag)) for t, z in enumerate(kern.values)]
         report = ExperimentReport(
             experiment="kernel",
             meta=report_meta(sys_obj, _resolved_for_hash(args)),
-            table=Table(["t", "re", "im"], rows),
+            table=Table(["t", "re", "im"],
+                        (np.arange(sys_obj.cells), kern.values.real, kern.values.imag)),
         )
         write_report(report, args.out, "csv")
     if n >= 1:
@@ -317,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.monotonic() - t0
         where = ", ".join(paths) if paths else "stdout"
         print(
-            f"{command}: {len(report.table.rows)} rows -> {where} "
+            f"{command}: {report.table.data[0].size} rows -> {where} "
             f"({elapsed:.2f}s); summary: {report.summary}",
             file=sys.stderr,
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import sys as _sys
 from dataclasses import dataclass, field
@@ -57,8 +56,27 @@ DEFAULT_ORACLE_TOL = 1e-10
 
 @dataclass
 class Table:
+    """A report table held by column: `columns` names them, and `data` holds
+    one 1-D int64 or float64 array per name, all of one length."""
+
     columns: list[str]
-    rows: list[tuple]
+    data: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        self.data = tuple(np.asarray(col) for col in self.data)
+        if len(self.data) != len(self.columns):
+            raise ValueError(f"{len(self.columns)} column names for {len(self.data)} columns")
+        for name, col in zip(self.columns, self.data):
+            if col.ndim != 1 or col.dtype not in (np.int64, np.float64):
+                raise ValueError(f"column {name!r} is {col.ndim}-D {col.dtype}, "
+                                 "not 1-D int64 or float64")
+        if len({col.size for col in self.data}) > 1:
+            raise ValueError("columns of different lengths")
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The rows as tuples of Python ints and floats, built on each call."""
+        return list(zip(*(col.tolist() for col in self.data)))
 
 
 @dataclass
@@ -71,6 +89,21 @@ class ExperimentReport:
     violations: int = 0
 
 
+# Rows rendered at a time: the cell text of one chunk is held at once.
+_CHUNK_ROWS = 4096
+
+
+def _cell_text(col: np.ndarray) -> list[str]:
+    """str of every value of a 1-D int64 or float64 array, each distinct value
+    formatted once.  Floats are keyed by their bits, so -0.0 stays apart
+    from 0.0; str of a float is its shortest round-trip text, so rereads
+    are exact."""
+    keys = col.view(np.int64) if col.dtype == np.float64 else col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([str(v) for v in col[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def render_csv(report: ExperimentReport, table: Table | None = None) -> str:
     """One CSV table with `#` meta header lines; deterministic float text."""
     t = table if table is not None else report.table
@@ -79,9 +112,9 @@ def render_csv(report: ExperimentReport, table: Table | None = None) -> str:
     for key, val in report.meta.items():
         buf.write(f"# {key}={val}\n")
     buf.write(",".join(t.columns) + "\n")
-    for row in t.rows:
-        # str of a float is its shortest round-trip text, so rereads are exact
-        buf.write(",".join(map(str, row)) + "\n")
+    for lo in range(0, t.data[0].size, _CHUNK_ROWS):
+        cells = [_cell_text(col[lo : lo + _CHUNK_ROWS]) for col in t.data]
+        buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return buf.getvalue()
 
 
@@ -160,9 +193,11 @@ def random_step_corpus(
 
 
 # Peak bytes, measured with tracemalloc on 2^10 .. 2^18 and rounded up.  Per
-# lebesgue-scan table row: the columns, the row tuples and the rendered text
-# (about 560 as CSV, 1340 as JSON).  Per cell: one Dirichlet kernel (32 to
-# 47), a kernel report with its rendered rows (190 to 345), a divergence run
+# lebesgue-scan table row, also on 3^9, 5^6, 7^5, (2,3,4)x3 and (5,2,7)x2:
+# the columns and the rendered text, which as CSV holds the cell strings of
+# one chunk of rows at a time (215 to 520), and as JSON the row lists the
+# text is built from (1140 to 1220).  Per cell: one Dirichlet kernel (32 to
+# 47), a kernel report as CSV (95 to 225) or JSON (205 to 350), a divergence run
 # (88 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and (5,2,7)x3:
 # the function, its coefficients and their check, the norms, the oracle's
 # synthesized partial sums and the H1 norms of the truncations; the closed
@@ -181,7 +216,7 @@ def random_step_corpus(
 # each at most one block); past M_r the Fejer maximum evaluates its two
 # ends, and inner n only for rows within rounding of a tie, at most
 # spectral._SCAN_BLOCK_ELEMENTS cells at a time.
-_SCAN_ROW_BYTES = 1536
+_SCAN_ROW_BYTES = 1280
 _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384
 _DIVERGENCE_CELL_BYTES = 160
@@ -241,7 +276,7 @@ def run_lebesgue_scan(
         table=Table(
             ["n", "v", "v_star", "L_n", "lower_bound", "upper_bound",
              "lower_slack", "upper_slack"],
-            list(zip(*(col.tolist() for col in columns))),
+            columns,
         ),
         summary={
             "checked": int(ns.size),
@@ -263,14 +298,14 @@ def run_variation_average(sys: RadixSystem, n_max: int) -> ExperimentReport:
         f"lemma1 up to M_{n_max} = {sys.products[n_max]}",
         sys.products[n_max] * _LEMMA_INDEX_BYTES,
     )
-    rows = []
-    for n in range(1, n_max + 1):
-        total, M_n = variation_sum(sys, n), sys.products[n]
-        rows.append((n, total / (n * M_n), total / M_n))
-    c_estimate = min(r[1] for r in rows)
+    ns = np.arange(1, n_max + 1)
+    totals = [(n, variation_sum(sys, n), sys.products[n]) for n in ns.tolist()]
+    average_n_mn = np.array([total / (n * M_n) for n, total, M_n in totals])
+    average_mn = np.array([total / M_n for _, total, M_n in totals])
+    c_estimate = float(average_n_mn.min())
     return ExperimentReport(
         experiment="lemma1",
-        table=Table(["n", "average_n_mn", "average_mn"], rows),
+        table=Table(["n", "average_n_mn", "average_mn"], (ns, average_n_mn, average_mn)),
         summary={"c_estimate": c_estimate},
         violations=0 if c_estimate > 0 else 1,
     )
@@ -300,37 +335,29 @@ def run_divergence(
     oracle_dev = max(abs(float(norms[l - 1]) - l1_norm(partial_sum(coeffs, l)))
                      for l in probes)
 
-    rows = []
-    for k, a in enumerate(spec.alphas):
-        b_k = window_strong_average(spec, norms, k)
-        root = math.sqrt(a)
-        truncated = build_counterexample(spec.truncated(k + 1))
-        rows.append((k + 1, a, sys.products[a], b_k, root, b_k / root, h1_norm(truncated)))
+    ks = range(len(spec.alphas))
+    alphas = np.array(spec.alphas, dtype=np.int64)
+    b = np.array([window_strong_average(spec, norms, k) for k in ks])
+    roots = np.sqrt(alphas)
+    ratios = b / roots
+    h1 = np.array([h1_norm(build_counterexample(spec.truncated(k + 1))) for k in ks])
+    levels = np.array(sys.products[1:], dtype=np.int64)  # M_1 .. M_N
+    curve = np.array([strong_sum_average(norms, n) for n in levels.tolist()])
 
-    curve_rows = [(n, strong_sum_average(norms, n)) for n in sys.products[1:]]
-
-    ratios = [r[5] for r in rows]
-    b_values = [r[3] for r in rows]
-    h1_values = [r[6] for r in rows]
-    fit = float(
-        sum(b * math.sqrt(a) for b, a in zip(b_values, spec.alphas))
-        / sum(spec.alphas)
-    )
+    fit = float(sum((b * roots).tolist()) / sum(spec.alphas))
     return ExperimentReport(
         experiment="divergence",
         table=Table(
             ["k", "alpha_k", "M_alpha_k", "B_k", "alpha_k_sqrt", "ratio", "h1_norm"],
-            rows,
+            (1 + np.arange(alphas.size), alphas, levels[alphas - 1], b, roots, ratios, h1),
         ),
-        extra_tables={"cesaro": Table(["n", "cesaro_average"], curve_rows)},
+        extra_tables={"cesaro": Table(["n", "cesaro_average"], (levels, curve))},
         summary={
             "eq_block_coeff_deviation": eq_dev,
-            "b_strictly_increasing": all(
-                b < c for b, c in zip(b_values, b_values[1:])
-            ),
-            "min_ratio": min(ratios),
+            "b_strictly_increasing": bool(np.all(b[:-1] < b[1:])),
+            "min_ratio": float(ratios.min()),
             "fit_ratio": fit,
-            "h1_spread": max(h1_values) / min(h1_values),
+            "h1_spread": float(h1.max() / h1.min()),
             "tail_sum": spec.tail_sum,
             "oracle_max_deviation": oracle_dev,
         },
@@ -357,31 +384,25 @@ def run_gat(
 
     # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
     # last endpoint (on a depth-1 system the only one, and the table is empty)
-    ends = sys.products[2:]
+    ends = np.array(sys.products[2:], dtype=np.int64)
     convergence, bounded = gat_log_average(
         sys, coeff_rows, value_rows, sys.products[min(2, sys.depth):]
     )
     ratios = bounded / h1s[:, None]
-    rows = [
-        (i, 1 + (i % max_rank), n, float(convergence[i, j]), float(bounded[i, j]),
-         float(ratios[i, j]))
-        for i in range(count)
-        for j, n in enumerate(ends)
-    ]
+    ids = np.arange(count)
+    row_ids = np.repeat(ids, ends.size)
     fejer_sup = fejer_l1_norms(sys, coeff_rows, sys.cells)
     fejer_ratios = fejer_sup / h1s
-    fejer_rows = [
-        (i, float(fejer_sup[i]), float(h1s[i]), float(fejer_ratios[i]))
-        for i in range(count)
-    ]
     return ExperimentReport(
         experiment="gat",
         table=Table(
             ["func_id", "rank", "n", "convergence_form", "bounded_form", "bounded_ratio"],
-            rows,
+            (row_ids, 1 + row_ids % max_rank, np.tile(ends, count),
+             *(col[:, : ends.size].ravel() for col in (convergence, bounded, ratios))),
         ),
         extra_tables={
-            "fejer": Table(["func_id", "sup_sigma_l1", "h1_norm", "ratio"], fejer_rows)
+            "fejer": Table(["func_id", "sup_sigma_l1", "h1_norm", "ratio"],
+                           (ids, fejer_sup, h1s, fejer_ratios))
         },
         summary={
             "count": count,
@@ -407,17 +428,14 @@ def run_equiv_check(
     values = np.vstack([f.values for f in random_step_corpus(sys, count, rank, seed)])
     rep = check_norm_equivalence(sys, values)
     gaps = rep.max_pointwise_diff
-    rows = [
-        (i, 1 + (i % rank), float(h1), float(sup), float(gap))
-        for i, (h1, sup, gap) in enumerate(zip(rep.h1_norm, rep.sup_block_norm, gaps))
-    ]
+    ids = np.arange(count)
     # a NaN gap counts as bad, and np.max keeps it in the summary
     bad = int(np.count_nonzero(~(gaps <= tol)))
     return ExperimentReport(
         experiment="equiv-check",
         table=Table(
             ["func_id", "rank", "h1_norm", "sup_block_norm", "max_pointwise_diff"],
-            rows,
+            (ids, 1 + ids % rank, rep.h1_norm, rep.sup_block_norm, gaps),
         ),
         summary={"max_pointwise_diff": float(np.max(gaps)), "violations": bad},
         violations=bad,

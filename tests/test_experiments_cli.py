@@ -7,9 +7,12 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vilenkin
 from vilenkin import (
@@ -25,6 +28,7 @@ from vilenkin import (
     lebesgue_constant,
     partial_sum,
 )
+from vilenkin import experiments as experiments_mod
 from vilenkin.cli import config_hash, main, report_meta
 from vilenkin.experiments import (
     ExperimentReport,
@@ -63,15 +67,17 @@ def _tiny_report(sys):
     return ExperimentReport(
         experiment="demo",
         meta=report_meta(sys, {"seed": 1}),
-        table=Table(["n", "x"], [(1, 0.5), (2, 1.0 / 3.0)]),
-        extra_tables={"side": Table(["k"], [(7,)])},
+        table=Table(["n", "x"], (np.array([1, 2]), np.array([0.5, 1.0 / 3.0]))),
+        extra_tables={"side": Table(["k"], (np.array([7]),))},
         summary={"ok": True},
     )
 
 
 def test_render_csv_layout(dyadic6):
     report = _tiny_report(dyadic6)
-    report.table.rows.append((np.int64(3), np.float64(0.25)))
+    n, x = report.table.data
+    report.table = Table(report.table.columns, (np.append(n, 3), np.append(x, 0.25)))
+    assert [col.dtype for col in report.table.data] == [np.int64, np.float64]
     text = render_csv(report)
     lines = text.splitlines()
     assert lines[0] == "# experiment=demo"
@@ -83,7 +89,8 @@ def test_render_csv_layout(dyadic6):
     assert lines[6] == "1,0.5"
     # repr keeps the full float so rereads are exact
     assert lines[7] == f"2,{1.0 / 3.0!r}"
-    # a numpy scalar in a row is written as its number, not as np.float64(...)
+    # a value of an int64 or float64 column is written as its number, not as
+    # np.int64(...) or np.float64(...)
     assert lines[8] == "3,0.25"
 
 
@@ -112,6 +119,89 @@ def test_write_report_stdout(capsys, dyadic6):
     assert write_report(_tiny_report(dyadic6), None, "csv") == []
     captured = capsys.readouterr()
     assert "# table=side" in captured.out
+
+
+def _render_csv_by_rows(report, table):
+    """Oracle: the per-row rendering, str of every cell of each row tuple."""
+    head = [f"# experiment={report.experiment}",
+            *(f"# {key}={val}" for key, val in report.meta.items()),
+            ",".join(table.columns)]
+    return "".join(line + "\n" for line in head + [",".join(map(str, row)) for row in table.rows])
+
+
+_INT64 = st.one_of(
+    st.sampled_from([0, 1, -1, 2**63 - 1, -(2**63), 2**53 + 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+_FLOAT64 = st.one_of(
+    # few values, so that repeats are common
+    st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-310, 0.1, 1.0 / 3.0, 1e16, 1e-5, 2.5]),
+    st.floats(width=64),
+    # any bit pattern, NaN payloads included
+    _INT64.map(lambda bits: float(np.int64(bits).view(np.float64))),
+)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=4))
+    data = []
+    for kind in kinds:
+        values = draw(st.lists(_INT64 if kind == "int" else _FLOAT64,
+                               min_size=rows, max_size=rows))
+        data.append(np.array(values, dtype=np.int64 if kind == "int" else np.float64))
+    return Table([f"c{i}" for i in range(len(kinds))], tuple(data))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, experiments_mod._CHUNK_ROWS])
+@settings(max_examples=60, deadline=None)
+@given(table=_tables())
+def test_render_csv_matches_row_oracle(chunk, table, dyadic6):
+    report = ExperimentReport(experiment="demo", meta=report_meta(dyadic6, {}), table=table)
+    with mock.patch.object(experiments_mod, "_CHUNK_ROWS", chunk):
+        assert render_csv(report) == _render_csv_by_rows(report, table)
+
+
+def test_render_csv_keeps_zero_signs_and_nan(dyadic6):
+    x = np.array([0.0, -0.0, np.nan, -np.nan, 0.0, -0.0, np.inf, 5e-324])
+    report = ExperimentReport("demo", Table(["x"], (x,)))
+    assert render_csv(report).splitlines()[2:] == [
+        "0.0", "-0.0", "nan", "nan", "0.0", "-0.0", "inf", "5e-324"]
+
+
+def test_render_csv_formats_one_chunk_at_a_time(monkeypatch, mixed2):
+    sizes = []
+    real = experiments_mod._cell_text
+
+    def spy(col):
+        sizes.append(col.size)
+        return real(col)
+
+    monkeypatch.setattr(experiments_mod, "_cell_text", spy)
+    chunk = experiments_mod._CHUNK_ROWS
+    rows = 2 * chunk + 1
+    render_csv(ExperimentReport("demo", Table(["n", "x"], (np.arange(rows), np.ones(rows)))))
+    assert sizes == [chunk, chunk, chunk, chunk, 1, 1]
+
+    sizes.clear()
+    monkeypatch.setattr(experiments_mod, "_CHUNK_ROWS", 64)
+    rep = run_lebesgue_scan(mixed2, 1, mixed2.cells - 1, 1e-9)
+    render_csv(rep)
+    assert mixed2.cells - 1 > 64
+    assert max(sizes) == 64 and sum(sizes) == (mixed2.cells - 1) * len(rep.table.columns)
+
+
+def test_table_rejects_other_columns():
+    with pytest.raises(ValueError, match="int64 or float64"):
+        Table(["x"], (np.zeros(3, dtype=np.complex128),))
+    with pytest.raises(ValueError, match="1-D"):
+        Table(["x"], (np.zeros((2, 2)),))
+    with pytest.raises(ValueError, match="lengths"):
+        Table(["n", "x"], (np.arange(2), np.zeros(3)))
+    with pytest.raises(ValueError, match="names"):
+        Table(["n"], (np.arange(2), np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +407,8 @@ def test_run_gat_depth_one():
     sys_obj = build_radix_system([2], 1)
     rep = run_gat(sys_obj, 4, 1, 1)
     assert rep.table.rows == []
+    assert render_csv(rep).endswith(
+        "\nfunc_id,rank,n,convergence_form,bounded_form,bounded_ratio\n")
     want = 0.0
     for f in random_step_corpus(sys_obj, 4, 1, 1):
         c = forward_fast(f)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from vilenkin import experiments
 from vilenkin.cli import main
 
 _spec = importlib.util.spec_from_file_location(
@@ -97,6 +98,25 @@ def test_golden_report(name, argv, tmp_path):
             _assert_same_json(json.loads(got), json.loads(want), file)
         else:
             _assert_same_csv(got, want, file)
+
+
+def _run_case(argv, outdir: Path, name: str) -> dict[str, str]:
+    outdir.mkdir()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--out", str(outdir / name)]) == 0
+    return {p.name: p.read_text() for p in outdir.iterdir()}
+
+
+CSV_CASES = [(name, argv) for name, argv in CASES if name.endswith(".csv")]
+
+
+@pytest.mark.parametrize("name,argv", CSV_CASES, ids=[name for name, _ in CSV_CASES])
+def test_golden_csv_across_chunk_boundaries(name, argv, tmp_path, monkeypatch):
+    # every golden table is shorter than one default chunk; chunks of 7 rows
+    # cross a boundary in all but the shortest, and must write the same bytes
+    whole = _run_case(argv, tmp_path / "whole", name)
+    monkeypatch.setattr(experiments, "_CHUNK_ROWS", 7)
+    assert _run_case(argv, tmp_path / "chunked", name) == whole
 
 
 def test_golden_set_is_complete_and_small():
