@@ -312,6 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             report = run_equiv_check(sys_obj, args.count, args.rank, args.seed, args.tolerance)
         report.meta = report_meta(sys_obj, _resolved_for_hash(args))
+        rank_option = {"gat": "max_rank", "equiv-check": "rank"}.get(command)
+        if rank_option and getattr(args, rank_option) > args.count:
+            print(f"{command}: note: function i has rank 1 + (i mod "
+                  f"--{rank_option.replace('_', '-')}), so ranks above --count "
+                  f"{args.count} do not occur", file=sys.stderr)
 
         paths = write_report(report, args.out, args.format)
         elapsed = time.monotonic() - t0

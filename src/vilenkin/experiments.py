@@ -198,19 +198,24 @@ def random_step_corpus(
 # one chunk of rows at a time (215 to 520), and as JSON the row lists the
 # text is built from (1140 to 1220).  Per cell: one Dirichlet kernel (32 to
 # 47), a kernel report as CSV (95 to 225) or JSON (205 to 350), a divergence run
-# (88 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and (5,2,7)x3:
+# (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and (5,2,7)x3:
 # the function, its coefficients and their check, the norms, the oracle's
-# synthesized partial sums and the H1 norms of the truncations; the closed
-# form holds at most spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a time
-# and no scan scratch).  Per lemma1 index: 65 to 79.  Per cell of each corpus
-# function: 152 to 157 in gat (its log means stack the coefficients and the
-# offsets twice, beside three norm arrays; 2^12 .. 2^18, 3^9 and 7^6 with
-# ranks up to 4, where no scan block is large), 32 in equiv-check (the corpus
-# and its row stack), which also holds the check of one chunk of rows at a
-# time (spectral._chunk_rows): the coefficients, two level buffers of the
-# synthesis, the block partial sums on G_0 .. G_N (at most 2 M_N values per
-# row) and both sups (72 to 112 per chunk cell on 262144^1, 512^2, 64^3,
-# 3^11, 7^6, 2^10, 2^14 and 2^18, shallow systems included).  Per element of
+# synthesized partial sums and the H1 norms of the truncations, each on its
+# own G_q from a copy of its first M_q values; the closed form holds at most
+# spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a time and no scan scratch).
+# Per lemma1 index: 65 to 79.  Per cell of each corpus function: 128 to 156
+# in gat (its log means stack the coefficients and the offsets twice, beside
+# three norm arrays; 2^10 .. 2^18, 3^9 and 7^6 with ranks up to 4, where no
+# scan block is large, and 131 to 142 at full rank on 2^10 and 2^12), 32 in
+# equiv-check (the corpus list beside its row stack).  The H1 pass of both
+# holds one chunk of rows of one period level q at a time
+# (spectral._quotients): a copy of their first M_q values, the coefficients,
+# two level buffers of the synthesis, the block partial sums on G_0 .. G_q
+# (at most 2 M_q values per row) and both sups.  A chunk of full-rank rows
+# takes 72 to 88 bytes per cell (2^10 .. 2^18, 3^9, 3^11, 7^6, 262144^1,
+# 512^2 and 64^3), so equiv-check counts min(count, _chunk_rows) full rows
+# at 96; rows of rank up to 4 run on G_4 and take 0.5 to 1.6 bytes per cell
+# of G_N.  Per element of
 # a scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
 # (the character rows and the scratch reused across blocks and row batches,
 # each at most one block); past M_r the Fejer maximum evaluates its two
@@ -376,11 +381,11 @@ def run_gat(
         count * sys.cells * _GAT_CELL_BYTES + _scan_scratch(sys),
     )
     value_rows = np.vstack([f.values for f in random_step_corpus(sys, count, max_rank, seed)])
-    coeff_rows = np.empty_like(value_rows)
+    coeff_rows = np.zeros_like(value_rows)
     h1s = np.empty(count)
-    for lo, coeffs, star in h1_pass(sys, value_rows):
-        coeff_rows[lo : lo + len(coeffs)] = coeffs
-        h1s[lo : lo + len(coeffs)] = star.mean(axis=1)
+    for rows, sub, coeffs, star in h1_pass(sys, value_rows):
+        coeff_rows[rows, : sub.cells] = coeffs
+        h1s[rows] = star.mean(axis=1)
 
     # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
     # last endpoint (on a depth-1 system the only one, and the table is empty)

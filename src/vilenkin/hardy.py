@@ -5,8 +5,11 @@ absolute cylinder averages; its L1 norm is the martingale H1 norm.  For
 rank-N step functions the rank-n average coincides pointwise with the
 partial sum S_{M_n} f, which is what makes the norm equivalence checkable
 as an exact identity rather than a two-sided estimate.  The H1 routines
-take a stack of functions, one per row of a (rows, M_N) array, and run in
-chunks of rows (h1_pass), one numpy call per level for a whole chunk.
+take a stack of functions, one per row of a (rows, M_N) array.  The H1 pass
+(h1_pass) runs each row on the smallest quotient group G_q it lives on:
+past rank q every cylinder average and block sum S_{M_n} f is f itself, so
+f* and the spectral sup on G_N are tiles of those on G_q.  The rows of one
+level q go in chunks, one numpy call per level for a whole chunk.
 
 The counterexample family lives here too: for increasing exponents a_k the
 function f = sum_k (D_{M_{a_k + 1}} - D_{M_{a_k}}) / sqrt(a_k) has block
@@ -31,9 +34,9 @@ from .spectral import (
     StepFunction,
     _as_rows,
     _block_heads,
-    _chunk_rows,
-    _forward_rows,
+    _quotients,
     _root_table,
+    _transform,
     character_block,
     cumulative_l1_norms,
     dirichlet_kernel,
@@ -75,24 +78,28 @@ def maximal_function(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
 
 
 def h1_norm(f: StepFunction) -> float:
-    """Martingale Hardy norm ||f||_{H_1} = ||f*||_1."""
-    return float(maximal_function(f.sys, f.values)[0].mean())
+    """Martingale Hardy norm ||f||_{H_1} = ||f*||_1, taken on the quotient
+    group G_q of f as in h1_pass, and equal to its value for f bit for bit."""
+    ((_, sub, head),) = _quotients(f.sys, f.values[None, :])
+    return float(maximal_function(sub, head)[0].mean())
 
 
 def h1_pass(
     sys: RadixSystem, values: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, RadixSystem, np.ndarray, np.ndarray]]:
     """The stacked H1 pass over the rows of values (rows, M_N).
 
-    Yields (first row, coefficients, f*) for consecutive chunks of
-    _chunk_rows(sys) rows, so the scratch of a pass does not grow with the
-    number of rows.
+    Each row runs on the smallest quotient group G_q it lives on (its
+    period level q, exact equality only): past rank q the averages and the
+    block sums S_{M_n} f are f itself, so f* and the coefficients on G_N are
+    the tiles, and the zero-fill past M_q, of those on G_q.  Yields
+    (row indices, G_q, coefficients on G_q, f* on G_q) for the rows of one
+    level q at a time, in chunks of at most _chunk_rows(G_q) rows, so the
+    scratch of a pass grows neither with the number of rows nor past M_q
+    columns.
     """
-    values = _as_rows(values, sys.cells, "values")
-    step = _chunk_rows(sys)
-    for lo in range(0, values.shape[0], step):
-        chunk = values[lo : lo + step]
-        yield lo, _forward_rows(sys, chunk), maximal_function(sys, chunk)
+    for rows, sub, head in _quotients(sys, _as_rows(values, sys.cells, "values")):
+        yield rows, sub, _transform(sub, head, inverse=False), maximal_function(sub, head)
 
 
 @dataclass(frozen=True)
@@ -112,14 +119,15 @@ def check_norm_equivalence(sys: RadixSystem, values: np.ndarray) -> EquivalenceR
     The two families coincide pointwise for rank-N step functions, so the
     report carries the max cellwise difference, not just the norms; the
     caller judges it against its own tolerance.  Each chunk of h1_pass gets
-    its block partial sums from one synthesis of its coefficients.
+    its block partial sums on its G_q from one synthesis of its coefficients.
     """
-    parts = []
-    for _, coeffs, direct in h1_pass(sys, values):
-        spectral = _sup_of_levels(sys, [np.abs(s) for s in _block_heads(sys, coeffs)])
-        parts.append((direct.mean(axis=1), spectral.mean(axis=1),
-                      np.abs(direct - spectral).max(axis=1)))
-    return EquivalenceReport(*(np.concatenate(col) for col in zip(*parts)))
+    values = _as_rows(values, sys.cells, "values")
+    out = np.empty((3, values.shape[0]))
+    for rows, sub, coeffs, direct in h1_pass(sys, values):
+        spectral = _sup_of_levels(sub, [np.abs(s) for s in _block_heads(sub, coeffs)])
+        out[:, rows] = (direct.mean(axis=1), spectral.mean(axis=1),
+                        np.abs(direct - spectral).max(axis=1))
+    return EquivalenceReport(*out)
 
 
 # ---------------------------------------------------------------------------

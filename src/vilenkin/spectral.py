@@ -23,9 +23,12 @@ A sum of such characters, plus an M_r-periodic function, is therefore an
 M_r-periodic vector, and its mean absolute value over G equals the one over
 G_r, because Haar measure pushes forward to the quotient.  Every transform,
 synthesis and scan below runs on the smallest such G_r and tiles or extends
-its result to M_N.  The rule is exact, not a threshold: r is chosen from
-exact zeros and exact periodicity only, and a weight that is exactly 0 adds
-exactly nothing to a running sum.  Full resolution is the case r = N.
+its result to M_N, and so does the H1 pass of hardy.h1_pass: _quotients
+groups the rows of a stack by their period level, and each group's
+coefficients, maximal function and block partial sums are taken on its G_r.
+The rule is exact, not a threshold: r is chosen from exact zeros and exact
+periodicity only, and a weight that is exactly 0 adds exactly nothing to a
+running sum.  Full resolution is the case r = N.
 """
 
 from __future__ import annotations
@@ -277,30 +280,35 @@ def forward_naive(f: StepFunction) -> SpectralVector:
     return SpectralVector(sys, out)
 
 
-def _forward_rows(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
-    """The coefficients of each row of values (rows, M_N).
+def _quotients(sys: RadixSystem, values: np.ndarray):
+    """The rows of values (rows, M_N) grouped by their period level q, in
+    increasing q and in chunks of at most _chunk_rows(G_q) rows.
 
-    The rows are grouped by their period level q, and each group is
-    transformed in one batch on G_q: the first M_q values of its rows, with
-    exact zeros written at k >= M_q.
+    Yields (row indices, G_q, the first M_q values of those rows): an
+    M_q-periodic row is the tiling of a function on G_q = sys.truncate(q),
+    and q comes from exact equality only.
     """
-    groups: dict[int, list[int]] = {}
-    for i, q in enumerate(_period_levels(sys, values, 1)):
-        groups.setdefault(q, []).append(i)
-    coeffs = np.zeros(values.shape, dtype=np.complex128)
-    for q, members in groups.items():
-        width = sys.products[q]
-        coeffs[members, :width] = _transform(sys, values[members, :width], inverse=False)
-    return coeffs
+    levels = np.array(_period_levels(sys, values, 1))
+    for q in sorted(set(levels.tolist())):
+        sub = sys.truncate(q)
+        members = np.flatnonzero(levels == q)
+        step = _chunk_rows(sub)
+        for lo in range(0, members.size, step):
+            rows = members[lo : lo + step]
+            yield rows, sub, values[rows, : sub.cells]
 
 
 def forward_fast(f: StepFunction) -> SpectralVector:
     """Fast transform: the DFT of the digit tensor, O(M_N * sum_k log m_k).
 
-    An M_r-periodic f lives on G_r: its first M_r values are transformed
-    there, and its coefficients at k >= M_r are exactly zero on every radix.
+    An M_r-periodic f lives on G_r (_quotients): its first M_r values are
+    transformed there, and its coefficients at k >= M_r are exactly zero on
+    every radix.
     """
-    return SpectralVector(f.sys, _forward_rows(f.sys, f.values[None, :])[0])
+    ((_, sub, head),) = _quotients(f.sys, f.values[None, :])
+    coeffs = np.zeros(f.sys.cells, dtype=np.complex128)
+    coeffs[: sub.cells] = _transform(sub, head[0], inverse=False)
+    return SpectralVector(f.sys, coeffs)
 
 
 def inverse_transform(c: SpectralVector) -> StepFunction:

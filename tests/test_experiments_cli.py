@@ -830,6 +830,27 @@ def test_cli_gat_default_rank_fits_shallow_systems(tmp_path):
     assert sorted({int(row[1]) for row in data}) == [1, 2, 3]
 
 
+@pytest.mark.parametrize("command,option", [("gat", "--max-rank"), ("equiv-check", "--rank")])
+def test_cli_notes_ranks_above_count(tmp_path, capsys, command, option):
+    # function i has rank 1 + (i mod max rank), so with 4 functions the ranks
+    # 5 and 6 never occur: one stderr note, and the report of max rank 4
+    # but for its config hash
+    def run(rank, name):
+        out = tmp_path / name
+        argv = [command, "--radix", "2^6", "--count", "4", option, str(rank), "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        return [l for l in lines if not l.startswith("# config_hash=")], capsys.readouterr().err
+
+    high, err = run(6, "high.csv")
+    assert err.count("note:") == 1
+    assert (f"{command}: note: function i has rank 1 + (i mod {option}), "
+            "so ranks above --count 4 do not occur\n") in err
+    fits, err = run(4, "fits.csv")
+    assert "note:" not in err
+    assert high == fits
+
+
 def test_cli_equiv_check_violations_exit_2(tmp_path):
     out = tmp_path / "e.json"
     assert main(["equiv-check", "--radix", "2^4", "--count", "3", "--tolerance=0",

@@ -34,7 +34,8 @@ from vilenkin import (
     verify_decomposition_norm,
     window_strong_average,
 )
-from vilenkin import spectral
+from vilenkin import hardy, spectral
+from vilenkin.experiments import random_step_corpus
 from conftest import random_values, small_systems
 
 
@@ -84,17 +85,19 @@ def _tiled_maximal(f):
 @settings(max_examples=40, deadline=None)
 @given(sys=small_systems, seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_maximal_function_equals_tiled_construction(sys, seed, rank):
-    # building both sups from coarse to fine changes no bit of the report
+    # building both sups from coarse to fine changes no bit of the report;
+    # the check runs on the quotient group G_q the function lives on
     rank = min(rank, sys.depth)
     width = sys.products[rank]
     base = random_values(sys, seed)[:width]
     f = StepFunction(sys, np.tile(base, sys.cells // width))
     assert np.array_equal(maximal_function(sys, f.values)[0], _tiled_maximal(f))
     rep = check_norm_equivalence(sys, f.values)
-    c = forward_fast(f)
-    spectral = np.max([np.abs(partial_sum(c, M).values) for M in sys.products], axis=0)
+    g = _on_own_quotient(f)
+    c = forward_fast(g)
+    spectral = np.max([np.abs(partial_sum(c, M).values) for M in g.sys.products], axis=0)
     assert rep.sup_block_norm[0] == float(spectral.mean())
-    assert rep.max_pointwise_diff[0] == float(np.max(np.abs(_tiled_maximal(f) - spectral)))
+    assert rep.max_pointwise_diff[0] == float(np.max(np.abs(_tiled_maximal(g) - spectral)))
 
 
 def test_maximal_of_block_kernel(dyadic6):
@@ -134,21 +137,13 @@ def test_norm_equivalence_random(dyadic6, mixed2):
         assert rep.h1_norm[0] == pytest.approx(rep.sup_block_norm[0], abs=1e-10)
 
 
-# One function at a time, as the H1 pass ran before it took row stacks: the
-# bitwise oracles for the stacked, chunked pass.
+# One function at a time, on the quotient group G_q it lives on, as the H1
+# pass ran before it took row stacks: the bitwise oracles for the stacked,
+# chunked pass.  q is found here by its own loop.
 
 
-def _one_maximal(f):
-    sys = f.sys
-    best = np.array([np.abs(f.values.mean())])
-    for rank, m, M in zip(range(1, sys.depth + 1), sys.radices, sys.products):
-        width = sys.products[rank]
-        level = np.abs(f.values.reshape(sys.cells // width, width).mean(axis=0))
-        best = np.maximum(level.reshape(m, M), best).reshape(-1)
-    return StepFunction(sys, best)
-
-
-def _one_forward(f):
+def _own_level(f):
+    """The smallest q >= 1 such that f is M_q-periodic."""
     sys = f.sys
     q = sys.depth
     while q > 1:
@@ -156,16 +151,40 @@ def _one_forward(f):
         if not (f.values[period:width] == f.values[: width - period]).all():
             break
         q -= 1
+    return q
+
+
+def _on_own_quotient(f):
+    """f as a function on its own G_q: its first M_q values."""
+    sub = f.sys.truncate(_own_level(f))
+    return StepFunction(sub, f.values[: sub.cells])
+
+
+def _one_maximal(f):
+    """f* on the G_q of f."""
+    g = _on_own_quotient(f)
+    sys = g.sys
+    best = np.array([np.abs(g.values.mean())])
+    for rank, m, M in zip(range(1, sys.depth + 1), sys.radices, sys.products):
+        width = sys.products[rank]
+        level = np.abs(g.values.reshape(sys.cells // width, width).mean(axis=0))
+        best = np.maximum(level.reshape(m, M), best).reshape(-1)
+    return StepFunction(sys, best)
+
+
+def _one_forward(f):
+    sys = f.sys
+    q = _own_level(f)
     coeffs = np.zeros(sys.cells, dtype=np.complex128)
     coeffs[: sys.products[q]] = spectral._transform(sys, f.values[: sys.products[q]], inverse=False)
     return coeffs
 
 
 def _one_check(f):
-    """(h1_norm, sup_block_norm, max_pointwise_diff) of one function."""
-    sys = f.sys
+    """(h1_norm, sup_block_norm, max_pointwise_diff) of one function, on its G_q."""
     direct = _one_maximal(f).values.real
-    out = _one_forward(f)
+    sys = _on_own_quotient(f).sys
+    out = _one_forward(f)[: sys.cells]
     best = np.abs(out[:1])
     for M_j, m in zip(sys.products[:-1], sys.radices):
         out = spectral._level_pass(out.reshape(-1, m, M_j), inverse=True).reshape(-1)
@@ -173,36 +192,128 @@ def _one_check(f):
     return float(direct.mean()), float(best.mean()), float(np.max(np.abs(direct - best)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(sys=small_systems, seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_stacked_h1_pass_is_bitwise_one_function_at_a_time(sys, seed, data):
-    # a stack of mixed ranks (0 is a constant) in chunks of 1 to 3 rows
-    ranks = data.draw(st.lists(st.integers(0, sys.depth), min_size=1, max_size=7))
+def _mixed_rank_stack(sys, seed, ranks):
+    """One function per rank (0 is a constant), each tiled from random base values."""
     rng = np.random.default_rng(seed)
     fs = []
     for rank in ranks:
         width = sys.products[rank]
         base = rng.standard_normal(width) + 1j * rng.standard_normal(width)
         fs.append(StepFunction(sys, np.tile(base, sys.cells // width)))
+    return fs
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys=small_systems, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stacked_h1_pass_is_bitwise_one_function_at_a_time(sys, seed, data):
+    # a stack of mixed ranks, grouped by period level, in chunks of rows
+    ranks = data.draw(st.lists(st.integers(0, sys.depth), min_size=1, max_size=7))
+    fs = _mixed_rank_stack(sys, seed, ranks)
     values = np.vstack([f.values for f in fs])
-    chunk = data.draw(st.integers(1, 3))
+    elements = data.draw(st.integers(1, 3 * sys.cells))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", chunk * sys.cells)
+        mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", elements)
         rep = check_norm_equivalence(sys, values)
-        starts, coeffs, h1s = [], [], []
-        for lo, c, star in h1_pass(sys, values):
-            starts.append(lo)
-            coeffs.append(c)
-            h1s.append(star.mean(axis=1))
-    assert starts == list(range(0, len(fs), chunk))
+        chunks = list(h1_pass(sys, values))
+    levels = [_own_level(f) for f in fs]
+    want_rows = []
+    for q in sorted(set(levels)):
+        members = [i for i, level in enumerate(levels) if level == q]
+        step = max(1, elements // sys.products[q])
+        want_rows += [members[lo : lo + step] for lo in range(0, len(members), step)]
+    assert [rows.tolist() for rows, *_ in chunks] == want_rows
+    for rows, sub, c, star in chunks:
+        assert sub == sys.truncate(levels[rows[0]])
+        assert np.array_equal(c, [_one_forward(fs[i])[: sub.cells] for i in rows])
+        assert np.array_equal(star, [_one_maximal(fs[i]).values.real for i in rows])
     want = np.array([_one_check(f) for f in fs])
     assert np.array_equal(rep.h1_norm, want[:, 0])
     assert np.array_equal(rep.sup_block_norm, want[:, 1])
     assert np.array_equal(rep.max_pointwise_diff, want[:, 2])
-    assert np.array_equal(np.vstack(coeffs), [_one_forward(f) for f in fs])
-    assert np.array_equal(np.concatenate(h1s), [l1_norm(_one_maximal(f)) for f in fs])
+    h1s = np.empty(len(fs))
+    for rows, _, _, star in chunks:
+        h1s[rows] = star.mean(axis=1)
+    assert np.array_equal(h1s, [l1_norm(_one_maximal(f)) for f in fs])
     assert [h1_norm(f) for f in fs] == [l1_norm(_one_maximal(f)) for f in fs]
     assert all(np.array_equal(forward_fast(f).coeffs, _one_forward(f)) for f in fs)
+
+
+def _full_group_check(sys, values):
+    """f*, sup_n |S_{M_n} f| and the coefficients of each row, all on G_N:
+    the averages and block sums past each row's period level included."""
+    coeffs = np.vstack([forward_fast(StepFunction(sys, v)).coeffs for v in values])
+    direct = maximal_function(sys, values)
+    blocks = spectral._block_heads(sys, coeffs)
+    return coeffs, direct, hardy._sup_of_levels(sys, [np.abs(s) for s in blocks])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys=small_systems, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_quotient_h1_pass_matches_the_full_group_route(sys, seed, data):
+    # past rank q every average and block sum is f itself, so the route on
+    # G_N gives the tiles of the one on G_q, but for rounding
+    ranks = data.draw(st.lists(st.integers(0, sys.depth), min_size=1, max_size=7))
+    values = np.vstack([f.values for f in _mixed_rank_stack(sys, seed, ranks)])
+    coeffs, direct, spectral_sup = _full_group_check(sys, values)
+    rep = check_norm_equivalence(sys, values)
+    np.testing.assert_allclose(rep.h1_norm, direct.mean(axis=1), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(rep.sup_block_norm, spectral_sup.mean(axis=1), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(rep.max_pointwise_diff,
+                               np.abs(direct - spectral_sup).max(axis=1), rtol=0, atol=1e-14)
+    for rows, sub, c, star in h1_pass(sys, values):
+        tiles = sys.cells // sub.cells
+        np.testing.assert_allclose(np.tile(star, tiles), direct[rows], rtol=1e-14, atol=0)
+        assert np.array_equal(c, coeffs[rows, : sub.cells])
+        assert not coeffs[rows, sub.cells :].any()
+
+
+def test_h1_pass_outputs_permute_with_the_rows(mixed2):
+    # ranks 0 .. 6 twice, shuffled: every output row follows its input row,
+    # bit for bit, whatever rows share its chunk
+    fs = _mixed_rank_stack(mixed2, 72, [*range(mixed2.depth + 1)] * 2)
+    values = np.vstack([f.values for f in fs])
+    perm = np.random.default_rng(73).permutation(len(fs))
+    rep = check_norm_equivalence(mixed2, values)
+    shuffled = check_norm_equivalence(mixed2, values[perm])
+    for name in ("h1_norm", "sup_block_norm", "max_pointwise_diff"):
+        assert np.array_equal(getattr(shuffled, name), getattr(rep, name)[perm]), name
+    stars = {}
+    for rows, sub, _, star in h1_pass(mixed2, values[perm]):
+        stars.update(zip(perm[rows].tolist(), star))
+    for rows, sub, _, star in h1_pass(mixed2, values):
+        for i, s in zip(rows.tolist(), star):
+            assert np.array_equal(stars[i], s)
+
+
+def test_h1_norm_is_the_h1_pass_value(dyadic6, mixed2):
+    for sys in (dyadic6, mixed2):
+        fs = _mixed_rank_stack(sys, 74, range(sys.depth + 1))
+        pass_h1 = np.empty(len(fs))
+        for rows, _, _, star in h1_pass(sys, np.vstack([f.values for f in fs])):
+            pass_h1[rows] = star.mean(axis=1)
+        assert [h1_norm(f) for f in fs] == pass_h1.tolist()
+
+
+def test_h1_pass_on_low_rank_corpus_stays_on_g4(dyadic10, monkeypatch):
+    # the rank <= 4 corpus lives on G_4: no maximal function and no block
+    # synthesis inside the pass sees more than M_4 = 16 columns
+    seen = []
+
+    def spy(name):
+        real = getattr(hardy, name)
+
+        def wrapped(sys, rows):
+            seen.append((name, rows.shape[-1]))
+            return real(sys, rows)
+
+        monkeypatch.setattr(hardy, name, wrapped)
+
+    spy("maximal_function")
+    spy("_block_heads")
+    values = np.vstack([f.values for f in random_step_corpus(dyadic10, 50, 4, 1)])
+    check_norm_equivalence(dyadic10, values)
+    assert {name for name, _ in seen} == {"maximal_function", "_block_heads"}
+    assert max(width for _, width in seen) <= 16
 
 
 # ---------------------------------------------------------------------------
