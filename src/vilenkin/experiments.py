@@ -173,18 +173,38 @@ def random_step_corpus(
 
     Function i has rank r_i = 1 + (i mod max_rank); its M_{r_i} base values
     are standard complex normals drawn from numpy.random.default_rng(seed)
-    in corpus order, then tiled across the remaining levels.
+    in corpus order (real parts, then imaginary parts, function by
+    function), then tiled across the remaining levels.  The drivers read
+    only the bases, the first M_{r_i} values of each function.
     """
     if count < 1:
         raise ValueError(f"corpus size must be >= 1, got {count}")
     if not 1 <= max_rank <= sys.depth:
         raise ValueError(f"largest corpus rank {max_rank} out of range [1, {sys.depth}]")
-    rng = np.random.default_rng(seed)
+    widths = [sys.products[1 + (i % max_rank)] for i in range(count)]
+    # one draw, cut in corpus order: the same numbers as one draw per part
+    normals = np.random.default_rng(seed).standard_normal(2 * sum(widths))
     out = []
-    for i in range(count):
-        width = sys.products[1 + (i % max_rank)]
-        base = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        out.append(StepFunction(sys, np.broadcast_to(base, (sys.cells // width, width))))
+    for i, width in enumerate(widths):
+        re, im = normals[:width], normals[width : 2 * width]
+        normals = normals[2 * width :]
+        out.append(StepFunction(sys, np.tile(re + 1j * im, sys.cells // width)))
+    return out
+
+
+def _corpus_bases(
+    sys: RadixSystem, count: int, max_rank: int, seed: int
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """random_step_corpus by rank: (r, the ids i of its rank-r functions,
+    their bases as rows (rows, M_r)), for each rank that occurs.
+
+    The full-width corpus list is dropped on return, before any pass runs.
+    """
+    corpus = random_step_corpus(sys, count, max_rank, seed)
+    out = []
+    for r in range(1, min(count, max_rank) + 1):
+        ids = np.arange(r - 1, count, max_rank)
+        out.append((r, ids, np.stack([corpus[i].values[: sys.products[r]] for i in ids])))
     return out
 
 
@@ -198,35 +218,41 @@ def random_step_corpus(
 # one chunk of rows at a time (215 to 520), and as JSON the row lists the
 # text is built from (1140 to 1220).  Per cell: one Dirichlet kernel (32 to
 # 47), a kernel report as CSV (95 to 225) or JSON (205 to 350), a divergence run
-# (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and (5,2,7)x3:
-# the function, its coefficients and their check, the norms, the oracle's
-# synthesized partial sums and the H1 norms of the truncations, each on its
-# own G_q from a copy of its first M_q values; the closed form holds at most
-# spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a time and no scan scratch).
-# Per lemma1 index: 65 to 79.  Per cell of each corpus function: 128 to 156
-# in gat (its log means stack the coefficients and the offsets twice, beside
-# three norm arrays; 2^10 .. 2^18, 3^9 and 7^6 with ranks up to 4, where no
-# scan block is large, and 131 to 142 at full rank on 2^10 and 2^12), 32 in
-# equiv-check (the corpus list beside its row stack).  The H1 pass of both
-# holds one chunk of rows of one period level q at a time
-# (spectral._quotients): a copy of their first M_q values, the coefficients,
-# two level buffers of the synthesis, the block partial sums on G_0 .. G_q
-# (at most 2 M_q values per row) and both sups.  A chunk of full-rank rows
-# takes 72 to 88 bytes per cell (2^10 .. 2^18, 3^9, 3^11, 7^6, 262144^1,
-# 512^2 and 64^3), so equiv-check counts min(count, _chunk_rows) full rows
-# at 96; rows of rank up to 4 run on G_4 and take 0.5 to 1.6 bytes per cell
-# of G_N.  Per element of
-# a scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
-# (the character rows and the scratch reused across blocks and row batches,
-# each at most one block); past M_r the Fejer maximum evaluates its two
-# ends, and inner n only for rows within rounding of a tie, at most
-# spectral._SCAN_BLOCK_ELEMENTS cells at a time.
+# (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and (5,2,7)x3,
+# 88 on 2^20 with (1,4,9,19): the function, its coefficients and their
+# check, the norms, the oracle's synthesized partial sums and the H1 norms
+# of the truncations, each on its own G_q from its first M_q values; the
+# closed form holds at most spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a
+# time and no scan scratch).  Per lemma1 index: 65 to 79.
+#
+# Both corpus drivers draw the full-width corpus list (16 bytes per cell of
+# G_N per function), keep each function's bases, its first M_{r_i} values,
+# and drop the list before any pass; every pass then runs on G_q, q <= r_i.
+# gat, per cell of G_N of each function: 16 to 17 with ranks up to 4 (the
+# corpus, on 2^10 .. 2^18 and 3^9), up to 49 when one chunk holds every row
+# (rank 1 on 2^10 and 2^16: the three norm arrays of its log means have M_N
+# columns per row, twice), and the scan scratch beside it, which sets the
+# peak at full rank (2^10, 2^12, 3^7, 7^4) and on 7^6 at rank 4; it is
+# counted on G_N, which bounds the block of any G_q.  equiv-check: 18 to 23
+# per cell of G_N of each function (the corpus and the bases, on 2^10 ..
+# 2^18, 3^9 and 7^6 at ranks 4 and full), and one chunk of rows of one
+# period level q at a time (spectral._quotients): a view of their first M_q
+# values when the rows are consecutive, the coefficients, two level buffers
+# of the synthesis, the block partial sums on G_0 .. G_q (at most 2 M_q
+# values per row) and both sups.  A chunk of full-rank rows takes 59 to 81
+# bytes per cell (2^10 .. 2^18, 3^9, 3^11, 7^6), so equiv-check counts
+# min(count, _chunk_rows) full-width rows at 96, which bounds a chunk of any
+# G_q.  Per element of a scan block: about 40 in the partial-sum scan and 56
+# with the Fejer sums (the character rows and the scratch reused across
+# blocks and row batches, each at most one block); past M_r the Fejer
+# maximum evaluates its two ends, and inner n only for rows within rounding
+# of a tie, at most spectral._SCAN_BLOCK_ELEMENTS cells at a time.
 _SCAN_ROW_BYTES = 1280
 _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384
 _DIVERGENCE_CELL_BYTES = 160
 _LEMMA_INDEX_BYTES = 128
-_GAT_CELL_BYTES = 160
+_GAT_CELL_BYTES = 64
 _EQUIV_CELL_BYTES = 32
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
@@ -380,23 +406,24 @@ def run_gat(
         f"gat of {count} functions on M_N = {sys.cells}",
         count * sys.cells * _GAT_CELL_BYTES + _scan_scratch(sys),
     )
-    value_rows = np.vstack([f.values for f in random_step_corpus(sys, count, max_rank, seed)])
-    coeff_rows = np.zeros_like(value_rows)
-    h1s = np.empty(count)
-    for rows, sub, coeffs, star in h1_pass(sys, value_rows):
-        coeff_rows[rows, : sub.cells] = coeffs
-        h1s[rows] = star.mean(axis=1)
-
     # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
     # last endpoint (on a depth-1 system the only one, and the table is empty)
     ends = np.array(sys.products[2:], dtype=np.int64)
-    convergence, bounded = gat_log_average(
-        sys, coeff_rows, value_rows, sys.products[min(2, sys.depth):]
-    )
+    ns = sys.products[min(2, sys.depth):]
+    h1s, fejer_sup = np.empty(count), np.empty(count)
+    convergence, bounded = np.empty((count, len(ns))), np.empty((count, len(ns)))
+    # each chunk of h1_pass holds rows of one rank r and period level q, and
+    # both scans read them on G_q with endpoints up to M_N
+    for r, members, bases in _corpus_bases(sys, count, max_rank, seed):
+        for rows, sub, coeffs, star in h1_pass(sys.truncate(r), bases):
+            at = members[rows]
+            h1s[at] = star.mean(axis=1)
+            convergence[at], bounded[at] = gat_log_average(
+                sys, coeffs, bases[rows, : sub.cells], ns)
+            fejer_sup[at] = fejer_l1_norms(sys, coeffs, sys.cells)
     ratios = bounded / h1s[:, None]
     ids = np.arange(count)
     row_ids = np.repeat(ids, ends.size)
-    fejer_sup = fejer_l1_norms(sys, coeff_rows, sys.cells)
     fejer_ratios = fejer_sup / h1s
     return ExperimentReport(
         experiment="gat",
@@ -430,9 +457,10 @@ def run_equiv_check(
         sys.cells * (count * _EQUIV_CELL_BYTES
                      + min(count, _chunk_rows(sys)) * _EQUIV_CHECK_CELL_BYTES),
     )
-    values = np.vstack([f.values for f in random_step_corpus(sys, count, rank, seed)])
-    rep = check_norm_equivalence(sys, values)
-    gaps = rep.max_pointwise_diff
+    h1, sup, gaps = np.empty((3, count))
+    for r, at, bases in _corpus_bases(sys, count, rank, seed):
+        rep = check_norm_equivalence(sys.truncate(r), bases)
+        h1[at], sup[at], gaps[at] = rep.h1_norm, rep.sup_block_norm, rep.max_pointwise_diff
     ids = np.arange(count)
     # a NaN gap counts as bad, and np.max keeps it in the summary
     bad = int(np.count_nonzero(~(gaps <= tol)))
@@ -440,7 +468,7 @@ def run_equiv_check(
         experiment="equiv-check",
         table=Table(
             ["func_id", "rank", "h1_norm", "sup_block_norm", "max_pointwise_diff"],
-            (ids, 1 + ids % rank, rep.h1_norm, rep.sup_block_norm, gaps),
+            (ids, 1 + ids % rank, h1, sup, gaps),
         ),
         summary={"max_pointwise_diff": float(np.max(gaps)), "violations": bad},
         violations=bad,

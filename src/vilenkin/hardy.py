@@ -9,7 +9,10 @@ take a stack of functions, one per row of a (rows, M_N) array.  The H1 pass
 (h1_pass) runs each row on the smallest quotient group G_q it lives on:
 past rank q every cylinder average and block sum S_{M_n} f is f itself, so
 f* and the spectral sup on G_N are tiles of those on G_q.  The rows of one
-level q go in chunks, one numpy call per level for a whole chunk.
+level q go in chunks, one numpy call per level for a whole chunk.  The
+corpus drivers pass each rank-r function as its first M_r values, with
+sys.truncate(r) as the system; gat_log_average reads rows of M_q values as
+functions on G_q from their width, with endpoints up to M_N.
 
 The counterexample family lives here too: for increasing exponents a_k the
 function f = sum_k (D_{M_{a_k + 1}} - D_{M_{a_k}}) / sqrt(a_k) has block
@@ -370,19 +373,18 @@ def gat_log_average(
         convergence[i, j] = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i - f_i||_1 / k
         bounded[i, j]     = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i||_1 / k
 
-    Both come from one stacked partial-sum scan.
+    Both come from one stacked partial-sum scan.  Rows of M_q columns are
+    functions on G_q, and the endpoints may still reach M_N.
     """
     if not ns or not all(2 <= n <= sys.cells for n in ns):
         raise ValueError(f"log average endpoints {ns} outside [2, {sys.cells}]")
     coeffs, values = np.atleast_2d(coeffs, values)
     n_max = max(ns)
-    norms = cumulative_l1_norms(
-        sys,
-        np.vstack([coeffs, coeffs]),
-        1,
-        n_max,
-        offsets=np.vstack([np.zeros_like(values), -values]),
-    )
+    # the bounded form scans S_k f and the convergence form S_k f - f
+    weights = np.concatenate((coeffs, coeffs))
+    offsets = np.zeros(weights.shape, dtype=np.complex128)
+    np.negative(values, out=offsets[len(coeffs):])
+    norms = cumulative_l1_norms(sys, weights, 1, n_max, offsets=offsets)
     sums = np.cumsum(norms / np.arange(1, n_max + 1, dtype=np.float64), axis=1)
     means = sums[:, [n - 1 for n in ns]] / np.array([math.log(n) for n in ns])
     return means[len(coeffs):], means[: len(coeffs)]

@@ -11,10 +11,12 @@ of shape (m_{N-1}, ..., m_0), with digit k on axis N-1-k.  Because the group
 is the full direct product of the cyclic levels, psi_n is the outer product
 of its per-level factors on that tensor, and the Fourier transform is its
 N-dimensional DFT.  That DFT is taken one digit level at a time: N passes,
-each one numpy call over a contiguous view of all M_N cells (a sum and a
-difference when m_k = 2, a batched numpy.fft otherwise), at cost
-O(M_N * sum_k log m_k) and bit-identical to numpy's N-dimensional FFT of
-the tensor.
+each one numpy call over all M_N cells (a sum and a difference when
+m_k = 2, a batched numpy.fft otherwise), at cost O(M_N * sum_k log m_k)
+and bit-identical to numpy's N-dimensional FFT of the tensor.  The passes
+are self-sorting (Stockham): each one reads the lowest digit left from the
+last axis and writes its transform in front, so every inner loop runs over
+long contiguous rows and the last pass leaves the natural order.
 
 Quotient rule.  psi_k for k < M_r depends only on the digits x_0 .. x_{r-1},
 that is on t mod M_r, so it is a character of the quotient
@@ -26,6 +28,8 @@ synthesis and scan below runs on the smallest such G_r and tiles or extends
 its result to M_N, and so does the H1 pass of hardy.h1_pass: _quotients
 groups the rows of a stack by their period level, and each group's
 coefficients, maximal function and block partial sums are taken on its G_r.
+The scans take rows of M_q columns as functions on G_q, so a caller
+holding a function's first M_q values never widens it to M_N.
 The rule is exact, not a threshold: r is chosen from exact zeros and exact
 periodicity only, and a weight that is exactly 0 adds exactly nothing to a
 running sum.  Full resolution is the case r = N.
@@ -225,42 +229,48 @@ def character_block(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
 # The characters factor over the digit levels, so the transform is the
 # N-dimensional DFT of the digit tensor: f_hat = DFT(f) / M_N, and the
 # synthesis sum_k c_k psi_k is the unnormalized inverse.  It runs one pass
-# per level, from level 0 up.  The C-order view (-1, m_j, M_j) of the last
-# axis carries digit j on its middle axis, with the higher digits (and any
-# leading rows) on the outer axis and the lower digits on the inner one, so
-# level j is one batch of length-m_j DFTs along the middle axis: a sum and a
-# difference for m_j = 2, one numpy.fft.fft / ifft call otherwise, scaled by
-# 1/m_j in the forward direction.  A pass reads and writes every cell once,
+# per level, from level 0 up, in the self-sorting (Stockham) order.  Each
+# pass reads its rows as (rows, rest, m) with the lowest digit not yet
+# transformed on the last axis, takes the length-m DFTs along that axis (a
+# sum and a difference for m = 2, one numpy.fft.fft / ifft call otherwise,
+# scaled by 1/m in the forward direction) and writes them as (rows, m, rest):
+# the new digit goes in front.  After the passes over levels 0 .. j-1 a row
+# holds, in C order, the transformed digits j-1 .. 0 and then the digits
+# N-1 .. j still to do, so after all N passes the order is natural again.
+# The inner loops run over `rest` contiguous entries instead of M_j, which
+# matters when M_j is small.  A pass reads and writes every cell once,
 # O(M_N log m_j) work in one numpy call.  numpy's N-dimensional FFT does the
-# same levels in the same order with the same arithmetic, so the results are
+# same butterflies on the same levels in the same order, so the results are
 # bit-identical (the tests compare the two), but it makes one strided
 # transform call per tensor axis, which costs several times more when the
 # axes are short.
 
 
 def _level_pass(view: np.ndarray, *, inverse: bool) -> np.ndarray:
-    """One level of the transform: the length-m DFTs along the middle axis of
-    view (-1, m, M_j), as a new array of the same shape."""
-    if view.shape[1] == 2:
-        out = np.empty(view.shape, dtype=np.complex128)
-        np.add(view[:, 0], view[:, 1], out=out[:, 0])
-        np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
+    """One self-sorting level of the transform: the length-m DFTs along the
+    last axis of view (rows, rest, m), as a new array (rows, m, rest)."""
+    count, rest, m = view.shape
+    out = np.empty((count, m, rest), dtype=np.complex128)
+    if m == 2:
+        np.add(view[:, :, 0], view[:, :, 1], out=out[:, 0])
+        np.subtract(view[:, :, 0], view[:, :, 1], out=out[:, 1])
         if not inverse:
             out *= 0.5
         return out
-    if inverse:
-        return np.fft.ifft(view, axis=1, norm="forward")
-    return np.fft.fft(view, axis=1, norm="forward")
+    dft = np.fft.ifft if inverse else np.fft.fft
+    dft(view, axis=2, norm="forward", out=out.transpose(0, 2, 1))
+    return out
 
 
 def _transform(sys: RadixSystem, arr: np.ndarray, *, inverse: bool) -> np.ndarray:
     """Analysis (DFT / M_r) or, with inverse, synthesis of the digit tensor
     of G_r along the last axis of arr, one pass per level; its length M_r
     sets r."""
-    out = arr
-    r = sys.products.index(arr.shape[-1])
-    for M_j, m in zip(sys.products[:r], sys.radices[:r]):
-        out = _level_pass(out.reshape(-1, m, M_j), inverse=inverse)
+    width = arr.shape[-1]
+    r = sys.products.index(width)
+    out = arr.reshape(-1, width)
+    for m in sys.radices[:r]:
+        out = _level_pass(out.reshape(len(out), width // m, m), inverse=inverse)
     return out.reshape(arr.shape)
 
 
@@ -286,7 +296,8 @@ def _quotients(sys: RadixSystem, values: np.ndarray):
 
     Yields (row indices, G_q, the first M_q values of those rows): an
     M_q-periodic row is the tiling of a function on G_q = sys.truncate(q),
-    and q comes from exact equality only.
+    and q comes from exact equality only.  The values of a chunk of
+    consecutive rows are a view of values, any other chunk's a copy.
     """
     levels = np.array(_period_levels(sys, values, 1))
     for q in sorted(set(levels.tolist())):
@@ -295,7 +306,9 @@ def _quotients(sys: RadixSystem, values: np.ndarray):
         step = _chunk_rows(sub)
         for lo in range(0, members.size, step):
             rows = members[lo : lo + step]
-            yield rows, sub, values[rows, : sub.cells]
+            first, last = int(rows[0]), int(rows[-1])
+            take = slice(first, last + 1) if last - first + 1 == rows.size else rows
+            yield rows, sub, values[take, : sub.cells]
 
 
 def forward_fast(f: StepFunction) -> SpectralVector:
@@ -330,18 +343,20 @@ def _block_heads(sys: RadixSystem, coeffs: np.ndarray) -> list[np.ndarray]:
     """S_{M_n} f_i on G_n for n = 0 .. N, as (rows, M_n) arrays, from one
     synthesis of the coefficient rows coeffs (rows, M_N).
 
-    Level j of the synthesis mixes entries only inside each outer block of
-    M_{j+1} cells, so after levels 0 .. n-1 the first M_n entries of a row
-    are the synthesis of its c_0 .. c_{M_n - 1} on G_n: the same numbers, by
-    the same arithmetic, as partial_sum(c, M_n) on its first M_n cells.
+    After the passes over levels 0 .. n-1 the entry of a row at
+    (x_{n-1} .. x_0, k_{N-1} .. k_n) is the synthesis over the digits
+    k_0 .. k_{n-1} with k_n .. k_{N-1} fixed.  Where those are all zero, at
+    every (M_N / M_n)-th entry, it is the synthesis of c_0 .. c_{M_n - 1} on
+    G_n: the same numbers, by the same arithmetic, as partial_sum(c, M_n) on
+    its first M_n cells.
     """
-    count = coeffs.shape[0]
+    count, width = coeffs.shape
     out = coeffs
     heads = [out[:, :1].copy()]
-    for M_j, m in zip(sys.products[:-1], sys.radices):
-        out = _level_pass(out.reshape(-1, m, M_j), inverse=True).reshape(count, -1)
+    for m, M_n in zip(sys.radices, sys.products[1:]):
+        out = _level_pass(out.reshape(count, width // m, m), inverse=True).reshape(count, width)
         # a copy, so that no head keeps a whole level buffer alive
-        heads.append(out[:, : m * M_j].copy())
+        heads.append(out[:, :: width // M_n].copy())
     return heads
 
 
@@ -486,6 +501,16 @@ def _as_rows(arr: np.ndarray, cells: int, what: str) -> np.ndarray:
     return rows
 
 
+def _level_rows(sys: RadixSystem, weights: np.ndarray) -> tuple[RadixSystem, np.ndarray]:
+    """The weight rows of a scan and the group G_q they live on: rows of
+    M_q columns, 1 <= q <= N, are weights of the characters of G_q."""
+    width = np.shape(weights)[-1] if np.ndim(weights) else 0
+    if width not in sys.products[1:]:
+        raise ValueError(f"weights must have M_q columns for a level q in [1, {sys.depth}], "
+                         f"got shape {np.shape(weights)}")
+    return sys.truncate(sys.products.index(width)), _as_rows(weights, width, "weights")
+
+
 def cumulative_l1_norms(
     sys: RadixSystem,
     weights: np.ndarray,
@@ -500,18 +525,20 @@ def cumulative_l1_norms(
     offsets[i] + sum_{k < m} weights[i, k] psi_k for m = lo .. hi inclusive.
     With unit weights this scans Dirichlet kernels; with Fourier coefficients
     as weights it scans partial sums S_m f (plus an optional fixed offset,
-    e.g. -f for convergence differences).
+    e.g. -f for convergence differences).  Rows of M_q columns, weights and
+    offsets alike, are read on G_q (_level_rows); hi may still reach M_N,
+    and past M_q the sums stay put.
     """
     cells = sys.cells
     if not 0 <= lo <= hi <= cells:
         raise ValueError(f"scan range [{lo}, {hi}] outside [0, {cells}]")
-    rows = _as_rows(weights, cells, "weights")
+    own, rows = _level_rows(sys, weights)
     count = rows.shape[0]
     if offsets is not None:
-        offsets = _as_rows(offsets, cells, "offsets")
+        offsets = _as_rows(offsets, own.cells, "offsets")
         if offsets.shape[0] != count:
             raise ValueError("offsets must have one row per weight vector")
-    sub = sys.truncate(_scan_level(sys, rows, hi, offsets))
+    sub = own.truncate(_scan_level(own, rows, hi, offsets))
     width = sub.cells
     rows = rows[:, :width]
     # the scan walks m = q_lo .. q_hi on G_r; past M_r the sums stay put
@@ -539,16 +566,17 @@ def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndar
     """max_{1 <= n <= n_max} ||sigma_n f_i||_1 for each weight row i, shape (rows,).
 
     Uses sigma_n = S_n - U_n / n with U_n = sum_{k<n} (k+1) w_k psi_k, so the
-    scan needs only two running sums per weight row.  It scans n up to M_r;
-    past M_r both sums are frozen, and only the n that can hold the maximum
-    are evaluated (_frozen_tail_max).
+    scan needs only two running sums per weight row.  Rows of M_q columns
+    are read on G_q (_level_rows).  It scans n up to M_r, r <= q; past M_r
+    both sums are frozen, and only the n up to n_max (at most M_N) that can
+    hold the maximum are evaluated (_frozen_tail_max).
     """
     cells = sys.cells
     if not 1 <= n_max <= cells:
         raise ValueError(f"scan bound {n_max} out of range [1, {cells}]")
-    rows = _as_rows(weights, cells, "weights")
+    own, rows = _level_rows(sys, weights)
     count = rows.shape[0]
-    sub = sys.truncate(_scan_level(sys, rows, n_max, None))
+    sub = own.truncate(_scan_level(own, rows, n_max, None))
     width = sub.cells
     rows = rows[:, :width]
     q_max = min(n_max, width)

@@ -43,6 +43,7 @@ from vilenkin.experiments import (
     run_variation_average,
     write_report,
 )
+from conftest import small_systems
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +372,9 @@ def test_run_gat_small(dyadic6, mixed):
 
 
 def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
-    # every function of a max-rank-4 corpus lives on G_4, so each of the two
-    # scans (partial sums, Fejer means) builds one block of rows on M_4 = 16 cells
+    # the functions of rank r of a max-rank-4 corpus live on G_r, so for each
+    # rank the two scans (partial sums, Fejer means) build one block of rows
+    # on M_r cells, and none on more than M_4 = 16
     import vilenkin.spectral as spectral
 
     seen = []
@@ -384,7 +386,7 @@ def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
 
     monkeypatch.setattr(spectral, "character_block", spy)
     run_gat(dyadic10, 8, 4, 1)
-    assert seen == [16, 16]
+    assert seen == [2, 2, 4, 4, 8, 8, 16, 16]
 
 
 def test_run_gat_asks_each_endpoint_once(dyadic10, monkeypatch):
@@ -394,12 +396,63 @@ def test_run_gat_asks_each_endpoint_once(dyadic10, monkeypatch):
     real = experiments_mod.gat_log_average
 
     def spy(sys_obj, coeffs, values, ns):
-        asked.append(tuple(ns))
+        asked.append((len(coeffs), coeffs.shape[1], tuple(ns)))
         return real(sys_obj, coeffs, values, ns)
 
     monkeypatch.setattr(experiments_mod, "gat_log_average", spy)
     run_gat(dyadic10, 3, 2, 1)
-    assert asked == [dyadic10.products[2:]]
+    # one call per (rank, period level) group: functions 0, 2 of rank 1 and
+    # function 1 of rank 2, each read on its own G_r
+    assert asked == [(2, 2, dyadic10.products[2:]), (1, 4, dyadic10.products[2:])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_systems.filter(lambda s: s.depth >= 2), st.integers(0, 2**31 - 1), st.data())
+def test_run_gat_outputs_permute_with_the_rows(sys_obj, seed, data):
+    # a corpus whose slot of rank r holds a function of period level q <= r,
+    # so one rank splits into several h1_pass groups; shuffling the
+    # functions among the slots of each rank permutes every output row
+    max_rank = data.draw(st.integers(1, sys_obj.depth))
+    count = data.draw(st.integers(1, 8))
+    slots = [1 + i % max_rank for i in range(count)]
+    levels = [data.draw(st.integers(1, r)) for r in slots]
+    rng = np.random.default_rng(seed)
+    fs = []
+    for q in levels:
+        base = rng.standard_normal(sys_obj.products[q]) + 1j * rng.standard_normal(sys_obj.products[q])
+        fs.append(StepFunction(sys_obj, np.tile(base, sys_obj.cells // base.size)))
+    perm = np.arange(count)
+    for r in range(max_rank):
+        perm[r::max_rank] = data.draw(st.permutations(perm[r::max_rank].tolist()))
+    reports = []
+    for order in (np.arange(count), perm):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments_mod, "random_step_corpus",
+                       lambda *args: [fs[i] for i in order])
+            reports.append(run_gat(sys_obj, count, max_rank, 1))
+    plain, shuffled = reports
+    steps = sys_obj.depth - 1
+    main_rows = (perm[:, None] * steps + np.arange(steps)).ravel()
+    for a, b in zip(plain.table.data[3:], shuffled.table.data[3:]):
+        assert np.array_equal(a[main_rows], b)
+    for a, b in zip(plain.extra_tables["fejer"].data[1:], shuffled.extra_tables["fejer"].data[1:]):
+        assert np.array_equal(a[perm], b)
+    assert shuffled.summary == plain.summary
+
+
+def test_random_step_corpus_matches_one_draw_per_part():
+    # the one draw of random_step_corpus, cut in corpus order, gives the
+    # numbers of a draw of the real and then the imaginary part per function
+    for sys_obj, count, max_rank, seed in ((build_radix_system([2], 10), 50, 4, 3),
+                                           (build_radix_system([2, 3, 4], 6), 9, 6, 11),
+                                           (build_radix_system([7], 3), 2, 3, 0)):
+        rng = np.random.default_rng(seed)
+        corpus = random_step_corpus(sys_obj, count, max_rank, seed)
+        assert len(corpus) == count
+        for i, f in enumerate(corpus):
+            width = sys_obj.products[1 + i % max_rank]
+            base = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            assert np.array_equal(f.values, np.tile(base, sys_obj.cells // width))
 
 
 def test_run_gat_depth_one():
@@ -866,11 +919,16 @@ def test_cli_equiv_check_nan_gap_exit_2(tmp_path, monkeypatch):
     from vilenkin import experiments
 
     real = experiments.check_norm_equivalence
+    # function 1 of the default seed, found by its values in whatever rows
+    # and on whatever group the driver passes it
+    target = random_step_corpus(build_radix_system([2], 4), 3, 4, 1)[1].values
 
     def one_nan(sys, values):
         rep = real(sys, values)
         gaps = rep.max_pointwise_diff.copy()
-        gaps[1] = math.nan
+        for i, row in enumerate(values):
+            if np.array_equal(row, target[: row.size]):
+                gaps[i] = math.nan
         return type(rep)(rep.h1_norm, rep.sup_block_norm, gaps)
 
     monkeypatch.setattr(experiments, "check_norm_equivalence", one_nan)

@@ -36,7 +36,7 @@ from vilenkin import (
 )
 from vilenkin import hardy, spectral
 from vilenkin.experiments import random_step_corpus
-from conftest import random_values, small_systems
+from conftest import random_values, small_systems, strided_level_pass
 
 
 def brute_maximal(f):
@@ -181,13 +181,14 @@ def _one_forward(f):
 
 
 def _one_check(f):
-    """(h1_norm, sup_block_norm, max_pointwise_diff) of one function, on its G_q."""
+    """(h1_norm, sup_block_norm, max_pointwise_diff) of one function, on its
+    G_q, with the block sums from the strided oracle pass of conftest."""
     direct = _one_maximal(f).values.real
     sys = _on_own_quotient(f).sys
     out = _one_forward(f)[: sys.cells]
     best = np.abs(out[:1])
     for M_j, m in zip(sys.products[:-1], sys.radices):
-        out = spectral._level_pass(out.reshape(-1, m, M_j), inverse=True).reshape(-1)
+        out = strided_level_pass(out.reshape(-1, m, M_j), True).reshape(-1)
         best = np.maximum(np.abs(out[: m * M_j]).reshape(m, M_j), best).reshape(-1)
     return float(direct.mean()), float(best.mean()), float(np.max(np.abs(direct - best)))
 

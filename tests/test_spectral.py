@@ -27,7 +27,7 @@ from vilenkin import (
 from vilenkin import spectral
 from vilenkin.experiments import random_step_corpus
 from vilenkin.spectral import _block_heads, _transform
-from conftest import random_values, small_systems
+from conftest import random_values, small_systems, strided_block_heads, strided_transform
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,28 @@ def test_transform_reads_its_levels_from_the_length(sys, seed):
         for inverse in (False, True):
             assert np.array_equal(_transform(sys, x, inverse=inverse),
                                   _transform(sub, x, inverse=inverse))
+
+
+# small systems, and radix 64, whose passes run numpy.fft on long inner rows
+pass_systems = small_systems | st.integers(1, 2).map(lambda depth: build_radix_system([64], depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pass_systems, st.integers(0, 2**31 - 1), st.integers(1, 3))
+def test_self_sorting_passes_match_the_strided_oracle(sys, seed, count):
+    # the same butterflies in the same level order, on every G_r of sys
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((count, sys.cells)) + 1j * rng.standard_normal((count, sys.cells))
+    for r in range(1, sys.depth + 1):
+        head = rows[:, : sys.products[r]]
+        for inverse in (False, True):
+            assert np.array_equal(_transform(sys, head, inverse=inverse),
+                                  strided_transform(sys, head, inverse))
+    got, want = _block_heads(sys, rows), strided_block_heads(sys, rows)
+    assert len(got) == len(want) == sys.depth + 1
+    for n, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == (count, sys.products[n])
+        assert np.array_equal(a, b), n
 
 
 def test_transform_batched_rows(mixed2):
@@ -415,6 +437,53 @@ def test_cumulative_l1_validation(mixed):
         )
 
 
+def _level_rows(rng, sys, levels):
+    """One random complex row of M_q values per level q."""
+    return [rng.standard_normal(sys.products[q]) + 1j * rng.standard_normal(sys.products[q])
+            for q in levels]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems, st.integers(0, 2**31 - 1), st.data())
+def test_narrow_row_scans_match_the_tiled_stack(sys, seed, data):
+    # rows of M_q values are functions on G_q; scanned there, they give the
+    # norms of the stack that zero-fills their coefficients and tiles their
+    # offsets to M_N, bit for bit where q is the level of that whole stack
+    levels = data.draw(st.lists(st.integers(1, sys.depth), min_size=1, max_size=5))
+    lo = data.draw(st.integers(0, sys.cells))
+    hi = data.draw(st.integers(lo, sys.cells))
+    n_max = data.draw(st.integers(1, sys.cells))
+    rng = np.random.default_rng(seed)
+    coeffs, offsets = _level_rows(rng, sys, levels), _level_rows(rng, sys, levels)
+    wide_c = np.zeros((len(levels), sys.cells), dtype=np.complex128)
+    for row, c in zip(wide_c, coeffs):
+        row[: c.size] = c
+    wide_v = np.stack([np.tile(v, sys.cells // v.size) for v in offsets])
+    wide_norms = cumulative_l1_norms(sys, wide_c, lo, hi, offsets=wide_v)
+    wide_fejer = fejer_l1_norms(sys, wide_c, n_max)
+    for i, q in enumerate(levels):
+        norms = cumulative_l1_norms(sys, coeffs[i], lo, hi, offsets=offsets[i])[0]
+        fejer = fejer_l1_norms(sys, coeffs[i], n_max)
+        assert norms.shape == (hi - lo + 1,) and fejer.shape == (1,)
+        if q == max(levels):
+            assert np.array_equal(norms, wide_norms[i])
+            assert np.array_equal(fejer, wide_fejer[i : i + 1])
+        else:
+            np.testing.assert_allclose(norms, wide_norms[i], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(fejer, wide_fejer[i : i + 1], rtol=1e-14, atol=0)
+
+
+def test_scans_refuse_rows_of_no_level(mixed):
+    # 1 and 5 columns are no M_q with q >= 1 of (2, 3, 4); offsets follow the weights
+    for width in (1, 5):
+        with pytest.raises(ValueError, match="M_q columns"):
+            cumulative_l1_norms(mixed, np.ones(width), 0, 4)
+        with pytest.raises(ValueError, match="M_q columns"):
+            fejer_l1_norms(mixed, np.ones(width), 4)
+    with pytest.raises(ValueError, match="6 columns"):
+        cumulative_l1_norms(mixed, np.ones(6), 0, 4, offsets=np.ones(24))
+
+
 def _dense_fejer_l1_norms(sys, weights, n_max):
     """||sigma_n f_i||_1 for every n = 1 .. n_max, shape (rows, n_max): the
     scan row by row, then every frozen n past M_r.  Its maximum over n is the
@@ -586,6 +655,21 @@ def test_forward_fast_exact_zeros_above_rank():
             fast = forward_fast(f).coeffs
             assert np.count_nonzero(fast[sys.products[rank]:]) == 0, f"rank {rank}"
             assert np.abs(fast - forward_naive(f).coeffs).max() <= 1e-12
+
+
+def test_quotients_take_consecutive_rows_as_a_view(dyadic6):
+    # rows 0, 1 and 3 have period level 2 and row 2 level 3: the values of
+    # the group [0, 1, 3] are a copy, those of [2] and of [0, 1] in the
+    # first two rows a slice of the stack
+    stack = np.stack([np.tile(random_values(dyadic6, s)[:w], 64 // w)
+                      for s, w in enumerate((4, 4, 8, 4))])
+    chunks = list(spectral._quotients(dyadic6, stack))
+    assert [rows.tolist() for rows, _, _ in chunks] == [[0, 1, 3], [2]]
+    assert [np.shares_memory(head, stack) for _, _, head in chunks] == [False, True]
+    for rows, sub, head in chunks:
+        assert np.array_equal(head, stack[rows, : sub.cells])
+    ((rows, _, head),) = spectral._quotients(dyadic6, stack[:2])
+    assert rows.tolist() == [0, 1] and np.shares_memory(head, stack)
 
 
 def _scan_points(sys, widths):
