@@ -157,8 +157,8 @@ def write_report(report: ExperimentReport, out: str | None, fmt: str) -> list[st
         if out is None:
             emit(f"# table={name}\n{text}", None)
         else:
-            stem, dot, ext = out.rpartition(".")
-            written += emit(text, f"{stem}.{name}.{ext}" if dot else f"{out}.{name}")
+            stem, ext = os.path.splitext(out)
+            written += emit(text, f"{stem}.{name}{ext}")
     return written
 
 
@@ -179,6 +179,8 @@ def random_step_corpus(
     """
     if count < 1:
         raise ValueError(f"corpus size must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"corpus seed must be >= 0, got {seed}")
     if not 1 <= max_rank <= sys.depth:
         raise ValueError(f"largest corpus rank {max_rank} out of range [1, {sys.depth}]")
     widths = [sys.products[1 + (i % max_rank)] for i in range(count)]
@@ -244,7 +246,7 @@ def _corpus_bases(
 # min(count, _chunk_rows) full-width rows at 96, which bounds a chunk of any
 # G_q.  Per element of a scan block: about 40 in the partial-sum scan and 56
 # with the Fejer sums (the character rows and the scratch reused across
-# blocks and row batches, each at most one block); past M_r the Fejer
+# blocks and row batches, each at most one block); past M_q the Fejer
 # maximum evaluates its two ends, and inner n only for rows within rounding
 # of a tie, at most spectral._SCAN_BLOCK_ELEMENTS cells at a time.
 _SCAN_ROW_BYTES = 1280
@@ -373,7 +375,7 @@ def run_divergence(
     ratios = b / roots
     h1 = np.array([h1_norm(build_counterexample(spec.truncated(k + 1))) for k in ks])
     levels = np.array(sys.products[1:], dtype=np.int64)  # M_1 .. M_N
-    curve = np.array([strong_sum_average(norms, n) for n in levels.tolist()])
+    curve = strong_sum_average(norms, levels)
 
     fit = float(sum((b * roots).tolist()) / sum(spec.alphas))
     return ExperimentReport(
@@ -406,6 +408,8 @@ def run_gat(
         f"gat of {count} functions on M_N = {sys.cells}",
         count * sys.cells * _GAT_CELL_BYTES + _scan_scratch(sys),
     )
+    # drawn before the outputs are allocated: a bad count or seed is refused by name
+    groups = _corpus_bases(sys, count, max_rank, seed)
     # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
     # last endpoint (on a depth-1 system the only one, and the table is empty)
     ends = np.array(sys.products[2:], dtype=np.int64)
@@ -414,7 +418,7 @@ def run_gat(
     convergence, bounded = np.empty((count, len(ns))), np.empty((count, len(ns)))
     # each chunk of h1_pass holds rows of one rank r and period level q, and
     # both scans read them on G_q with endpoints up to M_N
-    for r, members, bases in _corpus_bases(sys, count, max_rank, seed):
+    for r, members, bases in groups:
         for rows, sub, coeffs, star in h1_pass(sys.truncate(r), bases):
             at = members[rows]
             h1s[at] = star.mean(axis=1)
@@ -457,8 +461,10 @@ def run_equiv_check(
         sys.cells * (count * _EQUIV_CELL_BYTES
                      + min(count, _chunk_rows(sys)) * _EQUIV_CHECK_CELL_BYTES),
     )
+    # drawn before the outputs are allocated: a bad count or seed is refused by name
+    groups = _corpus_bases(sys, count, rank, seed)
     h1, sup, gaps = np.empty((3, count))
-    for r, at, bases in _corpus_bases(sys, count, rank, seed):
+    for r, at, bases in groups:
         rep = check_norm_equivalence(sys.truncate(r), bases)
         h1[at], sup[at], gaps[at] = rep.h1_norm, rep.sup_block_norm, rep.max_pointwise_diff
     ids = np.arange(count)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -339,12 +339,14 @@ def counterexample_l1_norms(spec: CounterexampleSpec) -> np.ndarray:
 # strong means and logarithmic averages
 
 
-def strong_sum_average(norms: np.ndarray, n: int) -> float:
-    """Cesaro mean (1/n) sum_{m=1}^{n} ||S_m f||_1, from norms[m - 1] = ||S_m f||_1."""
-    if not 1 <= n <= norms.size:
-        raise ValueError(f"average length {n} out of range [1, {norms.size}]")
-    # a running (sequential) sum, so each n reads one point of a single Cesaro curve
-    return float(np.cumsum(norms[:n])[-1] / n)
+def strong_sum_average(norms: np.ndarray, ns: Sequence[int]) -> np.ndarray:
+    """Cesaro means (1/n) sum_{m=1}^{n} ||S_m f||_1 for each n in ns, from
+    norms[m - 1] = ||S_m f||_1."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if ((ns < 1) | (ns > norms.size)).any():
+        raise ValueError(f"average lengths {ns.tolist()} outside [1, {norms.size}]")
+    # one running (sequential) sum: each n reads one point of the Cesaro curve
+    return np.cumsum(norms[: ns.max()])[ns - 1] / ns
 
 
 def window_strong_average(spec: CounterexampleSpec, norms: np.ndarray, k: int) -> float:

@@ -29,10 +29,10 @@ its result to M_N, and so does the H1 pass of hardy.h1_pass: _quotients
 groups the rows of a stack by their period level, and each group's
 coefficients, maximal function and block partial sums are taken on its G_r.
 The scans take rows of M_q columns as functions on G_q, so a caller
-holding a function's first M_q values never widens it to M_N.
-The rule is exact, not a threshold: r is chosen from exact zeros and exact
-periodicity only, and a weight that is exactly 0 adds exactly nothing to a
-running sum.  Full resolution is the case r = N.
+holding a function's first M_q values never widens it to M_N.  The group is
+decided once, where rows enter: by _quotients from exact periodicity of cell
+values (not a threshold), or by _level_holding from a count of indices;
+everything below reads it from the row width.  Full resolution is r = N.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def _level_holding(sys: RadixSystem, top: int) -> int:
     return max(1, bisect.bisect_left(sys.products, top))
 
 
-def _period_levels(sys: RadixSystem, rows: np.ndarray, r: int) -> list[int]:
-    """For each row (M_N columns), the smallest level q >= r such that it is
+def _period_levels(sys: RadixSystem, rows: np.ndarray) -> list[int]:
+    """For each row (M_N columns), the smallest level q >= 1 such that it is
     M_q-periodic.
 
     An M_q-periodic row is also M_{q+1}-periodic, so the search walks down
@@ -161,7 +161,7 @@ def _period_levels(sys: RadixSystem, rows: np.ndarray, r: int) -> list[int]:
     when its first M_q values equal themselves shifted by M_{q-1}.
     """
     levels = np.full(rows.shape[0], sys.depth)
-    for q in range(sys.depth, r, -1):
+    for q in range(sys.depth, 1, -1):
         period, width = sys.products[q - 1], sys.products[q]
         down = (levels == q) & (rows[:, period:width] == rows[:, : width - period]).all(axis=1)
         if not down.any():
@@ -299,7 +299,7 @@ def _quotients(sys: RadixSystem, values: np.ndarray):
     and q comes from exact equality only.  The values of a chunk of
     consecutive rows are a view of values, any other chunk's a copy.
     """
-    levels = np.array(_period_levels(sys, values, 1))
+    levels = np.array(_period_levels(sys, values))
     for q in sorted(set(levels.tolist())):
         sub = sys.truncate(q)
         members = np.flatnonzero(levels == q)
@@ -433,21 +433,11 @@ def fejer_mean(c: SpectralVector, n: int) -> StepFunction:
 # per block row with no per-step python cost.  With unit weights the same
 # scan is the oracle for the closed-form norms.lebesgue_scan.
 #
-# Each scan runs on the quotient G_r of _scan_level: the weights vanish
-# exactly from M_r on and the offsets are M_r-periodic, so every running sum
-# is a function on G_r (M_r cells instead of M_N), and from m = M_r on it no
-# longer changes.  The block loops are the same at every r; full resolution
-# is r = N.  Both scans walk their blocks through _blocks.
-
-
-def _scan_level(
-    sys: RadixSystem, weights: np.ndarray, hi: int, offsets: np.ndarray | None
-) -> int:
-    """The smallest r >= 1 such that every weight at k in [M_r, hi) is exactly
-    zero and every offset row is M_r-periodic."""
-    nonzero = np.flatnonzero(weights[:, :hi].any(axis=0))
-    r = _level_holding(sys, int(nonzero[-1]) + 1 if nonzero.size else 0)
-    return r if offsets is None else max(_period_levels(sys, offsets, r))
+# Each scan runs on the group G_q that the width of its rows names
+# (_level_rows): every running sum is a function on G_q (M_q cells instead
+# of M_N), and from m = M_q on it no longer changes.  The block loops are the
+# same at every q; full resolution is q = N.  Both scans walk their blocks
+# through _blocks.
 
 
 def _scan_block(sys: RadixSystem) -> int:
@@ -456,13 +446,13 @@ def _scan_block(sys: RadixSystem) -> int:
 
 
 def _blocks(sub: RadixSystem, rows: np.ndarray, lo: int, hi: int, sums: int):
-    """Walk the steps k = lo .. hi-1 of a scan on G_r = sub: the character
+    """Walk the steps k = lo .. hi-1 of a scan on G_q = sub: the character
     rows in blocks of _scan_block(sub), one character_block each, and the
     weight rows through each block in batches.
 
     Yields (b0, b1, i0, i1, *views) for block [b0, b1) and row batch
     [i0, i1): sums complex views and one real view, each of shape
-    (i1 - i0, b1 - b0, M_r), on flat buffers that every block and batch
+    (i1 - i0, b1 - b0, M_q), on flat buffers that every block and batch
     reuses.  The first complex view holds rows[i0:i1, b0:b1] times the
     character rows; the others are free scratch.
     """
@@ -532,16 +522,13 @@ def cumulative_l1_norms(
     cells = sys.cells
     if not 0 <= lo <= hi <= cells:
         raise ValueError(f"scan range [{lo}, {hi}] outside [0, {cells}]")
-    own, rows = _level_rows(sys, weights)
-    count = rows.shape[0]
+    sub, rows = _level_rows(sys, weights)
+    count, width = rows.shape
     if offsets is not None:
-        offsets = _as_rows(offsets, own.cells, "offsets")
+        offsets = _as_rows(offsets, width, "offsets")
         if offsets.shape[0] != count:
             raise ValueError("offsets must have one row per weight vector")
-    sub = own.truncate(_scan_level(own, rows, hi, offsets))
-    width = sub.cells
-    rows = rows[:, :width]
-    # the scan walks m = q_lo .. q_hi on G_r; past M_r the sums stay put
+    # the scan walks m = q_lo .. q_hi on G_q; past M_q the sums stay put
     q_lo, q_hi = min(lo, width), min(hi, width)
 
     # checkpoint: state rows hold offsets + S_{q_lo}
@@ -549,7 +536,7 @@ def cumulative_l1_norms(
     masked[:, :q_lo] = rows[:, :q_lo]
     state = _transform(sub, masked, inverse=True)
     if offsets is not None:
-        state += offsets[:, :width]
+        state += offsets
 
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
@@ -567,18 +554,15 @@ def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndar
 
     Uses sigma_n = S_n - U_n / n with U_n = sum_{k<n} (k+1) w_k psi_k, so the
     scan needs only two running sums per weight row.  Rows of M_q columns
-    are read on G_q (_level_rows).  It scans n up to M_r, r <= q; past M_r
-    both sums are frozen, and only the n up to n_max (at most M_N) that can
-    hold the maximum are evaluated (_frozen_tail_max).
+    are read on G_q (_level_rows).  It scans n up to M_q; past M_q both sums
+    are frozen, and only the n up to n_max (at most M_N) that can hold the
+    maximum are evaluated (_frozen_tail_max).
     """
     cells = sys.cells
     if not 1 <= n_max <= cells:
         raise ValueError(f"scan bound {n_max} out of range [1, {cells}]")
-    own, rows = _level_rows(sys, weights)
-    count = rows.shape[0]
-    sub = own.truncate(_scan_level(own, rows, n_max, None))
-    width = sub.cells
-    rows = rows[:, :width]
+    sub, rows = _level_rows(sys, weights)
+    count, width = rows.shape
     q_max = min(n_max, width)
 
     s_state = np.zeros((count, width), dtype=np.complex128)

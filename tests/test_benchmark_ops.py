@@ -1,0 +1,31 @@
+"""The benchmark's workloads still run on the library: one traced pass of
+each workload fails no op.
+
+The benchmark (perfbench/) drives the library through CLI argv such as
+`--threads 1`, checks every output against an independent route, and its
+per-layer counters read call arguments by position.  A library change that
+breaks any of these makes an op fail here, in the library's own suite.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_traced_pass_fails_no_op(tmp_path, name):
+    workload = workloads.build(name, 7, str(tmp_path))
+    workload.warm()
+    tracer = spans.Tracer()
+    times, errors, _ = worker.run_pass(workload, {}, tracer)
+    assert errors == {}
+    assert list(times) == [op.name for op in workload.ops]
+    # every op went through the traced CLI entry point once
+    assert tracer.layer_metrics()["cli.main.calls"] == len(workload.ops)

@@ -116,6 +116,19 @@ def test_write_report_files(tmp_path, dyadic6):
         write_report(report, None, "yaml")
 
 
+def test_side_tables_beside_a_dotted_directory(tmp_path, dyadic6):
+    # only the file name is split at its last dot, never a directory name
+    where = tmp_path / "a.b"
+    where.mkdir()
+    report = _tiny_report(dyadic6)
+    assert write_report(report, str(where / "demo"), "csv") == [
+        str(where / "demo"), str(where / "demo.side")]
+    assert write_report(report, str(where / "demo.csv"), "csv") == [
+        str(where / "demo.csv"), str(where / "demo.side.csv")]
+    assert main(["gat", "--radix", "2^4", "--count", "3", "--out", str(where / "report")]) == 0
+    assert (where / "report.fejer").read_text().startswith("# experiment=gat")
+
+
 def test_write_report_stdout(capsys, dyadic6):
     assert write_report(_tiny_report(dyadic6), None, "csv") == []
     captured = capsys.readouterr()
@@ -501,6 +514,10 @@ def test_cli_usage_errors_exit_1():
     ["lemma1", "--n-max", "0"],
     ["equiv-check", "--rank", "0"],
     ["equiv-check", "--count", "0"],
+    ["gat", "--count", "-1"],
+    ["equiv-check", "--count", "-1"],
+    ["gat", "--seed", "-1"],
+    ["equiv-check", "--seed", "-1"],
     ["lebesgue-scan", "--threads", "0"],
     ["gat", "--threads", "-2"],
     # 2^34 cells: refused by the memory estimate before anything is allocated
@@ -558,6 +575,17 @@ def test_cli_corpus_rank_error_names_no_other_option(capsys, argv):
     err = capsys.readouterr().err
     assert "largest corpus rank 0 out of range [1, 3]" in err
     assert "max rank" not in err
+
+
+@pytest.mark.parametrize("command", ["gat", "equiv-check"])
+@pytest.mark.parametrize("option,message", [
+    ("--count", "corpus size must be >= 1, got -1"),
+    ("--seed", "corpus seed must be >= 0, got -1"),
+])
+def test_cli_corpus_option_errors_say_which(capsys, command, option, message):
+    # refused by the corpus, before numpy sees a negative size or seed
+    assert main([command, "--radix", "2^3", option, "-1"]) == 1
+    assert f"vilenkin: error: {message}" in capsys.readouterr().err
 
 
 def test_cli_bad_radix_exit_1(capsys):

@@ -511,11 +511,17 @@ def test_strong_sum_average_manual(mixed):
     f = StepFunction(mixed, random_values(mixed, 67))
     c = forward_fast(f)
     norms = cumulative_l1_norms(mixed, c.coeffs, 1, mixed.cells)[0]
-    n = 10
-    want = np.mean([l1_norm(partial_sum(c, m)) for m in range(1, n + 1)])
-    assert strong_sum_average(norms, n) == pytest.approx(float(want), abs=1e-12)
-    with pytest.raises(ValueError):
-        strong_sum_average(norms, mixed.cells + 1)
+    ns = [10, 1, mixed.cells, 10]
+    sums = np.cumsum([l1_norm(partial_sum(c, m)) for m in range(1, mixed.cells + 1)])
+    got = strong_sum_average(norms, ns)
+    assert got.shape == (4,)
+    np.testing.assert_allclose(got, [sums[n - 1] / n for n in ns], rtol=0, atol=1e-12)
+    # every endpoint is bit for bit its own running sum over norms[:n]
+    for n, avg in zip(ns, got):
+        assert avg == np.cumsum(norms[:n])[-1] / n
+    for bad in ([mixed.cells + 1], [0], [3, mixed.cells + 1]):
+        with pytest.raises(ValueError, match="average lengths"):
+            strong_sum_average(norms, bad)
 
 
 def test_window_average_frozen(dyadic10):

@@ -375,17 +375,15 @@ def _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets=None):
     bitwise oracle for cumulative_l1_norms, which takes its rows through
     each block in batches."""
     rows = np.atleast_2d(weights)
-    count = rows.shape[0]
-    sub = sys.truncate(spectral._scan_level(sys, rows, hi, offsets))
-    width = sub.cells
-    rows = rows[:, :width]
+    count, width = rows.shape
+    sub = sys.truncate(sys.products.index(width))
     q_lo, q_hi = min(lo, width), min(hi, width)
     step = spectral._scan_block(sub)
     masked = np.zeros((count, width), dtype=np.complex128)
     masked[:, :q_lo] = rows[:, :q_lo]
     state = _transform(sub, masked, inverse=True)
     if offsets is not None:
-        state += offsets[:, :width]
+        state += offsets
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
     for b0 in range(q_lo, q_hi, step):
@@ -403,19 +401,21 @@ def _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets=None):
 @settings(max_examples=60, deadline=None)
 @given(small_systems, st.integers(0, 2**31 - 1), st.data())
 def test_scan_is_bitwise_dense(sys, seed, data):
-    # weights with exact-zero stretches, some across every row and some in
-    # one row only, scanned in blocks of 16 or more rows
+    # rows of M_q columns for any level q, weights with exact-zero stretches,
+    # some across every row and some in one row only, scanned in blocks of 16
+    # or more rows
     rng = np.random.default_rng(seed)
     count = data.draw(st.integers(1, 8))
-    weights = rng.standard_normal((count, sys.cells)) + 1j * rng.standard_normal((count, sys.cells))
+    width = sys.products[data.draw(st.integers(1, sys.depth))]
+    weights = rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
     for _ in range(data.draw(st.integers(0, 6))):
-        a = int(rng.integers(sys.cells))
-        b = a + int(rng.integers(1, max(2, sys.cells // 3)))
+        a = int(rng.integers(width))
+        b = a + int(rng.integers(1, max(2, width // 3)))
         rows = slice(None) if rng.random() < 0.7 else int(rng.integers(count))
         weights[rows, a:b] = 0.0
     offsets = None
     if data.draw(st.booleans()):
-        offsets = rng.standard_normal((count, sys.cells)) + 0j
+        offsets = rng.standard_normal((count, width)) + 0j
     lo = data.draw(st.integers(0, sys.cells))
     hi = data.draw(st.integers(lo, sys.cells))
     block = data.draw(st.sampled_from([1, 24 * sys.cells, 1 << 21]))
@@ -448,17 +448,18 @@ def _level_rows(rng, sys, levels):
 def test_narrow_row_scans_match_the_tiled_stack(sys, seed, data):
     # rows of M_q values are functions on G_q; scanned there, they give the
     # norms of the stack that zero-fills their coefficients and tiles their
-    # offsets to M_N, bit for bit where q is the level of that whole stack
+    # offsets to M_{max q}, bit for bit where q is the level of that stack
     levels = data.draw(st.lists(st.integers(1, sys.depth), min_size=1, max_size=5))
     lo = data.draw(st.integers(0, sys.cells))
     hi = data.draw(st.integers(lo, sys.cells))
     n_max = data.draw(st.integers(1, sys.cells))
     rng = np.random.default_rng(seed)
     coeffs, offsets = _level_rows(rng, sys, levels), _level_rows(rng, sys, levels)
-    wide_c = np.zeros((len(levels), sys.cells), dtype=np.complex128)
+    width = sys.products[max(levels)]
+    wide_c = np.zeros((len(levels), width), dtype=np.complex128)
     for row, c in zip(wide_c, coeffs):
         row[: c.size] = c
-    wide_v = np.stack([np.tile(v, sys.cells // v.size) for v in offsets])
+    wide_v = np.stack([np.tile(v, width // v.size) for v in offsets])
     wide_norms = cumulative_l1_norms(sys, wide_c, lo, hi, offsets=wide_v)
     wide_fejer = fejer_l1_norms(sys, wide_c, n_max)
     for i, q in enumerate(levels):
@@ -490,10 +491,8 @@ def _dense_fejer_l1_norms(sys, weights, n_max):
     bitwise oracle for fejer_l1_norms, which evaluates only the tail n that
     can hold the maximum."""
     rows = np.atleast_2d(weights)
-    count = rows.shape[0]
-    sub = sys.truncate(spectral._scan_level(sys, rows, n_max, None))
-    width = sub.cells
-    rows = rows[:, :width]
+    count, width = rows.shape
+    sub = sys.truncate(sys.products.index(width))
     q_max = min(n_max, width)
     step = spectral._scan_block(sub)
     s_state = np.zeros((count, width), dtype=np.complex128)
@@ -532,10 +531,10 @@ def test_fejer_l1_norms_match_per_n(mixed):
 
 
 def _degenerate_rows(sys, rng, rank):
-    """Coefficient rows living on G_rank, with the degenerate kinds mixed in:
+    """Coefficient rows of M_rank columns, with the degenerate kinds mixed in:
     all zero, constant, rank 1 and full rank on G_rank."""
     width = sys.products[rank]
-    rows = np.zeros((6, sys.cells), dtype=np.complex128)
+    rows = np.zeros((6, width), dtype=np.complex128)
     rows[1, 0] = rng.standard_normal()  # a constant function
     rows[2, : sys.products[1]] = rng.standard_normal(sys.products[1])  # rank 1
     rows[3:, :width] = rng.standard_normal((3, width)) + 1j * rng.standard_normal((3, width))
@@ -587,13 +586,15 @@ def test_frozen_tail_ties_are_bitwise_dense(lo, hi, block, monkeypatch):
 @pytest.mark.parametrize("offsets", [None, "periodic", "aperiodic"])
 def test_row_batches_are_bitwise_per_row(dyadic6, offsets, monkeypatch):
     # 16-row blocks on G_2 (4 cells): rows go in batches of 4, so 10 rows take
-    # three batches per block
+    # three batches per block; offsets that are not 4-periodic need all of
+    # G_6, where rows go one at a time
     monkeypatch.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", 1)
     corpus = random_step_corpus(dyadic6, 10, 2, 5)
-    weights = np.vstack([forward_fast(f).coeffs for f in corpus])
+    width = dyadic6.cells if offsets == "aperiodic" else dyadic6.products[2]
+    weights = np.vstack([forward_fast(f).coeffs[:width] for f in corpus])
     offs = None
     if offsets is not None:
-        offs = -np.vstack([f.values for f in corpus])
+        offs = -np.vstack([f.values[:width] for f in corpus])
         if offsets == "aperiodic":
             offs[3, -1] += 1.0
     got = cumulative_l1_norms(dyadic6, weights, 1, dyadic6.cells, offsets=offs)
@@ -605,10 +606,11 @@ def test_row_batches_are_bitwise_per_row(dyadic6, offsets, monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 7, 4111])
 def test_strong_means_fejer_tail_evaluates_its_ends(seed, monkeypatch):
-    # the gat corpus on 2^10 (ranks 1 .. 4): past M_4 only n = 17 and
-    # n = 1024 are evaluated, for every row
+    # the gat corpus on 2^10 (ranks 1 .. 4), its coefficients on G_4: past
+    # M_4 = 16 only n = 17 and n = 1024 are evaluated, for every row
     sys = build_radix_system([2], 10)
-    weights = np.vstack([forward_fast(f).coeffs for f in random_step_corpus(sys, 50, 4, seed)])
+    corpus = random_step_corpus(sys, 50, 4, seed)
+    weights = np.vstack([forward_fast(f).coeffs[: sys.products[4]] for f in corpus])
     evaluated = []
     real = spectral._sigma_norms
     monkeypatch.setattr(spectral, "_sigma_norms",
@@ -692,11 +694,17 @@ def test_quotient_scans_match_direct(sys, seed, data):
     aperiodic[1, -1] += 1.0
     points = _scan_points(sys, [sys.products[weight_rank], sys.products[offset_rank]])
     lo, hi = sorted(data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
-    # the level each scan must run on: the weights below hi need the smallest
-    # G_r holding min(hi, M_{weight_rank}) indices, a periodic offset may need
-    # more, and the aperiodic one needs all N levels
-    need = min(hi, sys.products[weight_rank])
-    weight_level = next(r for r in range(1, sys.depth + 1) if sys.products[r] >= need)
+
+    def holding(top):
+        """The smallest level r >= 1 with M_r >= min(top, M_{weight_rank})."""
+        need = min(top, sys.products[weight_rank])
+        return next(r for r in range(1, sys.depth + 1) if sys.products[r] >= need)
+
+    # the level each scan runs on, passed as the width of its rows: the
+    # weights below hi need the smallest G_r holding min(hi, M_{weight_rank})
+    # indices, a periodic offset may need more, and the aperiodic one needs
+    # all N levels
+    weight_level = holding(hi)
     cases = ((None, weight_level), (periodic, max(weight_level, offset_rank)),
              (aperiodic, sys.depth))
 
@@ -711,7 +719,8 @@ def test_quotient_scans_match_direct(sys, seed, data):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("vilenkin.spectral.character_block", spy)
-            got = cumulative_l1_norms(sys, weights, lo, hi, offsets=offsets)
+            got = cumulative_l1_norms(sys, weights[:, :width], lo, hi,
+                                      offsets=None if offsets is None else offsets[:, :width])
         assert got.shape == (3, hi - lo + 1)
         # character rows on G_r whenever the scan has a step there
         assert set(cells_seen) == ({width} if lo < min(hi, width) else set())
@@ -722,7 +731,7 @@ def test_quotient_scans_match_direct(sys, seed, data):
                 assert abs(got[i, m - lo] - want) <= 1e-12, (i, m)
 
     n_max = data.draw(st.sampled_from([p for p in points if p >= 1]))
-    got = fejer_l1_norms(sys, weights, n_max)
+    got = fejer_l1_norms(sys, weights[:, : sys.products[holding(n_max)]], n_max)
     for i, c in enumerate(coeffs):
         want = max(float(np.abs(fejer_mean(c, n).values).mean()) for n in range(1, n_max + 1))
         assert abs(got[i] - want) <= 1e-12, i
