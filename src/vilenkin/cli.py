@@ -230,12 +230,12 @@ def _transform_cmd(args: argparse.Namespace) -> int:
     if args.inverse:
         coeffs = SpectralVector.from_json_dict(data)
         values = inverse_transform(coeffs)
-        emit(json.dumps(values.to_json_dict()) + "\n", args.out)
+        emit([json.dumps(values.to_json_dict()), "\n"], args.out)
         what = "naive(synthesis) - input"
     else:
         values = StepFunction.from_json_dict(data)
         coeffs = forward_fast(values)
-        emit(json.dumps(coeffs.to_json_dict()) + "\n", args.out)
+        emit([json.dumps(coeffs.to_json_dict()), "\n"], args.out)
         what = "fast - naive"
     if not args.verify:
         return 0
@@ -253,7 +253,7 @@ def _kernel_cmd(args: argparse.Namespace, sys_obj) -> int:
     )
     kern = dirichlet_kernel(sys_obj, n)
     if args.format == "json":
-        emit(json.dumps(kern.to_json_dict()) + "\n", args.out)
+        emit([json.dumps(kern.to_json_dict()), "\n"], args.out)
     else:
         report = ExperimentReport(
             experiment="kernel",

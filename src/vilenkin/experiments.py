@@ -10,12 +10,13 @@ Timings are therefore logged to stderr, never written into report files.
 
 from __future__ import annotations
 
-import io
 import json
+import operator
 import os
 import sys as _sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -73,11 +74,6 @@ class Table:
         if len({col.size for col in self.data}) > 1:
             raise ValueError("columns of different lengths")
 
-    @property
-    def rows(self) -> list[tuple]:
-        """The rows as tuples of Python ints and floats, built on each call."""
-        return list(zip(*(col.tolist() for col in self.data)))
-
 
 @dataclass
 class ExperimentReport:
@@ -90,58 +86,102 @@ class ExperimentReport:
 
 
 # Rows rendered at a time: the cell text of one chunk is held at once.
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 2048
+
+# json.dumps writes an int64 or float64 value as its repr, which is its str,
+# except for the non-finite floats, which it spells its own way
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _cell_text(col: np.ndarray) -> list[str]:
+def _cell_text(col: np.ndarray, spelling: dict[str, str] | None = None) -> list[str]:
     """str of every value of a 1-D int64 or float64 array, each distinct value
-    formatted once.  Floats are keyed by their bits, so -0.0 stays apart
-    from 0.0; str of a float is its shortest round-trip text, so rereads
-    are exact."""
+    formatted once and then respelled through `spelling`, if given.  Floats
+    are keyed by their bits, so -0.0 stays apart from 0.0; str of a float is
+    its shortest round-trip text, so rereads are exact."""
     keys = col.view(np.int64) if col.dtype == np.float64 else col
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([str(v) for v in col[first].tolist()], dtype=object)
-    return text[inverse].tolist()
+    text = [str(v) for v in col[first].tolist()]
+    if spelling:
+        text = [spelling.get(s, s) for s in text]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-def render_csv(report: ExperimentReport, table: Table | None = None) -> str:
-    """One CSV table with `#` meta header lines; deterministic float text."""
+def _chunk_text(t: Table, lo: int, first: str, lead: str, sep: str, last: str,
+                spelling: dict[str, str] | None = None) -> str:
+    """Rows lo .. lo + _CHUNK_ROWS - 1 of t as one text: `first` before the
+    first row, `lead` before every other one, `sep` between two cells of a
+    row and `last` after the last row.  The cells go into one flat list of
+    text pieces, a column at a time, and one join writes it."""
+    rows = min(_CHUNK_ROWS, t.data[0].size - lo)
+    width = 2 * len(t.data)
+    pieces = [sep] * (width * rows + 1)
+    pieces[::width] = [first, *[lead] * (rows - 1), last]
+    for j, col in enumerate(t.data):
+        pieces[1 + 2 * j :: width] = _cell_text(col[lo : lo + rows], spelling)
+    return "".join(pieces)
+
+
+def render_csv(report: ExperimentReport, table: Table | None = None) -> Iterator[str]:
+    """One CSV table with `#` meta header lines, as text chunks of at most
+    _CHUNK_ROWS rows each; deterministic float text."""
     t = table if table is not None else report.table
-    buf = io.StringIO()
-    buf.write(f"# experiment={report.experiment}\n")
-    for key, val in report.meta.items():
-        buf.write(f"# {key}={val}\n")
-    buf.write(",".join(t.columns) + "\n")
+    yield "".join(line + "\n" for line in (
+        f"# experiment={report.experiment}",
+        *(f"# {key}={val}" for key, val in report.meta.items()),
+        ",".join(t.columns)))
     for lo in range(0, t.data[0].size, _CHUNK_ROWS):
-        cells = [_cell_text(col[lo : lo + _CHUNK_ROWS]) for col in t.data]
-        buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    return buf.getvalue()
+        yield _chunk_text(t, lo, "", "\n", ",", "\n")
 
 
-def render_json(report: ExperimentReport) -> str:
-    payload = {
+def _json_rows(t: Table, indent: int) -> Iterator[str]:
+    """The rows of t as json.dumps(..., indent=2) writes a list of row lists
+    whose rows sit `indent` spaces in, a chunk of _CHUNK_ROWS rows at a time."""
+    if not t.data[0].size:
+        yield "[]"
+        return
+    pad = " " * indent
+    head, sep, tail = f"{pad}[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+    for lo in range(0, t.data[0].size, _CHUNK_ROWS):
+        yield _chunk_text(t, lo, ("[\n" if lo == 0 else ",\n") + head,
+                          f"{tail},\n{head}", sep, tail, _JSON_SPELLING)
+    yield "\n" + pad[2:] + "]"
+
+
+def render_json(report: ExperimentReport) -> Iterator[str]:
+    """The report as json.dumps(payload, indent=2) writes it, in text chunks:
+    everything but the rows is dumped with empty row lists, and the rows are
+    streamed into their place a chunk of _CHUNK_ROWS rows at a time."""
+    text = json.dumps({
         "experiment": report.experiment,
         "meta": report.meta,
         "columns": report.table.columns,
-        "rows": [list(r) for r in report.table.rows],
-        "tables": {
-            name: {"columns": t.columns, "rows": [list(r) for r in t.rows]}
-            for name, t in report.extra_tables.items()
-        },
+        "rows": [],
+        "tables": {name: {"columns": t.columns, "rows": []}
+                   for name, t in report.extra_tables.items()},
         "summary": report.summary,
         "violations": report.violations,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    }, indent=2) + "\n"
+    # every newline of the dump is layout (strings escape theirs), so the
+    # first "rows" key at a table's own indent past the last one is its own
+    at = 0
+    for t, indent in [(report.table, 4), *((t, 8) for t in report.extra_tables.values())]:
+        key = "\n" + " " * (indent - 2) + '"rows": '
+        end = text.index(key, at) + len(key)
+        yield text[at:end]
+        yield from _json_rows(t, indent)
+        at = end + len("[]")
+    yield text[at:]
 
 
-def emit(text: str, path: str | None) -> list[str]:
-    """Write text to the file at path, or to stdout when path is None;
-    returns the paths written."""
+def emit(chunks: Iterable[str], path: str | None) -> list[str]:
+    """Write the text chunks in turn to the file at path, or to stdout when
+    path is None, so no more than one chunk need be held; returns the paths
+    written."""
     if path is None:
-        _sys.stdout.write(text)
+        _sys.stdout.writelines(chunks)
         return []
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     return [path]
 
 
@@ -153,12 +193,12 @@ def write_report(report: ExperimentReport, out: str | None, fmt: str) -> list[st
         raise ValueError(f"unknown output format {fmt!r}: use 'csv' or 'json'")
     written = emit(render_csv(report), out)
     for name, table in report.extra_tables.items():
-        text = render_csv(report, table)
+        chunks = render_csv(report, table)
         if out is None:
-            emit(f"# table={name}\n{text}", None)
+            emit(chain([f"# table={name}\n"], chunks), None)
         else:
             stem, ext = os.path.splitext(out)
-            written += emit(text, f"{stem}.{name}{ext}")
+            written += emit(chunks, f"{stem}.{name}{ext}")
     return written
 
 
@@ -166,16 +206,40 @@ def write_report(report: ExperimentReport, out: str | None, fmt: str) -> list[st
 # shared helpers
 
 
+@dataclass(eq=False)
+class _StepCorpus(Sequence):
+    """A random_step_corpus held as its bases: `groups` has, for each rank r
+    that occurs, (r, the ids i of its rank-r functions, their M_r base values
+    as rows (rows, M_r)).  Item i is function i, tiled to G_N on each call."""
+
+    sys: RadixSystem
+    groups: list[tuple[int, np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return sum(ids.size for _, ids, _ in self.groups)
+
+    def __getitem__(self, i: int) -> StepFunction:
+        i, count = operator.index(i), len(self)
+        if not -count <= i < count:
+            raise IndexError(f"corpus index {i} out of range for {count} functions")
+        # ranks cycle through 1 .. max_rank and only those up to count occur,
+        # so function i is row i // ranks of group i mod ranks
+        i, ranks = i % count, len(self.groups)
+        base = self.groups[i % ranks][2][i // ranks]
+        return StepFunction(self.sys, np.tile(base, self.sys.cells // base.size))
+
+
 def random_step_corpus(
     sys: RadixSystem, count: int, max_rank: int, seed: int
-) -> list[StepFunction]:
+) -> Sequence[StepFunction]:
     """Deterministic corpus of complex step functions.
 
     Function i has rank r_i = 1 + (i mod max_rank); its M_{r_i} base values
     are standard complex normals drawn from numpy.random.default_rng(seed)
     in corpus order (real parts, then imaginary parts, function by
-    function), then tiled across the remaining levels.  The drivers read
-    only the bases, the first M_{r_i} values of each function.
+    function), tiled across the remaining levels.  The corpus holds only
+    the bases, stacked by rank in `groups`, which the drivers read; item i
+    tiles function i to G_N when it is asked for.
     """
     if count < 1:
         raise ValueError(f"corpus size must be >= 1, got {count}")
@@ -184,78 +248,72 @@ def random_step_corpus(
     if not 1 <= max_rank <= sys.depth:
         raise ValueError(f"largest corpus rank {max_rank} out of range [1, {sys.depth}]")
     widths = [sys.products[1 + (i % max_rank)] for i in range(count)]
+    require_memory(f"a corpus of {count} functions on M_N = {sys.cells}",
+                   sum(widths) * _CORPUS_BASE_BYTES)
+    starts = np.cumsum([0, *widths[:-1]], dtype=np.int64) * 2
     # one draw, cut in corpus order: the same numbers as one draw per part
     normals = np.random.default_rng(seed).standard_normal(2 * sum(widths))
-    out = []
-    for i, width in enumerate(widths):
-        re, im = normals[:width], normals[width : 2 * width]
-        normals = normals[2 * width :]
-        out.append(StepFunction(sys, np.tile(re + 1j * im, sys.cells // width)))
-    return out
-
-
-def _corpus_bases(
-    sys: RadixSystem, count: int, max_rank: int, seed: int
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """random_step_corpus by rank: (r, the ids i of its rank-r functions,
-    their bases as rows (rows, M_r)), for each rank that occurs.
-
-    The full-width corpus list is dropped on return, before any pass runs.
-    """
-    corpus = random_step_corpus(sys, count, max_rank, seed)
-    out = []
+    groups = []
     for r in range(1, min(count, max_rank) + 1):
         ids = np.arange(r - 1, count, max_rank)
-        out.append((r, ids, np.stack([corpus[i].values[: sys.products[r]] for i in ids])))
-    return out
+        at = starts[ids, None] + np.arange(sys.products[r])
+        bases = np.empty(at.shape, dtype=np.complex128)
+        bases.real = normals[at]
+        at += sys.products[r]
+        bases.imag = normals[at]
+        groups.append((r, ids, bases))
+    return _StepCorpus(sys, groups)
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
-# Peak bytes, measured with tracemalloc on 2^10 .. 2^18 and rounded up.  Per
-# lebesgue-scan table row, also on 3^9, 5^6, 7^5, (2,3,4)x3 and (5,2,7)x2:
-# the columns and the rendered text, which as CSV holds the cell strings of
-# one chunk of rows at a time (215 to 520), and as JSON the row lists the
-# text is built from (1140 to 1220).  Per cell: one Dirichlet kernel (32 to
-# 47), a kernel report as CSV (95 to 225) or JSON (205 to 350), a divergence run
-# (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and (5,2,7)x3,
-# 88 on 2^20 with (1,4,9,19): the function, its coefficients and their
-# check, the norms, the oracle's synthesized partial sums and the H1 norms
-# of the truncations, each on its own G_q from its first M_q values; the
-# closed form holds at most spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a
-# time and no scan scratch).  Per lemma1 index: 65 to 79.
+# Peak bytes, measured with tracemalloc and rounded up.  A report is written
+# one chunk of _CHUNK_ROWS rows at a time, as CSV or JSON alike: the cell
+# strings and text of one chunk (under 1 MB) are held at once, whatever the
+# row count, and are left out of the per-row and per-cell figures below.
+# Per lebesgue-scan table row, through the CLI on 2^14 .. 2^18, 3^9, 5^6,
+# 7^5 and (2,3,4)x3: the columns, the closed-form scan and the kernel probes
+# (97 to 133 as CSV, 97 to 143 as JSON).  Per cell: one Dirichlet kernel
+# (32 to 47), a kernel report as CSV (49 to 67 on 2^14 .. 2^18, 3^9 and
+# (2,3,4)x3) or as one JSON dump of the kernel (207 to 374), a divergence
+# run (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and
+# (5,2,7)x3, 88 on 2^20 with (1,4,9,19): the function, its coefficients and
+# their check, the norms, the oracle's synthesized partial sums and the H1
+# norms of the truncations, each on its own G_q from its first M_q values;
+# the closed form holds at most spectral._SCAN_BLOCK_ELEMENTS / 16 offsets
+# at a time and no scan scratch).  Per lemma1 index: 65 to 79.
 #
-# Both corpus drivers draw the full-width corpus list (16 bytes per cell of
-# G_N per function), keep each function's bases, its first M_{r_i} values,
-# and drop the list before any pass; every pass then runs on G_q, q <= r_i.
-# gat, per cell of G_N of each function: 16 to 17 with ranks up to 4 (the
-# corpus, on 2^10 .. 2^18 and 3^9), up to 49 when one chunk holds every row
-# (rank 1 on 2^10 and 2^16: the three norm arrays of its log means have M_N
-# columns per row, twice), and the scan scratch beside it, which sets the
-# peak at full rank (2^10, 2^12, 3^7, 7^4) and on 7^6 at rank 4; it is
-# counted on G_N, which bounds the block of any G_q.  equiv-check: 18 to 23
-# per cell of G_N of each function (the corpus and the bases, on 2^10 ..
-# 2^18, 3^9 and 7^6 at ranks 4 and full), and one chunk of rows of one
-# period level q at a time (spectral._quotients): a view of their first M_q
-# values when the rows are consecutive, the coefficients, two level buffers
-# of the synthesis, the block partial sums on G_0 .. G_q (at most 2 M_q
-# values per row) and both sups.  A chunk of full-rank rows takes 59 to 81
-# bytes per cell (2^10 .. 2^18, 3^9, 3^11, 7^6), so equiv-check counts
-# min(count, _chunk_rows) full-width rows at 96, which bounds a chunk of any
-# G_q.  Per element of a scan block: about 40 in the partial-sum scan and 56
-# with the Fejer sums (the character rows and the scratch reused across
-# blocks and row batches, each at most one block); past M_q the Fejer
-# maximum evaluates its two ends, and inner n only for rows within rounding
-# of a tie, at most spectral._SCAN_BLOCK_ELEMENTS cells at a time.
-_SCAN_ROW_BYTES = 1280
+# A corpus holds only its bases, the first M_{r_i} values of each function,
+# and every pass of gat and equiv-check runs on G_q, q <= r_i.  Per base
+# value, while the corpus is drawn: the draw, the bases and one rank's
+# gather index (40 on 2^20 at full rank, 48 to 50 on depth-1 systems, where
+# every base is full width).  gat, per cell of G_N of each function: 12 to
+# 13 with ranks up to 4 (2^10 .. 2^18 and 3^9), up to 49 when one chunk
+# holds every row (rank 1 on 2^10 and 2^16: the three norm arrays of its log
+# means have M_N columns per row, twice), and the scan scratch beside it,
+# which sets the peak at full rank (2^10, 2^12, 3^7, 7^4) and on 7^6 at
+# rank 4; it is counted on G_N, which bounds the block of any G_q.
+# equiv-check: one chunk of rows of one period level q at a time
+# (spectral._quotients): a view of their first M_q values when the rows are
+# consecutive, the coefficients, two level buffers of the synthesis, the
+# block partial sums on G_0 .. G_q (at most 2 M_q values per row) and both
+# sups.  A chunk of full-rank rows takes 59 to 74 bytes per cell (2^10 ..
+# 2^18, 3^9, 3^11, 7^6), so equiv-check counts min(count, _chunk_rows)
+# full-width rows at 96, which bounds a chunk of any G_q.  Per element of a
+# scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
+# (the character rows and the scratch reused across blocks and row batches,
+# each at most one block); past M_q the Fejer maximum evaluates its two ends,
+# and inner n only for rows within rounding of a tie, at most
+# spectral._SCAN_BLOCK_ELEMENTS cells at a time.
+_SCAN_ROW_BYTES = 160
 _KERNEL_CELL_BYTES = 64
 KERNEL_REPORT_CELL_BYTES = 384
 _DIVERGENCE_CELL_BYTES = 160
 _LEMMA_INDEX_BYTES = 128
+_CORPUS_BASE_BYTES = 64
 _GAT_CELL_BYTES = 64
-_EQUIV_CELL_BYTES = 32
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
 
@@ -293,15 +351,18 @@ def run_lebesgue_scan(
     lebesgue = lebesgue_scan(sys, n_lo, n_hi)
     v, v_star = variation_values(sys, ns)
     lower, upper = variation_bound_arrays(v, v_star, sys.max_radix)
-    lower_slack, upper_slack = lebesgue - lower, upper - lebesgue
-    columns = (ns, v, v_star, lebesgue, lower, upper, lower_slack, upper_slack)
     ratio, at_n = max_lebesgue_log_ratio(lebesgue, n_lo)
-    # the kernel route re-evaluates the ends and the rows the summary names
-    probes = {n_lo, n_hi, int(ns[lower_slack.argmin()]), int(ns[upper_slack.argmin()])}
+    # the kernel route re-evaluates the ends and the rows the summary names;
+    # its kernels set the peak of a long scan, so they are built before the
+    # two slack columns exist
+    probes = {n_lo, n_hi, int(ns[(lebesgue - lower).argmin()]),
+              int(ns[(upper - lebesgue).argmin()])}
     if at_n:
         probes.add(at_n)
     oracle_dev = float(np.max([abs(lebesgue[n - n_lo] - lebesgue_constant(sys, n))
                                for n in sorted(probes)]))
+    lower_slack, upper_slack = lebesgue - lower, upper - lebesgue
+    columns = (ns, v, v_star, lebesgue, lower, upper, lower_slack, upper_slack)
     bad = (lower_slack < -tol) | (upper_slack < -tol)
     violations = int(bad.sum()) + (0 if oracle_dev <= tol else 1)
     return ExperimentReport(
@@ -409,7 +470,7 @@ def run_gat(
         count * sys.cells * _GAT_CELL_BYTES + _scan_scratch(sys),
     )
     # drawn before the outputs are allocated: a bad count or seed is refused by name
-    groups = _corpus_bases(sys, count, max_rank, seed)
+    groups = random_step_corpus(sys, count, max_rank, seed).groups
     # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
     # last endpoint (on a depth-1 system the only one, and the table is empty)
     ends = np.array(sys.products[2:], dtype=np.int64)
@@ -458,11 +519,10 @@ def run_equiv_check(
 ) -> ExperimentReport:
     require_memory(
         f"equiv-check of {count} functions on M_N = {sys.cells}",
-        sys.cells * (count * _EQUIV_CELL_BYTES
-                     + min(count, _chunk_rows(sys)) * _EQUIV_CHECK_CELL_BYTES),
+        sys.cells * min(count, _chunk_rows(sys)) * _EQUIV_CHECK_CELL_BYTES,
     )
     # drawn before the outputs are allocated: a bad count or seed is refused by name
-    groups = _corpus_bases(sys, count, rank, seed)
+    groups = random_step_corpus(sys, count, rank, seed).groups
     h1, sup, gaps = np.empty((3, count))
     for r, at, bases in groups:
         rep = check_norm_equivalence(sys.truncate(r), bases)

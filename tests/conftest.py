@@ -44,6 +44,11 @@ def mixed2():
     return build_radix_system([2, 3, 4], 6)
 
 
+def table_rows(table):
+    """The rows of a report table as tuples of Python ints and floats."""
+    return list(zip(*(col.tolist() for col in table.data)))
+
+
 def random_values(sys, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(sys.cells) + 1j * rng.standard_normal(sys.cells)

@@ -42,6 +42,7 @@ from vilenkin.experiments import (
     run_variation_average,
     write_report,
 )
+from conftest import table_rows
 
 BIG_SYSTEMS = (
     build_radix_system([2], 12),
@@ -137,7 +138,7 @@ def test_criterion_4_averaged_lower_bound():
     """Averages of v stay above 0.25 (dyadic) with the exact spot value at n=3."""
     dyadic12 = BIG_SYSTEMS[0]
     rep = run_variation_average(dyadic12, 12)
-    averages = {row[0]: row[1] for row in rep.table.rows}
+    averages = {row[0]: row[1] for row in table_rows(rep.table)}
     all_above = all(averages[n] >= 0.25 for n in range(1, 13))
     spot = averages[3]
     c_positive = []
@@ -213,8 +214,8 @@ def test_criterion_8_window_averages_grow():
     sys = build_radix_system([2], 10)
     rep = run_divergence(sys, (1, 4, 9), 1e-12)
     elapsed = time.monotonic() - t0
-    b_values = [row[3] for row in rep.table.rows]
-    ratios = [row[5] for row in rep.table.rows]
+    b_values = [row[3] for row in table_rows(rep.table)]
+    ratios = [row[5] for row in table_rows(rep.table)]
     increasing = rep.summary["b_strictly_increasing"]
     spread = rep.summary["h1_spread"]
     ok = (
@@ -241,7 +242,7 @@ def test_criterion_9_log_averages_and_fejer():
     # convergence form decreases from M_2 to M_N for every corpus member
     m2, mn = sys.products[2], sys.cells
     early, late = {}, {}
-    for row in reps[1].table.rows:
+    for row in table_rows(reps[1].table):
         func_id, _, n, conv = row[0], row[1], row[2], row[3]
         if n == m2:
             early[func_id] = conv
@@ -255,7 +256,7 @@ def test_criterion_9_log_averages_and_fejer():
 
     # the shared counterexample: growing Cesaro curve, bounded Fejer maximal
     div = run_divergence(sys, (1, 4, 9), 1e-12)
-    curve = [row[1] for row in div.extra_tables["cesaro"].rows if row[0] >= 4]
+    curve = [row[1] for row in table_rows(div.extra_tables["cesaro"]) if row[0] >= 4]
     curve_grows = all(a < b for a, b in zip(curve, curve[1:])) and curve[-1] > 2 * curve[0]
     f_ce = build_counterexample(CounterexampleSpec(sys, (1, 4, 9)))
     fejer_ce = float(fejer_l1_norms(sys, forward_fast(f_ce).coeffs, sys.cells)[0] / h1_norm(f_ce))

@@ -43,7 +43,7 @@ from vilenkin.experiments import (
     run_variation_average,
     write_report,
 )
-from conftest import small_systems
+from conftest import small_systems, table_rows
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_render_csv_layout(dyadic6):
     n, x = report.table.data
     report.table = Table(report.table.columns, (np.append(n, 3), np.append(x, 0.25)))
     assert [col.dtype for col in report.table.data] == [np.int64, np.float64]
-    text = render_csv(report)
+    text = "".join(render_csv(report))
     lines = text.splitlines()
     assert lines[0] == "# experiment=demo"
     assert lines[1] == "# radix=2^6"
@@ -96,7 +96,7 @@ def test_render_csv_layout(dyadic6):
 
 
 def test_render_json_parses_back(dyadic6):
-    payload = json.loads(render_json(_tiny_report(dyadic6)))
+    payload = json.loads("".join(render_json(_tiny_report(dyadic6))))
     assert payload["experiment"] == "demo"
     assert payload["rows"] == [[1, 0.5], [2, 1.0 / 3.0]]
     assert payload["tables"]["side"]["rows"] == [[7]]
@@ -140,7 +140,7 @@ def _render_csv_by_rows(report, table):
     head = [f"# experiment={report.experiment}",
             *(f"# {key}={val}" for key, val in report.meta.items()),
             ",".join(table.columns)]
-    return "".join(line + "\n" for line in head + [",".join(map(str, row)) for row in table.rows])
+    return "".join(line + "\n" for line in head + [",".join(map(str, row)) for row in table_rows(table)])
 
 
 _INT64 = st.one_of(
@@ -175,13 +175,13 @@ def _tables(draw):
 def test_render_csv_matches_row_oracle(chunk, table, dyadic6):
     report = ExperimentReport(experiment="demo", meta=report_meta(dyadic6, {}), table=table)
     with mock.patch.object(experiments_mod, "_CHUNK_ROWS", chunk):
-        assert render_csv(report) == _render_csv_by_rows(report, table)
+        assert "".join(render_csv(report)) == _render_csv_by_rows(report, table)
 
 
 def test_render_csv_keeps_zero_signs_and_nan(dyadic6):
     x = np.array([0.0, -0.0, np.nan, -np.nan, 0.0, -0.0, np.inf, 5e-324])
     report = ExperimentReport("demo", Table(["x"], (x,)))
-    assert render_csv(report).splitlines()[2:] == [
+    assert "".join(render_csv(report)).splitlines()[2:] == [
         "0.0", "-0.0", "nan", "nan", "0.0", "-0.0", "inf", "5e-324"]
 
 
@@ -189,22 +189,86 @@ def test_render_csv_formats_one_chunk_at_a_time(monkeypatch, mixed2):
     sizes = []
     real = experiments_mod._cell_text
 
-    def spy(col):
+    def spy(col, *spelling):
         sizes.append(col.size)
-        return real(col)
+        return real(col, *spelling)
 
     monkeypatch.setattr(experiments_mod, "_cell_text", spy)
     chunk = experiments_mod._CHUNK_ROWS
     rows = 2 * chunk + 1
-    render_csv(ExperimentReport("demo", Table(["n", "x"], (np.arange(rows), np.ones(rows)))))
+    "".join(render_csv(ExperimentReport("demo", Table(["n", "x"], (np.arange(rows), np.ones(rows))))))
     assert sizes == [chunk, chunk, chunk, chunk, 1, 1]
 
     sizes.clear()
     monkeypatch.setattr(experiments_mod, "_CHUNK_ROWS", 64)
     rep = run_lebesgue_scan(mixed2, 1, mixed2.cells - 1, 1e-9)
-    render_csv(rep)
+    "".join(render_csv(rep))
     assert mixed2.cells - 1 > 64
     assert max(sizes) == 64 and sum(sizes) == (mixed2.cells - 1) * len(rep.table.columns)
+
+
+def _json_payload(report):
+    """Oracle: the report as one dict, rows built as lists, for json.dumps."""
+    def rows(t):
+        return [list(row) for row in table_rows(t)]
+
+    return {
+        "experiment": report.experiment,
+        "meta": report.meta,
+        "columns": report.table.columns,
+        "rows": rows(report.table),
+        "tables": {name: {"columns": t.columns, "rows": rows(t)}
+                   for name, t in report.extra_tables.items()},
+        "summary": report.summary,
+        "violations": report.violations,
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 3, experiments_mod._CHUNK_ROWS])
+@settings(max_examples=60, deadline=None)
+@given(table=_tables(), side=_tables())
+def test_render_json_matches_json_dumps(chunk, table, side, dyadic6):
+    # a side table and an empty one, and a summary that holds a "rows" key
+    empty = Table(["e"], (np.empty(0, dtype=np.int64),))
+    report = ExperimentReport(
+        "demo", table, meta=report_meta(dyadic6, {}),
+        extra_tables={"side": side, "empty": empty},
+        summary={"rows": [], "nested": {"rows": [1.5, math.nan]}}, violations=3)
+    with mock.patch.object(experiments_mod, "_CHUNK_ROWS", chunk):
+        chunks = list(render_json(report))
+    assert "".join(chunks) == json.dumps(_json_payload(report), indent=2) + "\n"
+    # no chunk holds more than _CHUNK_ROWS rows of one table
+    assert max(c.count("\n    [") + c.count("\n        [") for c in chunks) <= chunk
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary, fmt):
+    # gat has a side table: as CSV on stdout it follows a "# table=fejer" line
+    argv = ["gat", "--radix", "2,3", "--depth", "4", "--count", "5", "--format", fmt]
+    assert main([*argv, "--out", str(tmp_path / f"g.{fmt}")]) == 0
+    want = (tmp_path / f"g.{fmt}").read_bytes()
+    if fmt == "csv":
+        want += b"# table=fejer\n" + (tmp_path / "g.fejer.csv").read_bytes()
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_report_peak_does_not_grow_with_the_rows(tmp_path, fmt):
+    # the writer holds one chunk of rows at a time, never the whole text:
+    # 2^16 has sixteen times the rows of 2^12, but not more peak bytes
+    peaks = []
+    for depth in (12, 16):
+        sys_obj = build_radix_system([2], depth)
+        rep = run_lebesgue_scan(sys_obj, 1, sys_obj.cells - 1, 1e-9)
+        tracemalloc.start()
+        try:
+            write_report(rep, str(tmp_path / f"scan.{fmt}"), fmt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_table_rejects_other_columns():
@@ -247,6 +311,24 @@ def test_corpus_validation(dyadic6):
         random_step_corpus(dyadic6, 0, 2, 1)
     with pytest.raises(ValueError):
         random_step_corpus(dyadic6, 3, 7, 1)
+    # refused before the draw: the bases of ranks 1 .. 40 hold about 2^41 values
+    with pytest.raises(ValueError, match="a corpus of 40 functions on M_N = 1099511627776"):
+        random_step_corpus(build_radix_system([2], 40), 40, 40, 1)
+
+
+def test_corpus_holds_bases_by_rank(mixed2):
+    corpus = random_step_corpus(mixed2, 7, 3, 2)
+    assert [(r, ids.tolist(), bases.shape) for r, ids, bases in corpus.groups] == [
+        (1, [0, 3, 6], (3, 2)), (2, [1, 4], (2, 6)), (3, [2, 5], (2, 24))]
+    assert len(corpus) == 7
+    for i in range(7):
+        r, ids, bases = corpus.groups[i % 3]
+        assert np.array_equal(corpus[i].values[: mixed2.products[r]], bases[i // 3])
+        assert np.array_equal(corpus[i - 7].values, corpus[i].values)
+    for i in (7, -8):
+        with pytest.raises(IndexError):
+            corpus[i]
+    assert [f.values.size for f in corpus] == [mixed2.cells] * 7
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +340,7 @@ def test_run_lebesgue_scan_small(dyadic6, mixed2):
         rep = run_lebesgue_scan(sys_obj, 1, hi, 1e-9)
         assert rep.table.columns[:4] == ["n", "v", "v_star", "L_n"]
         assert rep.violations == 0
-        by_n = {row[0]: row for row in rep.table.rows}
+        by_n = {row[0]: row for row in table_rows(rep.table)}
         for n, want in frozen.items():
             assert by_n[n][3] == pytest.approx(want)
         assert sorted(by_n) == list(range(1, hi + 1))
@@ -273,7 +355,7 @@ def test_run_lebesgue_scan_small(dyadic6, mixed2):
 def test_run_variation_average_frozen(dyadic6):
     rep = run_variation_average(dyadic6, 4)
     assert rep.table.columns == ["n", "average_n_mn", "average_mn"]
-    rows = {r[0]: r for r in rep.table.rows}
+    rows = {r[0]: r for r in table_rows(rep.table)}
     assert rows[1][1] == pytest.approx(1.0)
     assert rows[3][1] == pytest.approx(2 / 3)
     assert rows[3][2] == pytest.approx(2.0)  # plain 1/M_n normalizer
@@ -288,17 +370,17 @@ def test_run_divergence_small(dyadic6, dyadic10):
         (dyadic10, (1, 4, 9), (0.5, 0.685546875, 0.8759403228759763)),
     ):
         rep = run_divergence(sys_obj, alphas, 1e-12)
-        assert len(rep.table.rows) == len(alphas)
+        assert len(table_rows(rep.table)) == len(alphas)
         assert rep.summary["eq_block_coeff_deviation"] < 1e-12
         assert rep.violations == 0
         assert "cesaro" in rep.extra_tables
-        assert len(rep.extra_tables["cesaro"].rows) == sys_obj.depth
+        assert len(table_rows(rep.extra_tables["cesaro"])) == sys_obj.depth
         if frozen_b is not None:
-            assert [row[3] for row in rep.table.rows] == pytest.approx(frozen_b)
+            assert [row[3] for row in table_rows(rep.table)] == pytest.approx(frozen_b)
         spec = CounterexampleSpec(sys_obj, alphas)
         c = forward_fast(build_counterexample(spec))
         norms = cumulative_l1_norms(sys_obj, c.coeffs, 1, sys_obj.cells)[0]
-        for n, avg in rep.extra_tables["cesaro"].rows:
+        for n, avg in table_rows(rep.extra_tables["cesaro"]):
             assert avg == pytest.approx(float(norms[:n].mean()), abs=1e-12)
         assert rep.summary["oracle_max_deviation"] < 1e-12
         # a hostile tolerance fails both the coefficient check and the oracle
@@ -359,13 +441,13 @@ def test_run_gat_small(dyadic6, mixed):
         assert rep.table.columns == [
             "func_id", "rank", "n", "convergence_form", "bounded_form", "bounded_ratio",
         ]
-        assert len(rep.table.rows) == 4 * (sys_obj.depth - 1)
+        assert len(table_rows(rep.table)) == 4 * (sys_obj.depth - 1)
         assert np.isfinite(rep.summary["max_bounded_ratio"])
         assert rep.summary["max_fejer_ratio"] > 0
-        assert len(rep.extra_tables["fejer"].rows) == 4
+        assert len(table_rows(rep.extra_tables["fejer"])) == 4
         # every value against partial sums and Fejer means taken one n at a time
         corpus = random_step_corpus(sys_obj, 4, 2, 1)
-        for func_id, _, n, conv, bounded, ratio in rep.table.rows:
+        for func_id, _, n, conv, bounded, ratio in table_rows(rep.table):
             f = corpus[func_id]
             sums = [partial_sum(forward_fast(f), k) for k in range(1, n + 1)]
             want_bnd = sum(l1_norm(s) / k for k, s in enumerate(sums, 1)) / math.log(n)
@@ -376,7 +458,7 @@ def test_run_gat_small(dyadic6, mixed):
             assert conv == pytest.approx(want_conv, abs=1e-12)
             assert bounded == pytest.approx(want_bnd, abs=1e-12)
             assert ratio == pytest.approx(want_bnd / h1_norm(f), abs=1e-12)
-        for func_id, sup, h1, ratio in rep.extra_tables["fejer"].rows:
+        for func_id, sup, h1, ratio in table_rows(rep.extra_tables["fejer"]):
             c = forward_fast(corpus[func_id])
             want = max(l1_norm(fejer_mean(c, n)) for n in range(1, sys_obj.cells + 1))
             assert sup == pytest.approx(want, abs=1e-12)
@@ -430,18 +512,20 @@ def test_run_gat_outputs_permute_with_the_rows(sys_obj, seed, data):
     slots = [1 + i % max_rank for i in range(count)]
     levels = [data.draw(st.integers(1, r)) for r in slots]
     rng = np.random.default_rng(seed)
-    fs = []
-    for q in levels:
+    bases = []
+    for r, q in zip(slots, levels):
         base = rng.standard_normal(sys_obj.products[q]) + 1j * rng.standard_normal(sys_obj.products[q])
-        fs.append(StepFunction(sys_obj, np.tile(base, sys_obj.cells // base.size)))
+        bases.append(np.tile(base, sys_obj.products[r] // base.size))
     perm = np.arange(count)
     for r in range(max_rank):
         perm[r::max_rank] = data.draw(st.permutations(perm[r::max_rank].tolist()))
     reports = []
     for order in (np.arange(count), perm):
+        ranks = [(r, np.arange(r - 1, count, max_rank)) for r in range(1, min(count, max_rank) + 1)]
+        corpus = experiments_mod._StepCorpus(
+            sys_obj, [(r, ids, np.stack([bases[i] for i in order[ids]])) for r, ids in ranks])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments_mod, "random_step_corpus",
-                       lambda *args: [fs[i] for i in order])
+            mp.setattr(experiments_mod, "random_step_corpus", lambda *args: corpus)
             reports.append(run_gat(sys_obj, count, max_rank, 1))
     plain, shuffled = reports
     steps = sys_obj.depth - 1
@@ -472,8 +556,8 @@ def test_run_gat_depth_one():
     # no table row below M_2; the summary is still taken at n = M_N = 2
     sys_obj = build_radix_system([2], 1)
     rep = run_gat(sys_obj, 4, 1, 1)
-    assert rep.table.rows == []
-    assert render_csv(rep).endswith(
+    assert table_rows(rep.table) == []
+    assert "".join(render_csv(rep)).endswith(
         "\nfunc_id,rank,n,convergence_form,bounded_form,bounded_ratio\n")
     want = 0.0
     for f in random_step_corpus(sys_obj, 4, 1, 1):
@@ -487,7 +571,7 @@ def test_run_equiv_check_small(mixed2):
     rep = run_equiv_check(mixed2, 6, mixed2.depth, 1, 1e-9)
     assert rep.violations == 0
     assert rep.summary["max_pointwise_diff"] < 1e-9
-    assert len(rep.table.rows) == 6
+    assert len(table_rows(rep.table)) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1062,7 @@ def test_cli_stamps_the_header(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert set(payload["meta"]) == {"radix", "depth", "version", "config_hash"}
-    assert payload["rows"] == [list(r) for r in rep.table.rows]
+    assert payload["rows"] == [list(r) for r in table_rows(rep.table)]
 
 
 def test_cli_depth_flag(tmp_path, capsys):

@@ -140,7 +140,7 @@ def test_variation_values_range_check(mixed):
 
 
 def _column(report, name):
-    return np.array([row[report.table.columns.index(name)] for row in report.table.rows])
+    return report.table.data[report.table.columns.index(name)]
 
 
 def test_bound_check_frozen_dyadic(dyadic6):
