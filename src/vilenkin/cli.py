@@ -30,24 +30,19 @@ from . import __version__
 from .experiments import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_ORACLE_TOL,
-    KERNEL_REPORT_CELL_BYTES,
-    ExperimentReport,
-    Table,
     emit,
-    require_memory,
     run_divergence,
     run_equiv_check,
     run_gat,
+    run_kernel,
     run_lebesgue_scan,
     run_variation_average,
     write_report,
 )
-from .norms import l1_norm, lebesgue_scan
 from .radix import RadixSystem, parse_radix_spec
 from .spectral import (
     SpectralVector,
     StepFunction,
-    dirichlet_kernel,
     forward_fast,
     forward_naive,
     inverse_transform,
@@ -246,33 +241,6 @@ def _transform_cmd(args: argparse.Namespace) -> int:
     return 2 if deviation > args.tolerance else 0
 
 
-def _kernel_cmd(args: argparse.Namespace, sys_obj) -> int:
-    n = args.n
-    require_memory(
-        f"kernel on M_N = {sys_obj.cells}", sys_obj.cells * KERNEL_REPORT_CELL_BYTES
-    )
-    kern = dirichlet_kernel(sys_obj, n)
-    if args.format == "json":
-        emit([json.dumps(kern.to_json_dict()), "\n"], args.out)
-    else:
-        report = ExperimentReport(
-            experiment="kernel",
-            meta=report_meta(sys_obj, _resolved_for_hash(args)),
-            table=Table(["t", "re", "im"],
-                        (np.arange(sys_obj.cells), kern.values.real, kern.values.imag)),
-        )
-        write_report(report, args.out, "csv")
-    if n >= 1:
-        l_n = l1_norm(kern)
-        print(f"kernel n={n}: L_n = {l_n!r}", file=sys.stderr)
-        gap = abs(l_n - float(lebesgue_scan(sys_obj, n, n)[0]))
-        print(f"kernel n={n}: |L_n - closed form| = {gap:.3e} "
-              f"(tolerance {args.tolerance:.1e})", file=sys.stderr)
-        if gap > args.tolerance:
-            return 2
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     command = args.command
@@ -300,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.monotonic()
 
         if command == "kernel":
-            return _kernel_cmd(args, sys_obj)
-        if command == "lebesgue-scan":
+            report = run_kernel(sys_obj, args.n, args.tolerance)
+        elif command == "lebesgue-scan":
             report = run_lebesgue_scan(sys_obj, args.n_min, args.n_max, args.tolerance)
         elif command == "lemma1":
             report = run_variation_average(sys_obj, args.n_max)

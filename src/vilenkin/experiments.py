@@ -46,6 +46,7 @@ from .spectral import (
     StepFunction,
     _chunk_rows,
     _scan_block,
+    dirichlet_kernel,
     fejer_l1_norms,
     forward_fast,
     partial_sum,
@@ -276,14 +277,15 @@ def random_step_corpus(
 # Per lebesgue-scan table row, through the CLI on 2^14 .. 2^18, 3^9, 5^6,
 # 7^5 and (2,3,4)x3: the columns, the closed-form scan and the kernel probes
 # (97 to 133 as CSV, 97 to 143 as JSON).  Per cell: one Dirichlet kernel
-# (32 to 47), a kernel report as CSV (49 to 67 on 2^14 .. 2^18, 3^9 and
-# (2,3,4)x3) or as one JSON dump of the kernel (207 to 374), a divergence
-# run (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3, (2,3,4)x4 and
-# (5,2,7)x3, 88 on 2^20 with (1,4,9,19): the function, its coefficients and
-# their check, the norms, the oracle's synthesized partial sums and the H1
-# norms of the truncations, each on its own G_q from its first M_q values;
-# the closed form holds at most spectral._SCAN_BLOCK_ELEMENTS / 16 offsets
-# at a time and no scan scratch).  Per lemma1 index: 65 to 79.
+# (32 to 47), a kernel report (49 to 67 on 2^14 .. 2^18, 3^9 and (2,3,4)x3,
+# as CSV and as JSON alike: the kernel sets the peak, not the render), a
+# divergence run (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3,
+# (2,3,4)x4 and (5,2,7)x3, 88 on 2^20 with (1,4,9,19): the function, its
+# coefficients and their check, the norms, the oracle's synthesized partial
+# sums and the H1 norms of the truncations, each built on the group its
+# schedule reaches; the closed form holds at most
+# spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a time and no scan
+# scratch).  Per lemma1 index: 65 to 79.
 #
 # A corpus holds only its bases, the first M_{r_i} values of each function,
 # and every pass of gat and equiv-check runs on G_q, q <= r_i.  Per base
@@ -309,7 +311,7 @@ def random_step_corpus(
 # spectral._SCAN_BLOCK_ELEMENTS cells at a time.
 _SCAN_ROW_BYTES = 160
 _KERNEL_CELL_BYTES = 64
-KERNEL_REPORT_CELL_BYTES = 384
+_KERNEL_REPORT_CELL_BYTES = 96
 _DIVERGENCE_CELL_BYTES = 160
 _LEMMA_INDEX_BYTES = 128
 _CORPUS_BASE_BYTES = 64
@@ -381,6 +383,26 @@ def run_lebesgue_scan(
             "max_L_over_log_n_at": at_n,
             "oracle_max_deviation": oracle_dev,
         },
+        violations=violations,
+    )
+
+
+def run_kernel(sys: RadixSystem, n: int, tol: float) -> ExperimentReport:
+    """The Dirichlet kernel D_n cell by cell; for n >= 1 the summary holds
+    L_n = ||D_n||_1 and its gap to the closed form of lebesgue_scan, and a
+    gap above tol is a violation."""
+    require_memory(f"kernel on M_N = {sys.cells}", sys.cells * _KERNEL_REPORT_CELL_BYTES)
+    kern = dirichlet_kernel(sys, n)
+    summary, violations = {}, 0
+    if n >= 1:
+        l_n = l1_norm(kern)
+        gap = abs(l_n - float(lebesgue_scan(sys, n, n)[0]))
+        summary = {"L_n": l_n, "oracle_max_deviation": gap}
+        violations = int(gap > tol)
+    return ExperimentReport(
+        experiment="kernel",
+        table=Table(["t", "re", "im"], (np.arange(sys.cells), kern.values.real, kern.values.imag)),
+        summary=summary,
         violations=violations,
     )
 

@@ -187,9 +187,14 @@ class CounterexampleSpec:
         return None
 
     def truncated(self, terms: int) -> "CounterexampleSpec":
+        """The schedule of the first `terms` exponents, on the group its
+        function lives on: the first a + 1 levels, a the last exponent kept.
+        Its function is the first M_{a+1} values of the truncated function
+        on the full system, which tiles them."""
         if not 1 <= terms <= self.terms:
             raise ValueError(f"terms {terms} out of range [1, {self.terms}]")
-        return CounterexampleSpec(self.sys, self.alphas[:terms])
+        alphas = self.alphas[:terms]
+        return CounterexampleSpec(self.sys.truncate(alphas[-1] + 1), alphas)
 
 
 def build_counterexample(spec: CounterexampleSpec) -> StepFunction:

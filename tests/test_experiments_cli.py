@@ -39,6 +39,7 @@ from vilenkin.experiments import (
     run_divergence,
     run_equiv_check,
     run_gat,
+    run_kernel,
     run_lebesgue_scan,
     run_variation_average,
     write_report,
@@ -681,8 +682,6 @@ def test_cli_kernel_csv(tmp_path, capsys):
     out = tmp_path / "kern.csv"
     rc = main(["kernel", "--radix", "2^4", "--n", "3", "--out", str(out)])
     assert rc == 0
-    err = capsys.readouterr().err
-    assert "L_n = 1.5" in err
     lines = out.read_text().splitlines()
     assert lines[0] == "# experiment=kernel"
     assert "t,re,im" in lines
@@ -693,11 +692,14 @@ def test_cli_kernel_csv(tmp_path, capsys):
     for (t, re, im), w in zip(parsed, want):
         assert re == pytest.approx(w, abs=1e-12)
         assert im == pytest.approx(0.0, abs=1e-12)
+    # L_n is in the summary, which the stderr line shows for the CSV format
+    summary = run_kernel(build_radix_system([2], 4), 3, 1e-9).summary
+    assert summary["L_n"] == 1.5
+    assert f"summary: {summary}" in capsys.readouterr().err
 
 
 def test_cli_kernel_builds_one_kernel(tmp_path, monkeypatch):
-    # the stderr L_n line reuses the kernel of the report
-    import vilenkin.cli as cli_mod
+    # L_n in the summary reuses the kernel of the report
     import vilenkin.norms as norms_mod
 
     calls = []
@@ -707,7 +709,7 @@ def test_cli_kernel_builds_one_kernel(tmp_path, monkeypatch):
         calls.append(n)
         return real_kernel(sys_obj, n)
 
-    monkeypatch.setattr(cli_mod, "dirichlet_kernel", counted)
+    monkeypatch.setattr(experiments_mod, "dirichlet_kernel", counted)
     monkeypatch.setattr(norms_mod, "dirichlet_kernel", counted)
     out = tmp_path / "kern.csv"
     assert main(["kernel", "--radix", "2^10", "--n", "37", "--out", str(out)]) == 0
@@ -715,28 +717,59 @@ def test_cli_kernel_builds_one_kernel(tmp_path, monkeypatch):
 
 
 def test_cli_kernel_oracle_deviation_exit_2(tmp_path, monkeypatch, capsys):
-    # the stderr L_n is checked against the closed form; a closed form off by
-    # 1e-6 must fail, and the L_n line itself stays as it was
-    import vilenkin.cli as cli_mod
-
-    exact = cli_mod.lebesgue_scan
-    out = tmp_path / "kern.csv"
-    args = ["kernel", "--radix", "2,3,4", "--depth", "4", "--n", "37", "--out", str(out)]
+    # L_n is checked against the closed form; a closed form off by 1e-6 must
+    # fail, and L_n itself stays as it was
+    exact = experiments_mod.lebesgue_scan
+    out = tmp_path / "kern.json"
+    args = ["kernel", "--radix", "2,3,4", "--depth", "4", "--n", "37", "--format", "json",
+            "--out", str(out)]
     assert main(args) == 0
     l_n = lebesgue_constant(build_radix_system([2, 3, 4], 4), 37)
-    err = capsys.readouterr().err.splitlines()
-    assert err[0] == f"kernel n=37: L_n = {l_n!r}"
-    assert err[1].startswith("kernel n=37: |L_n - closed form| = ")
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["L_n"] == l_n
+    assert summary["oracle_max_deviation"] <= 1e-9
     # a negative tolerance is read as a value, as one token or as its own,
     # and refused
     for tol, shown in ((["--tolerance=-1e-9"], "-1e-09"), (["--tolerance", "-1e-9"], "-1e-09"),
                        (["--tolerance", "-1"], "-1.0")):
         assert main([*args, *tol]) == 1
         assert f"tolerance must be >= 0, got {shown}" in capsys.readouterr().err
-    monkeypatch.setattr(cli_mod, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
+    monkeypatch.setattr(experiments_mod, "lebesgue_scan", lambda *a: exact(*a) + 1e-6)
     assert main(args) == 2
-    assert "tolerance 1.0e-09" in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["L_n"] == l_n
+    assert payload["summary"]["oracle_max_deviation"] > 1e-9
+    assert payload["violations"] == 1
     assert main([*args, "--tolerance", "1e-5"]) == 0
+
+
+_EXPERIMENT_ARGS = {
+    "kernel": ["--n", "37"],
+    "lebesgue-scan": [],
+    "lemma1": [],
+    "divergence": ["--alphas", "1,2,4"],
+    "gat": ["--count", "4"],
+    "equiv-check": ["--count", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EXPERIMENT_ARGS))
+def test_cli_every_experiment_json_is_a_report(tmp_path, command):
+    # one JSON format for every experiment: the report, whose rows are the
+    # CSV rows cell for cell
+    argv = [command, "--radix", "2^6", *_EXPERIMENT_ARGS[command]]
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main([*argv, "--out", str(csv_out)]) == 0
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == 0
+    payload = json.loads(json_out.read_text())
+    assert list(payload) == ["experiment", "meta", "columns", "rows", "tables", "summary",
+                             "violations"]
+    assert payload["experiment"] == command
+    lines = [line for line in csv_out.read_text().splitlines() if not line.startswith("#")]
+    assert payload["columns"] == lines[0].split(",")
+    assert payload["rows"] == [json.loads(f"[{line}]") for line in lines[1:]]
+    if command == "kernel":
+        assert payload["summary"]["L_n"] == lebesgue_constant(build_radix_system([2], 6), 37)
 
 
 def test_cli_transform_roundtrip(tmp_path):

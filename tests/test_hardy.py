@@ -343,6 +343,8 @@ def test_spec_accessors(dyadic10):
     assert spec.block_of(17) == 1
     assert spec.block_of(5) is None  # between blocks
     assert spec.truncated(2).alphas == (1, 4)
+    # on the group the truncation lives on: the first a + 1 = 5 levels
+    assert spec.truncated(2).sys == dyadic10.truncate(5)
     with pytest.raises(ValueError):
         spec.truncated(0)
 
@@ -390,6 +392,18 @@ def test_truncation_h1_frozen(dyadic10):
     assert h1s[0] == pytest.approx(1.0)
     assert h1s[1] == pytest.approx(1.375)
     assert h1s[2] == pytest.approx(1.6888020833333333)
+
+
+@pytest.mark.parametrize("radices,depth,alphas", [
+    ([2], 10, (1, 4, 9)), ([3], 7, (1, 3, 5)), ([2, 3, 4], 6, (1, 2, 4))])
+def test_truncation_h1_matches_the_full_system(radices, depth, alphas):
+    # the truncation's function is the first M_{a+1} values of the one on
+    # the full system, so its H1 norm is the same to the bit
+    sys = build_radix_system(radices, depth)
+    spec = CounterexampleSpec(sys, alphas)
+    for k in range(1, len(alphas) + 1):
+        full = build_counterexample(CounterexampleSpec(sys, alphas[:k]))
+        assert h1_norm(build_counterexample(spec.truncated(k))) == h1_norm(full)
 
 
 # ---------------------------------------------------------------------------
