@@ -31,6 +31,8 @@ from .experiments import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_ORACLE_TOL,
     emit,
+    parse_interchange,
+    render_interchange,
     run_divergence,
     run_equiv_check,
     run_gat,
@@ -223,15 +225,14 @@ def _transform_cmd(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"parse error in {args.infile}: {exc}") from None
     if args.inverse:
-        coeffs = SpectralVector.from_json_dict(data)
+        coeffs = SpectralVector(*parse_interchange(data))
         values = inverse_transform(coeffs)
-        emit([json.dumps(values.to_json_dict()), "\n"], args.out)
-        what = "naive(synthesis) - input"
+        result, what = values.values, "naive(synthesis) - input"
     else:
-        values = StepFunction.from_json_dict(data)
+        values = StepFunction(*parse_interchange(data))
         coeffs = forward_fast(values)
-        emit([json.dumps(coeffs.to_json_dict()), "\n"], args.out)
-        what = "fast - naive"
+        result, what = coeffs.coeffs, "fast - naive"
+    emit(render_interchange(values.sys, result), args.out)
     if not args.verify:
         return 0
     # the direct sum over the values must give back the coefficients

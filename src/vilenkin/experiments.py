@@ -43,8 +43,10 @@ from .norms import (
 )
 from .radix import RadixSystem
 from .spectral import (
+    SpectralVector,
     StepFunction,
     _chunk_rows,
+    _level_holding,
     _scan_block,
     dirichlet_kernel,
     fejer_l1_norms,
@@ -174,6 +176,39 @@ def render_json(report: ExperimentReport) -> Iterator[str]:
     yield text[at:]
 
 
+def render_interchange(sys: RadixSystem, values: np.ndarray) -> Iterator[str]:
+    """The interchange object {"radices", "depth", "values"} of complex values
+    on sys as json.dumps writes it, plus a newline, in text chunks: the
+    header, the [re, im] pairs _CHUNK_ROWS at a time, and the close."""
+    yield json.dumps({"radices": list(sys.radices), "depth": sys.depth, "values": []})[: -len("]}")]
+    pairs = Table(["re", "im"], (values.real, values.imag))
+    for lo in range(0, values.size, _CHUNK_ROWS):
+        yield _chunk_text(pairs, lo, "[" if lo == 0 else ", [", "], [", ", ", "]", _JSON_SPELLING)
+    yield "]}\n"
+
+
+def parse_interchange(data: object) -> tuple[RadixSystem, np.ndarray]:
+    """The system and the complex values of a decoded interchange object;
+    anything else is a ValueError that starts with "parse error"."""
+    try:
+        radices, depth, pairs = data["radices"], data["depth"], data["values"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"parse error: missing interchange field {exc}") from None
+    # JSON integers only: int() would truncate 2.7, and True is an int
+    if not (isinstance(radices, list) and all(type(m) is int for m in [*radices, depth])):
+        raise ValueError("parse error: radices must be a list of integers, depth an integer")
+    sys = RadixSystem(tuple(radices))
+    if depth != sys.depth:
+        raise ValueError(f"parse error: depth field {depth} disagrees with {sys.depth} radices")
+    try:
+        vals = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError("parse error: values must be [re, im] pairs") from None
+    if not np.isfinite(vals).all():
+        raise ValueError("parse error: values must be finite, got NaN or infinity")
+    return sys, vals
+
+
 def emit(chunks: Iterable[str], path: str | None) -> list[str]:
     """Write the text chunks in turn to the file at path, or to stdout when
     path is None, so no more than one chunk need be held; returns the paths
@@ -227,6 +262,8 @@ class _StepCorpus(Sequence):
         # so function i is row i // ranks of group i mod ranks
         i, ranks = i % count, len(self.groups)
         base = self.groups[i % ranks][2][i // ranks]
+        require_memory(f"corpus function {i} on M_N = {self.sys.cells}",
+                       self.sys.cells * _CORPUS_ITEM_CELL_BYTES)
         return StepFunction(self.sys, np.tile(base, self.sys.cells // base.size))
 
 
@@ -291,7 +328,8 @@ def random_step_corpus(
 # and every pass of gat and equiv-check runs on G_q, q <= r_i.  Per base
 # value, while the corpus is drawn: the draw, the bases and one rank's
 # gather index (40 on 2^20 at full rank, 48 to 50 on depth-1 systems, where
-# every base is full width).  gat, per cell of G_N of each function: 12 to
+# every base is full width); an item, tiled and copied: 32 per cell of G_N
+# (2^16, 2^20, 3^11, (2,3,4)x3).  gat, per cell of G_N of each function: 12 to
 # 13 with ranks up to 4 (2^10 .. 2^18 and 3^9), up to 49 when one chunk
 # holds every row (rank 1 on 2^10 and 2^16: the three norm arrays of its log
 # means have M_N columns per row, twice), and the scan scratch beside it,
@@ -302,8 +340,8 @@ def random_step_corpus(
 # consecutive, the coefficients, two level buffers of the synthesis, the
 # block partial sums on G_0 .. G_q (at most 2 M_q values per row) and both
 # sups.  A chunk of full-rank rows takes 59 to 74 bytes per cell (2^10 ..
-# 2^18, 3^9, 3^11, 7^6), so equiv-check counts min(count, _chunk_rows)
-# full-width rows at 96, which bounds a chunk of any G_q.  Per element of a
+# 2^18, 3^9, 3^11, 7^6), so equiv-check counts one chunk on the group of the
+# highest rank present at 96, which bounds a chunk of any G_q.  Per element of a
 # scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
 # (the character rows and the scratch reused across blocks and row batches,
 # each at most one block); past M_q the Fejer maximum evaluates its two ends,
@@ -315,6 +353,7 @@ _KERNEL_REPORT_CELL_BYTES = 96
 _DIVERGENCE_CELL_BYTES = 160
 _LEMMA_INDEX_BYTES = 128
 _CORPUS_BASE_BYTES = 64
+_CORPUS_ITEM_CELL_BYTES = 48
 _GAT_CELL_BYTES = 64
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
@@ -329,11 +368,6 @@ def require_memory(what: str, need: int) -> None:
             f"{what} needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of memory"
         )
-
-
-def _scan_scratch(sys: RadixSystem) -> int:
-    """Estimated peak bytes of one block of a cumulative partial-sum scan."""
-    return _scan_block(sys) * sys.cells * _BLOCK_ELEMENT_BYTES
 
 
 def run_lebesgue_scan(
@@ -444,12 +478,16 @@ def run_divergence(
     )
 
     norms = counterexample_l1_norms(spec)
-    # the closed form against S_l f synthesized directly, at each window's ends and at M_N
+    # the closed form against S_l f synthesized directly, at each window's ends
+    # and at M_N, each on the group G_r that holds the indices k < l
     probes = {sys.cells}
     for a in spec.alphas:
         probes |= {sys.products[a], 2 * sys.products[a]}
-    oracle_dev = max(abs(float(norms[l - 1]) - l1_norm(partial_sum(coeffs, l)))
-                     for l in probes)
+
+    def probe(l: int) -> float:
+        sub = sys.truncate(_level_holding(sys, l))
+        return l1_norm(partial_sum(SpectralVector(sub, coeffs.coeffs[: sub.cells]), l))
+    oracle_dev = max(abs(float(norms[l - 1]) - probe(l)) for l in probes)
 
     ks = range(len(spec.alphas))
     alphas = np.array(spec.alphas, dtype=np.int64)
@@ -489,7 +527,8 @@ def run_gat(
 ) -> ExperimentReport:
     require_memory(
         f"gat of {count} functions on M_N = {sys.cells}",
-        count * sys.cells * _GAT_CELL_BYTES + _scan_scratch(sys),
+        # the functions and one block of the scans
+        sys.cells * (count * _GAT_CELL_BYTES + _scan_block(sys) * _BLOCK_ELEMENT_BYTES),
     )
     # drawn before the outputs are allocated: a bad count or seed is refused by name
     groups = random_step_corpus(sys, count, max_rank, seed).groups
@@ -539,12 +578,14 @@ def run_equiv_check(
     seed: int,
     tol: float,
 ) -> ExperimentReport:
+    # drawn first, so a bad count, rank or seed is refused by name; every pass
+    # runs on G_r for a rank r present, at most min(rank, count) = len(groups)
+    groups = random_step_corpus(sys, count, rank, seed).groups
+    top = sys.truncate(len(groups))
     require_memory(
         f"equiv-check of {count} functions on M_N = {sys.cells}",
-        sys.cells * min(count, _chunk_rows(sys)) * _EQUIV_CHECK_CELL_BYTES,
+        top.cells * min(count, _chunk_rows(top)) * _EQUIV_CHECK_CELL_BYTES,
     )
-    # drawn before the outputs are allocated: a bad count or seed is refused by name
-    groups = random_step_corpus(sys, count, rank, seed).groups
     h1, sup, gaps = np.empty((3, count))
     for r, at, bases in groups:
         rep = check_norm_equivalence(sys.truncate(r), bases)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radix import RadixSystem, decompose
-from .spectral import StepFunction, dirichlet_kernel
+from .spectral import StepFunction, _root_table, dirichlet_kernel
 
 
 def l1_norm(f: StepFunction) -> float:
@@ -79,7 +79,7 @@ def lebesgue_scan(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
         digit = (ns // M_p) % m
         rest = (ns % M_p).astype(np.float64)
         # tail[c - 1, k] = M_p * sum_{v=1}^{k} w_p^{-c v}
-        powers = np.exp(-2j * np.pi * np.outer(np.arange(1, m), np.arange(m)) / m)
+        powers = _root_table(m)[-np.outer(np.arange(1, m), np.arange(m)) % m]
         tail = M_p * (np.cumsum(powers, axis=1) - 1.0)
         piece = np.zeros(ns.shape)
         for row in tail:

@@ -70,14 +70,6 @@ class StepFunction:
             )
         object.__setattr__(self, "values", _frozen(vals))
 
-    def to_json_dict(self) -> dict:
-        return _to_json_dict(self.sys, self.values)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StepFunction":
-        sys, vals = _from_json_dict(data)
-        return cls(sys, vals)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralVector:
@@ -93,46 +85,6 @@ class SpectralVector:
                 f"expected {self.sys.cells} coefficients, got {coeffs.shape[0]}"
             )
         object.__setattr__(self, "coeffs", _frozen(coeffs))
-
-    def to_json_dict(self) -> dict:
-        return _to_json_dict(self.sys, self.coeffs)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SpectralVector":
-        sys, vals = _from_json_dict(data)
-        return cls(sys, vals)
-
-
-def _to_json_dict(sys: RadixSystem, arr: np.ndarray) -> dict:
-    return {
-        "radices": list(sys.radices),
-        "depth": sys.depth,
-        "values": [[float(z.real), float(z.imag)] for z in arr],
-    }
-
-
-def _from_json_dict(data: dict) -> tuple[RadixSystem, np.ndarray]:
-    try:
-        radices = data["radices"]
-        depth = data["depth"]
-        pairs = data["values"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"parse error: missing interchange field {exc}") from None
-    # JSON integers only: int() would truncate 2.7, and True is an int
-    if not (isinstance(radices, list) and all(type(m) is int for m in [*radices, depth])):
-        raise ValueError("parse error: radices must be a list of integers, depth an integer")
-    sys = RadixSystem(tuple(radices))
-    if depth != sys.depth:
-        raise ValueError(
-            f"parse error: depth field {depth} disagrees with {sys.depth} radices"
-        )
-    try:
-        vals = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise ValueError("parse error: values must be [re, im] pairs") from None
-    if not np.isfinite(vals).all():
-        raise ValueError("parse error: values must be finite, got NaN or infinity")
-    return sys, vals
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +124,13 @@ def _period_levels(sys: RadixSystem, rows: np.ndarray) -> list[int]:
 
 @lru_cache(maxsize=64)
 def _root_table(m: int) -> np.ndarray:
-    """The m roots of unity exp(2 pi i j / m) for j = 0 .. m - 1."""
-    return _frozen(np.exp(2j * np.pi * np.arange(m) / m))
+    """The m roots of unity exp(2 pi i j / m) for j = 0 .. m - 1, with the
+    quarter turns (4j/m an integer) exactly 1, i, -1 and -i, so that sums and
+    products of them stay exact Gaussian integers."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    turns = math.gcd(m, 4)  # the quarter turns that are whole j: every m / turns
+    roots[:: m // turns] = (1, 1j, -1, -1j)[:: 4 // turns]
+    return _frozen(roots)
 
 
 # ---------------------------------------------------------------------------

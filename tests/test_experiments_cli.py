@@ -33,8 +33,10 @@ from vilenkin.cli import config_hash, main, report_meta
 from vilenkin.experiments import (
     ExperimentReport,
     Table,
+    parse_interchange,
     random_step_corpus,
     render_csv,
+    render_interchange,
     render_json,
     run_divergence,
     run_equiv_check,
@@ -272,6 +274,39 @@ def test_write_report_peak_does_not_grow_with_the_rows(tmp_path, fmt):
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def _interchange_dumps(sys_obj, values):
+    """The interchange text as json.dumps writes the object of Python floats."""
+    pairs = [[float(z.real), float(z.imag)] for z in values]
+    return json.dumps({"radices": list(sys_obj.radices), "depth": sys_obj.depth,
+                       "values": pairs}) + "\n"
+
+
+def test_render_interchange_matches_json_dumps():
+    # 2^13 cells are four chunks of _CHUNK_ROWS pairs
+    sys_obj = build_radix_system([2], 13)
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal(sys_obj.cells) + 1j * rng.standard_normal(sys_obj.cells)
+    chunks = list(render_interchange(sys_obj, values))
+    assert len(chunks) == 2 + sys_obj.cells // experiments_mod._CHUNK_ROWS == 6
+    text = "".join(chunks)
+    assert text == _interchange_dumps(sys_obj, values)
+    # and the text reads back exactly
+    back_sys, back = parse_interchange(json.loads(text))
+    assert back_sys == sys_obj
+    np.testing.assert_allclose(back, values, atol=0, rtol=0)
+
+
+def test_render_interchange_spells_floats_as_json_dumps():
+    sys_obj = build_radix_system([2], 3)
+    re = np.array([-0.0, 5e-324, 1e-5, 0.1, 3.0, 1e16, math.nan, math.inf])
+    values = np.empty(re.size, dtype=np.complex128)
+    values.real, values.imag = re, -re[::-1]
+    text = "".join(render_interchange(sys_obj, values))
+    assert text == _interchange_dumps(sys_obj, values)
+    for pair in ("[-0.0, -Infinity]", "[5e-324, NaN]", "[1e-05, -1e+16]", "[Infinity, 0.0]"):
+        assert pair in text
+
+
 def test_table_rejects_other_columns():
     with pytest.raises(ValueError, match="int64 or float64"):
         Table(["x"], (np.zeros(3, dtype=np.complex128),))
@@ -315,6 +350,14 @@ def test_corpus_validation(dyadic6):
     # refused before the draw: the bases of ranks 1 .. 40 hold about 2^41 values
     with pytest.raises(ValueError, match="a corpus of 40 functions on M_N = 1099511627776"):
         random_step_corpus(build_radix_system([2], 40), 40, 40, 1)
+
+
+def test_corpus_item_refused_before_it_is_tiled():
+    # the bases of a rank-4 corpus on 2^60 are small, but an item tiled to
+    # M_N = 2^60 cells is not
+    corpus = random_step_corpus(build_radix_system([2], 60), 4, 4, 1)
+    with pytest.raises(ValueError, match="corpus function 0 on M_N = 1152921504606846976 needs"):
+        corpus[0]
 
 
 def test_corpus_holds_bases_by_rank(mixed2):
@@ -424,6 +467,21 @@ def test_run_divergence_builds_no_character_rows(dyadic10, monkeypatch):
     rep = run_divergence(dyadic10, (1, 4, 9), 1e-12)
     assert rep.violations == 0
     assert calls == []
+
+
+def test_run_divergence_probes_on_their_own_group(dyadic10, monkeypatch):
+    # each probe S_l f is synthesized on the smallest G_r with M_r >= l
+    calls = []
+    real = experiments_mod.partial_sum
+
+    def spy(c, n):
+        calls.append((n, c.sys.cells))
+        return real(c, n)
+
+    monkeypatch.setattr(experiments_mod, "partial_sum", spy)
+    rep = run_divergence(dyadic10, (1, 4, 9), 1e-12)
+    assert rep.summary["oracle_max_deviation"] <= 1e-12
+    assert sorted(calls) == [(2, 2), (4, 4), (16, 16), (32, 32), (512, 512), (1024, 1024)]
 
 
 def test_cli_divergence_depth_16(tmp_path):
@@ -575,6 +633,24 @@ def test_run_equiv_check_small(mixed2):
     assert len(table_rows(rep.table)) == 6
 
 
+def test_run_equiv_check_sized_by_its_ranks(monkeypatch):
+    # every pass runs on G_4, so a rank-4 corpus on 2^40 or 2^60 is as cheap
+    # as on 2^10, and gives the same table
+    want = run_equiv_check(build_radix_system([2], 10), 8, 4, 1, 1e-9).table
+    for depth in (40, 60):
+        got = run_equiv_check(build_radix_system([2], depth), 8, 4, 1, 1e-9).table
+        assert got.columns == want.columns
+        for a, b in zip(got.data, want.data):
+            np.testing.assert_array_equal(a, b)
+    # the guard counts one chunk of rows on the group of the highest rank
+    # present, G_min(rank, count)
+    needs = {}
+    monkeypatch.setattr(experiments_mod, "require_memory",
+                        lambda what, need: needs.setdefault(what.split()[0], need))
+    run_equiv_check(build_radix_system([2], 60), 3, 60, 1, 1e-9)
+    assert needs["equiv-check"] == 3 * 2**3 * experiments_mod._EQUIV_CHECK_CELL_BYTES
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -610,7 +686,8 @@ def test_cli_usage_errors_exit_1():
     ["kernel", "--radix", "2^34", "--n", "1"],
     ["lemma1", "--radix", "2^34"],
     ["gat", "--radix", "2^34"],
-    ["equiv-check", "--radix", "2^34"],
+    # equiv-check runs on the group of its highest rank, so it needs ranks up to 34
+    ["equiv-check", "--radix", "2^34", "--count", "34"],
     ["divergence", "--radix", "2^34", "--alphas", "1,4,9"],
     # a depth whose cell count overflows 64 bits is refused within 63 levels
     ["lemma1", "--radix", "2^4", "--depth", "10000000"],
@@ -629,8 +706,8 @@ def test_cli_usage_errors_exit_1():
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg",
              "NULL_RADICES": tmp_path / "null.json"}
-    data = StepFunction(build_radix_system([2], 6), np.ones(64)).to_json_dict()
-    files["IN"].write_text(json.dumps(data))
+    files["IN"].write_text("".join(render_interchange(build_radix_system([2], 6), np.ones(64))))
+    data = json.loads(files["IN"].read_text())
     files["NULL_RADICES"].write_text(json.dumps({**data, "radices": None}))
     files["NAN_CFG"].write_text("tolerance=nan\n")
     argv = [str(files.get(arg, arg)) for arg in argv]
@@ -777,18 +854,19 @@ def test_cli_transform_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     f = StepFunction(sys_obj, rng.standard_normal(sys_obj.cells) * 1j + 1.0)
     fin = tmp_path / "f.json"
-    fin.write_text(json.dumps(f.to_json_dict()))
+    fin.write_text("".join(render_interchange(sys_obj, f.values)))
     fout = tmp_path / "c.json"
     assert main(["transform", "--in", str(fin), "--out", str(fout)]) == 0
     back = tmp_path / "g.json"
     assert main(["transform", "--in", str(fout), "--inverse", "--out", str(back)]) == 0
-    g = StepFunction.from_json_dict(json.loads(back.read_text()))
-    np.testing.assert_allclose(g.values, f.values, atol=1e-10)
+    g_sys, g_values = parse_interchange(json.loads(back.read_text()))
+    assert g_sys == sys_obj
+    np.testing.assert_allclose(g_values, f.values, atol=1e-10)
 
 
 def test_cli_transform_takes_only_its_flags(tmp_path, capsys):
     fin = tmp_path / "f.json"
-    fin.write_text(json.dumps(StepFunction(build_radix_system([2], 4), np.ones(16)).to_json_dict()))
+    fin.write_text("".join(render_interchange(build_radix_system([2], 4), np.ones(16))))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("radix=2^4\n")
     for extra in (["--threads", "0"], ["--radix", "1^3"], ["--config", str(cfg)]):
@@ -825,7 +903,7 @@ def test_cli_transform_verify(tmp_path, capsys):
     sys_obj = build_radix_system([2], 6)
     f = random_step_corpus(sys_obj, 1, 3, 4)[0]
     fin = tmp_path / "f.json"
-    fin.write_text(json.dumps(f.to_json_dict()))
+    fin.write_text("".join(render_interchange(sys_obj, f.values)))
     assert main(["transform", "--in", str(fin), "--verify"]) == 0
     assert "max |fast - naive|" in capsys.readouterr().err
     # zero tolerance: the rounding-level deviation (> 0) counts as a violation
@@ -837,7 +915,7 @@ def test_cli_transform_verify(tmp_path, capsys):
         rng = np.random.default_rng(31)
         c = forward_fast(StepFunction(system, rng.standard_normal(system.cells) + 0.5j))
         cin = tmp_path / "c.json"
-        cin.write_text(json.dumps(c.to_json_dict()))
+        cin.write_text("".join(render_interchange(system, c.coeffs)))
         args = ["transform", "--in", str(cin), "--inverse", "--verify", "--out", str(tmp_path / "g")]
         assert main(args) == 0
         err = capsys.readouterr().err
@@ -849,7 +927,8 @@ def test_cli_transform_verify(tmp_path, capsys):
 def test_cli_config_flags(tmp_path, capsys):
     sys_obj = build_radix_system([2], 6)
     fin = tmp_path / "c.json"
-    fin.write_text(json.dumps(forward_fast(random_step_corpus(sys_obj, 1, 3, 4)[0]).to_json_dict()))
+    c = forward_fast(random_step_corpus(sys_obj, 1, 3, 4)[0])
+    fin.write_text("".join(render_interchange(sys_obj, c.coeffs)))
     cfg = tmp_path / "run.cfg"
     # a config may name the input, and a value may start with '-'
     cfg.write_text(f"in={fin}\ninverse=yes\nverify=1\ntolerance=0\n")
@@ -1123,7 +1202,7 @@ def test_no_subcommand_imports_numpy_ma(tmp_path):
     # numpy.ma costs tens of milliseconds to import (np.unique is one way in),
     # so no report path may pull it in
     f = tmp_path / "f.json"
-    f.write_text(json.dumps(StepFunction(build_radix_system([2], 6), np.ones(64)).to_json_dict()))
+    f.write_text("".join(render_interchange(build_radix_system([2], 6), np.ones(64))))
     commands = [
         ["transform", "--in", str(f), "--verify"],
         ["kernel", "--n", "37"],

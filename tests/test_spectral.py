@@ -1,5 +1,6 @@
 """Characters, fast/naive transforms, kernels, and the cumulative scans."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from vilenkin import (
     vilenkin_char,
 )
 from vilenkin import spectral
-from vilenkin.experiments import random_step_corpus
+from vilenkin.experiments import parse_interchange, random_step_corpus, render_interchange
 from vilenkin.spectral import _block_heads, _transform
 from conftest import random_values, small_systems, strided_block_heads, strided_transform
 
@@ -271,6 +272,25 @@ def test_dirichlet_kernel_vs_charsum_spot(mixed2):
         np.testing.assert_allclose(
             dirichlet_kernel(mixed2, n).values, naive_kernel(mixed2, n), atol=5e-12
         )
+
+
+def test_quarter_turn_roots_are_exact():
+    for m in (1, 2, 3, 4, 8, 12):
+        table = spectral._root_table(m)
+        for j in range(m):
+            if 4 * j % m == 0:
+                assert table[j] == [1, 1j, -1, -1j][4 * j // m]
+
+
+def test_dirichlet_kernel_exact_on_radices_2_and_4():
+    # with exact quarter turns, D_n on radices 2 and 4 is a sum of products of
+    # Gaussian integers, so every cell is exactly one
+    for radices, depth in (([2], 10), ([4], 5), ([2, 4, 2, 4, 4], 5)):
+        sys = build_radix_system(radices, depth)
+        cells = sys.cells
+        for n in sorted({*range(min(299, cells) + 1), cells - 1, cells // 3}):
+            values = dirichlet_kernel(sys, n).values
+            assert (values == np.round(values)).all(), f"D_{n} on {radices}x{depth}"
 
 
 def test_dirichlet_block_kernel(dyadic6, mixed):
@@ -785,36 +805,41 @@ def test_step_function_validation(mixed):
         f.values[0] = 5.0  # stored array is frozen
 
 
+def _interchange(sys, values):
+    """The interchange object of values on sys, decoded from its text."""
+    return json.loads("".join(render_interchange(sys, values)))
+
+
 def test_json_roundtrip(mixed):
     f = StepFunction(mixed, random_values(mixed, 52))
-    g = StepFunction.from_json_dict(f.to_json_dict())
-    assert g.sys == mixed
-    np.testing.assert_allclose(g.values, f.values, atol=0)
+    g_sys, g_values = parse_interchange(_interchange(mixed, f.values))
+    assert g_sys == mixed
+    np.testing.assert_allclose(g_values, f.values, atol=0)
     c = SpectralVector(mixed, random_values(mixed, 53))
-    d = SpectralVector.from_json_dict(c.to_json_dict())
+    d = SpectralVector(*parse_interchange(_interchange(mixed, c.coeffs)))
     np.testing.assert_allclose(d.coeffs, c.coeffs, atol=0)
 
 
 def test_json_parse_errors(mixed):
-    good = StepFunction(mixed, np.ones(mixed.cells)).to_json_dict()
+    good = _interchange(mixed, np.ones(mixed.cells))
     with pytest.raises(ValueError, match="parse error"):
-        StepFunction.from_json_dict({k: v for k, v in good.items() if k != "depth"})
+        parse_interchange({k: v for k, v in good.items() if k != "depth"})
     bad = dict(good)
     bad["depth"] = 5
     with pytest.raises(ValueError, match="parse error"):
-        StepFunction.from_json_dict(bad)
+        parse_interchange(bad)
     bad = dict(good)
     bad["values"] = [["x", 0]] * mixed.cells
     with pytest.raises(ValueError, match="parse error"):
-        StepFunction.from_json_dict(bad)
+        parse_interchange(bad)
     for pair in ([float("nan"), 0.0], [0.0, float("inf")]):
         bad["values"] = [pair] + good["values"][1:]
         with pytest.raises(ValueError, match="parse error"):
-            StepFunction.from_json_dict(bad)
+            parse_interchange(bad)
     # a radix or depth that is not a JSON integer is refused, not truncated
     for key, value in (("radices", None), ("radices", 234), ("radices", "234"),
                        ("radices", [2, 3.0, 4]), ("radices", [2.7, 3, 4]),
                        ("radices", [True, 3, 4]), ("depth", None), ("depth", 1.5),
                        ("depth", 3.0)):
         with pytest.raises(ValueError, match="parse error"):
-            StepFunction.from_json_dict({**good, key: value})
+            parse_interchange({**good, key: value})
