@@ -202,6 +202,9 @@ def parse_interchange(data: object) -> tuple[RadixSystem, np.ndarray]:
         raise ValueError(f"parse error: depth field {depth} disagrees with {sys.depth} radices")
     try:
         vals = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        # complex() reads true and false as 1 and 0
+        if bool in set(map(type, chain.from_iterable(pairs))):
+            raise TypeError
     except (TypeError, ValueError):
         raise ValueError("parse error: values must be [re, im] pairs") from None
     if not np.isfinite(vals).all():
@@ -264,7 +267,8 @@ class _StepCorpus(Sequence):
         base = self.groups[i % ranks][2][i // ranks]
         require_memory(f"corpus function {i} on M_N = {self.sys.cells}",
                        self.sys.cells * _CORPUS_ITEM_CELL_BYTES)
-        return StepFunction(self.sys, np.tile(base, self.sys.cells // base.size))
+        tiles = self.sys.cells // base.size
+        return StepFunction(self.sys, np.broadcast_to(base, (tiles, base.size)))
 
 
 def random_step_corpus(
@@ -314,7 +318,8 @@ def random_step_corpus(
 # Per lebesgue-scan table row, through the CLI on 2^14 .. 2^18, 3^9, 5^6,
 # 7^5 and (2,3,4)x3: the columns, the closed-form scan and the kernel probes
 # (97 to 133 as CSV, 97 to 143 as JSON).  Per cell: one Dirichlet kernel
-# (32 to 47), a kernel report (49 to 67 on 2^14 .. 2^18, 3^9 and (2,3,4)x3,
+# (32 to 47; a lebesgue-scan probe builds it on the group that holds n_hi),
+# a kernel report (49 to 67 on 2^14 .. 2^18, 3^9 and (2,3,4)x3,
 # as CSV and as JSON alike: the kernel sets the peak, not the render), a
 # divergence run (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3,
 # (2,3,4)x4 and (5,2,7)x3, 88 on 2^20 with (1,4,9,19): the function, its
@@ -325,23 +330,23 @@ def random_step_corpus(
 # scratch).  Per lemma1 index: 65 to 79.
 #
 # A corpus holds only its bases, the first M_{r_i} values of each function,
-# and every pass of gat and equiv-check runs on G_q, q <= r_i.  Per base
+# and every pass of gat and equiv-check runs on G_r, r = r_i.  Per base
 # value, while the corpus is drawn: the draw, the bases and one rank's
 # gather index (40 on 2^20 at full rank, 48 to 50 on depth-1 systems, where
-# every base is full width); an item, tiled and copied: 32 per cell of G_N
-# (2^16, 2^20, 3^11, (2,3,4)x3).  gat, per cell of G_N of each function: 12 to
-# 13 with ranks up to 4 (2^10 .. 2^18 and 3^9), up to 49 when one chunk
-# holds every row (rank 1 on 2^10 and 2^16: the three norm arrays of its log
-# means have M_N columns per row, twice), and the scan scratch beside it,
-# which sets the peak at full rank (2^10, 2^12, 3^7, 7^4) and on 7^6 at
-# rank 4; it is counted on G_N, which bounds the block of any G_q.
-# equiv-check: one chunk of rows of one period level q at a time
-# (spectral._quotients): a view of their first M_q values when the rows are
-# consecutive, the coefficients, two level buffers of the synthesis, the
-# block partial sums on G_0 .. G_q (at most 2 M_q values per row) and both
-# sups.  A chunk of full-rank rows takes 59 to 74 bytes per cell (2^10 ..
-# 2^18, 3^9, 3^11, 7^6), so equiv-check counts one chunk on the group of the
-# highest rank present at 96, which bounds a chunk of any G_q.  Per element of a
+# every base is full width); an item, one C-order copy of its broadcast
+# base: 16 per cell of G_N (2^16, 2^20, 3^11, (2,3,4)x3).  gat, per cell of
+# G_N of each function: 12 to 13 with ranks up to 4 (2^10 .. 2^18 and 3^9),
+# up to 49 when one chunk holds every row (rank 1 on 2^10 and 2^16: the
+# three norm arrays of its log means have M_N columns per row, twice), and
+# the scan scratch beside it, which sets the peak at full rank (2^10, 2^12,
+# 3^7, 7^4) and on 7^6 at rank 4; it is counted on G_N, which bounds the
+# block of any G_q.  equiv-check: one chunk of consecutive rows of one rank
+# q at a time (hardy.h1_pass): a view of their M_q base values, the
+# coefficients, two level buffers of the synthesis, the block partial sums
+# on G_0 .. G_q (at most 2 M_q values per row) and both sups.  A chunk of
+# full-rank rows takes 59 to 74 bytes per cell (2^10 .. 2^18, 3^9, 3^11,
+# 7^6), so equiv-check counts one chunk on the group of the highest rank
+# present at 96, which bounds a chunk of any G_q.  Per element of a
 # scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
 # (the character rows and the scratch reused across blocks and row batches,
 # each at most one block); past M_q the Fejer maximum evaluates its two ends,
@@ -353,7 +358,7 @@ _KERNEL_REPORT_CELL_BYTES = 96
 _DIVERGENCE_CELL_BYTES = 160
 _LEMMA_INDEX_BYTES = 128
 _CORPUS_BASE_BYTES = 64
-_CORPUS_ITEM_CELL_BYTES = 48
+_CORPUS_ITEM_CELL_BYTES = 32
 _GAT_CELL_BYTES = 64
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
@@ -379,9 +384,10 @@ def run_lebesgue_scan(
     if not 1 <= n_lo <= n_hi < sys.cells:
         raise ValueError(f"bound scan range [{n_lo}, {n_hi}] outside [1, {sys.cells - 1}]")
     rows = n_hi - n_lo + 1
+    # each kernel probe D_n runs on the group G_r that holds the indices k < n
     require_memory(
         f"lebesgue-scan of {rows} rows on M_N = {sys.cells}",
-        rows * _SCAN_ROW_BYTES + sys.cells * _KERNEL_CELL_BYTES,
+        rows * _SCAN_ROW_BYTES + sys.products[_level_holding(sys, n_hi)] * _KERNEL_CELL_BYTES,
     )
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     lebesgue = lebesgue_scan(sys, n_lo, n_hi)
@@ -395,8 +401,9 @@ def run_lebesgue_scan(
               int(ns[(upper - lebesgue).argmin()])}
     if at_n:
         probes.add(at_n)
-    oracle_dev = float(np.max([abs(lebesgue[n - n_lo] - lebesgue_constant(sys, n))
-                               for n in sorted(probes)]))
+    oracle_dev = float(np.max([
+        abs(lebesgue[n - n_lo] - lebesgue_constant(sys.truncate(_level_holding(sys, n)), n))
+        for n in sorted(probes)]))
     lower_slack, upper_slack = lebesgue - lower, upper - lebesgue
     columns = (ns, v, v_star, lebesgue, lower, upper, lower_slack, upper_slack)
     bad = (lower_slack < -tol) | (upper_slack < -tol)
@@ -538,14 +545,13 @@ def run_gat(
     ns = sys.products[min(2, sys.depth):]
     h1s, fejer_sup = np.empty(count), np.empty(count)
     convergence, bounded = np.empty((count, len(ns))), np.empty((count, len(ns)))
-    # each chunk of h1_pass holds rows of one rank r and period level q, and
-    # both scans read them on G_q with endpoints up to M_N
-    for r, members, bases in groups:
-        for rows, sub, coeffs, star in h1_pass(sys.truncate(r), bases):
+    # each chunk of h1_pass holds consecutive rows of one rank r, and both
+    # scans read them on G_r with endpoints up to M_N
+    for _, members, bases in groups:
+        for rows, _, coeffs, star in h1_pass(sys, bases):
             at = members[rows]
             h1s[at] = star.mean(axis=1)
-            convergence[at], bounded[at] = gat_log_average(
-                sys, coeffs, bases[rows, : sub.cells], ns)
+            convergence[at], bounded[at] = gat_log_average(sys, coeffs, bases[rows], ns)
             fejer_sup[at] = fejer_l1_norms(sys, coeffs, sys.cells)
     ratios = bounded / h1s[:, None]
     ids = np.arange(count)
@@ -587,8 +593,8 @@ def run_equiv_check(
         top.cells * min(count, _chunk_rows(top)) * _EQUIV_CHECK_CELL_BYTES,
     )
     h1, sup, gaps = np.empty((3, count))
-    for r, at, bases in groups:
-        rep = check_norm_equivalence(sys.truncate(r), bases)
+    for _, at, bases in groups:
+        rep = check_norm_equivalence(sys, bases)
         h1[at], sup[at], gaps[at] = rep.h1_norm, rep.sup_block_norm, rep.max_pointwise_diff
     ids = np.arange(count)
     # a NaN gap counts as bad, and np.max keeps it in the summary

@@ -5,14 +5,14 @@ absolute cylinder averages; its L1 norm is the martingale H1 norm.  For
 rank-N step functions the rank-n average coincides pointwise with the
 partial sum S_{M_n} f, which is what makes the norm equivalence checkable
 as an exact identity rather than a two-sided estimate.  The H1 routines
-take a stack of functions, one per row of a (rows, M_N) array.  The H1 pass
-(h1_pass) runs each row on the smallest quotient group G_q it lives on:
-past rank q every cylinder average and block sum S_{M_n} f is f itself, so
-f* and the spectral sup on G_N are tiles of those on G_q.  The rows of one
-level q go in chunks, one numpy call per level for a whole chunk.  The
-corpus drivers pass each rank-r function as its first M_r values, with
-sys.truncate(r) as the system; gat_log_average reads rows of M_q values as
-functions on G_q from their width, with endpoints up to M_N.
+take a stack of functions, one per row of an array.  They follow the rule
+of the scans: rows of M_q columns are functions on G_q, and past rank q
+every cylinder average and block sum S_{M_n} f is f itself, so f* and the
+spectral sup on G_N are tiles of those on G_q.  The H1 pass (h1_pass) reads
+G_q from the width of its rows and takes them in chunks, one numpy call per
+chunk.  The corpus drivers pass each rank-r function as its first M_r
+values; gat_log_average reads them on G_r, with endpoints up to M_N.  Only
+h1_norm, which takes one full-width function, searches for its period.
 
 The counterexample family lives here too: for increasing exponents a_k the
 function f = sum_k (D_{M_{a_k + 1}} - D_{M_{a_k}}) / sqrt(a_k) has block
@@ -37,7 +37,9 @@ from .spectral import (
     StepFunction,
     _as_rows,
     _block_heads,
-    _quotients,
+    _chunk_rows,
+    _level_rows,
+    _own_quotient,
     _root_table,
     _transform,
     character_block,
@@ -82,27 +84,31 @@ def maximal_function(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
 
 def h1_norm(f: StepFunction) -> float:
     """Martingale Hardy norm ||f||_{H_1} = ||f*||_1, taken on the quotient
-    group G_q of f as in h1_pass, and equal to its value for f bit for bit."""
-    ((_, sub, head),) = _quotients(f.sys, f.values[None, :])
+    group G_q of f (_own_quotient), and equal bit for bit to the h1_pass
+    value of its first M_q values."""
+    sub, head = _own_quotient(f)
     return float(maximal_function(sub, head)[0].mean())
 
 
 def h1_pass(
     sys: RadixSystem, values: np.ndarray
-) -> Iterator[tuple[np.ndarray, RadixSystem, np.ndarray, np.ndarray]]:
-    """The stacked H1 pass over the rows of values (rows, M_N).
+) -> Iterator[tuple[slice, RadixSystem, np.ndarray, np.ndarray]]:
+    """The stacked H1 pass over the rows of values (rows, M_q), functions on
+    G_q (_level_rows).
 
-    Each row runs on the smallest quotient group G_q it lives on (its
-    period level q, exact equality only): past rank q the averages and the
-    block sums S_{M_n} f are f itself, so f* and the coefficients on G_N are
-    the tiles, and the zero-fill past M_q, of those on G_q.  Yields
-    (row indices, G_q, coefficients on G_q, f* on G_q) for the rows of one
-    level q at a time, in chunks of at most _chunk_rows(G_q) rows, so the
-    scratch of a pass grows neither with the number of rows nor past M_q
-    columns.
+    Past rank q the averages and the block sums S_{M_n} f are f itself, so
+    f* and the coefficients on G_N are the tiles, and the zero-fill past
+    M_q, of those on G_q.  Yields (row slice, G_q, coefficients on G_q,
+    f* on G_q) for chunks of at most _chunk_rows(G_q) consecutive rows, so
+    the scratch of a pass grows neither with the number of rows nor past
+    M_q columns.
     """
-    for rows, sub, head in _quotients(sys, _as_rows(values, sys.cells, "values")):
-        yield rows, sub, _transform(sub, head, inverse=False), maximal_function(sub, head)
+    sub, rows = _level_rows(sys, values)
+    step = _chunk_rows(sub)
+    for lo in range(0, len(rows), step):
+        take = slice(lo, min(lo + step, len(rows)))
+        head = rows[take]
+        yield take, sub, _transform(sub, head, inverse=False), maximal_function(sub, head)
 
 
 @dataclass(frozen=True)
@@ -117,20 +123,19 @@ class EquivalenceReport:
 
 def check_norm_equivalence(sys: RadixSystem, values: np.ndarray) -> EquivalenceReport:
     """Compare f* (cylinder averages) against sup_n |S_{M_n} f| (spectral),
-    for each row f of values.
+    for each row f of values, rows of M_q columns read on G_q as in h1_pass.
 
     The two families coincide pointwise for rank-N step functions, so the
     report carries the max cellwise difference, not just the norms; the
     caller judges it against its own tolerance.  Each chunk of h1_pass gets
     its block partial sums on its G_q from one synthesis of its coefficients.
     """
-    values = _as_rows(values, sys.cells, "values")
-    out = np.empty((3, values.shape[0]))
-    for rows, sub, coeffs, direct in h1_pass(sys, values):
+    out = [np.empty((3, 0))]
+    for _, sub, coeffs, direct in h1_pass(sys, values):
         spectral = _sup_of_levels(sub, [np.abs(s) for s in _block_heads(sub, coeffs)])
-        out[:, rows] = (direct.mean(axis=1), spectral.mean(axis=1),
-                        np.abs(direct - spectral).max(axis=1))
-    return EquivalenceReport(*out)
+        out.append((direct.mean(axis=1), spectral.mean(axis=1),
+                    np.abs(direct - spectral).max(axis=1)))
+    return EquivalenceReport(*np.concatenate(out, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,14 @@ G_r = Z_{m_0} x ... x Z_{m_{r-1}} (`sys.truncate(r)`) tiled M_N / M_r times.
 A sum of such characters, plus an M_r-periodic function, is therefore an
 M_r-periodic vector, and its mean absolute value over G equals the one over
 G_r, because Haar measure pushes forward to the quotient.  Every transform,
-synthesis and scan below runs on the smallest such G_r and tiles or extends
-its result to M_N, and so does the H1 pass of hardy.h1_pass: _quotients
-groups the rows of a stack by their period level, and each group's
-coefficients, maximal function and block partial sums are taken on its G_r.
-The scans take rows of M_q columns as functions on G_q, so a caller
-holding a function's first M_q values never widens it to M_N.  The group is
-decided once, where rows enter: by _quotients from exact periodicity of cell
-values (not a threshold), or by _level_holding from a count of indices;
-everything below reads it from the row width.  Full resolution is r = N.
+synthesis and scan below, and the H1 pass of hardy.h1_pass, runs on the
+smallest such G_r and tiles or extends its result to M_N.  One rule names
+the group: rows of M_q columns are functions on G_q (_level_rows), so a
+caller holding a function's first M_q values never widens it to M_N.  Only
+a single full-width StepFunction searches for its own period
+(_own_quotient, exact equality of cell values, not a threshold), and a count
+of indices names the group that holds them (_level_holding).  Full
+resolution is r = N.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.complex128, copy=True).reshape(-1)
+        vals = np.array(self.values, dtype=np.complex128, order="C").reshape(-1)
         if vals.shape != (self.sys.cells,):
             raise ValueError(
                 f"expected {self.sys.cells} cell values, got {vals.shape[0]}"
@@ -79,7 +78,7 @@ class SpectralVector:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=np.complex128, copy=True).reshape(-1)
+        coeffs = np.array(self.coeffs, dtype=np.complex128, order="C").reshape(-1)
         if coeffs.shape != (self.sys.cells,):
             raise ValueError(
                 f"expected {self.sys.cells} coefficients, got {coeffs.shape[0]}"
@@ -102,24 +101,6 @@ def _tensor_shape(sys: RadixSystem) -> tuple[int, ...]:
 def _level_holding(sys: RadixSystem, top: int) -> int:
     """The smallest level r >= 1 with M_r >= top: indices k < top live on G_r."""
     return max(1, bisect.bisect_left(sys.products, top))
-
-
-def _period_levels(sys: RadixSystem, rows: np.ndarray) -> list[int]:
-    """For each row (M_N columns), the smallest level q >= 1 such that it is
-    M_q-periodic.
-
-    An M_q-periodic row is also M_{q+1}-periodic, so the search walks down
-    from q = N.  A row already known to be M_q-periodic is M_{q-1}-periodic
-    when its first M_q values equal themselves shifted by M_{q-1}.
-    """
-    levels = np.full(rows.shape[0], sys.depth)
-    for q in range(sys.depth, 1, -1):
-        period, width = sys.products[q - 1], sys.products[q]
-        down = (levels == q) & (rows[:, period:width] == rows[:, : width - period]).all(axis=1)
-        if not down.any():
-            break
-        levels[down] = q - 1
-    return levels.tolist()
 
 
 @lru_cache(maxsize=64)
@@ -247,37 +228,35 @@ def forward_naive(f: StepFunction) -> SpectralVector:
     return SpectralVector(sys, out)
 
 
-def _quotients(sys: RadixSystem, values: np.ndarray):
-    """The rows of values (rows, M_N) grouped by their period level q, in
-    increasing q and in chunks of at most _chunk_rows(G_q) rows.
+def _own_quotient(f: StepFunction) -> tuple[RadixSystem, np.ndarray]:
+    """The smallest quotient group G_q, q >= 1, that f lives on, and the
+    first M_q values of f, which are f on G_q.
 
-    Yields (row indices, G_q, the first M_q values of those rows): an
-    M_q-periodic row is the tiling of a function on G_q = sys.truncate(q),
-    and q comes from exact equality only.  The values of a chunk of
-    consecutive rows are a view of values, any other chunk's a copy.
+    An M_q-periodic f is also M_{q+1}-periodic, so the search walks down
+    from q = N: an f known to be M_q-periodic is M_{q-1}-periodic when its
+    first M_q values equal themselves shifted by M_{q-1}.  Exact equality
+    only.
     """
-    levels = np.array(_period_levels(sys, values))
-    for q in sorted(set(levels.tolist())):
-        sub = sys.truncate(q)
-        members = np.flatnonzero(levels == q)
-        step = _chunk_rows(sub)
-        for lo in range(0, members.size, step):
-            rows = members[lo : lo + step]
-            first, last = int(rows[0]), int(rows[-1])
-            take = slice(first, last + 1) if last - first + 1 == rows.size else rows
-            yield rows, sub, values[take, : sub.cells]
+    sys, vals = f.sys, f.values
+    q = sys.depth
+    while q > 1:
+        period, width = sys.products[q - 1], sys.products[q]
+        if not np.array_equal(vals[period:width], vals[: width - period]):
+            break
+        q -= 1
+    return sys.truncate(q), vals[: sys.products[q]]
 
 
 def forward_fast(f: StepFunction) -> SpectralVector:
     """Fast transform: the DFT of the digit tensor, O(M_N * sum_k log m_k).
 
-    An M_r-periodic f lives on G_r (_quotients): its first M_r values are
+    An M_r-periodic f lives on G_r (_own_quotient): its first M_r values are
     transformed there, and its coefficients at k >= M_r are exactly zero on
     every radix.
     """
-    ((_, sub, head),) = _quotients(f.sys, f.values[None, :])
+    sub, head = _own_quotient(f)
     coeffs = np.zeros(f.sys.cells, dtype=np.complex128)
-    coeffs[: sub.cells] = _transform(sub, head[0], inverse=False)
+    coeffs[: sub.cells] = _transform(sub, head, inverse=False)
     return SpectralVector(f.sys, coeffs)
 
 
@@ -448,14 +427,14 @@ def _as_rows(arr: np.ndarray, cells: int, what: str) -> np.ndarray:
     return rows
 
 
-def _level_rows(sys: RadixSystem, weights: np.ndarray) -> tuple[RadixSystem, np.ndarray]:
-    """The weight rows of a scan and the group G_q they live on: rows of
-    M_q columns, 1 <= q <= N, are weights of the characters of G_q."""
-    width = np.shape(weights)[-1] if np.ndim(weights) else 0
+def _level_rows(sys: RadixSystem, arr: np.ndarray) -> tuple[RadixSystem, np.ndarray]:
+    """The group G_q that rows of M_q columns, 1 <= q <= N, live on, and
+    the rows: the weights of a scan or the values of an H1 pass."""
+    width = np.shape(arr)[-1] if np.ndim(arr) else 0
     if width not in sys.products[1:]:
-        raise ValueError(f"weights must have M_q columns for a level q in [1, {sys.depth}], "
-                         f"got shape {np.shape(weights)}")
-    return sys.truncate(sys.products.index(width)), _as_rows(weights, width, "weights")
+        raise ValueError(f"rows must have M_q columns for a level q in [1, {sys.depth}], "
+                         f"got shape {np.shape(arr)}")
+    return sys.truncate(sys.products.index(width)), _as_rows(arr, width, "rows")
 
 
 def cumulative_l1_norms(

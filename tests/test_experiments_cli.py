@@ -396,6 +396,21 @@ def test_run_lebesgue_scan_small(dyadic6, mixed2):
         assert rep.summary["max_L_over_log_n"] > 0
 
 
+def test_run_lebesgue_scan_probes_on_their_own_group():
+    # each kernel probe D_n runs on the group G_r that holds k < n, so a
+    # short scan on a group of 2^62 or 3^39 cells needs no more than G_r
+    # (radices, depth, n_lo, n_hi, a level q with M_q >= n_hi)
+    for radices, depth, n_lo, n_hi, q in (([2], 62, 1, 5, 3), ([2], 62, 1000, 1100, 11),
+                                          ([3], 39, 1, 7, 2)):
+        sys_obj = build_radix_system(radices, depth)
+        rep = run_lebesgue_scan(sys_obj, n_lo, n_hi, 1e-9)
+        assert rep.violations == 0
+        assert rep.summary["checked"] == n_hi - n_lo + 1
+        assert rep.summary["oracle_max_deviation"] <= 1e-12
+        want = [lebesgue_constant(sys_obj.truncate(q), n) for n in range(n_lo, n_hi + 1)]
+        np.testing.assert_allclose(rep.table.data[3], want, rtol=0, atol=1e-12)
+
+
 def test_run_variation_average_frozen(dyadic6):
     rep = run_variation_average(dyadic6, 4)
     assert rep.table.columns == ["n", "average_n_mn", "average_mn"]
@@ -555,8 +570,8 @@ def test_run_gat_asks_each_endpoint_once(dyadic10, monkeypatch):
 
     monkeypatch.setattr(experiments_mod, "gat_log_average", spy)
     run_gat(dyadic10, 3, 2, 1)
-    # one call per (rank, period level) group: functions 0, 2 of rank 1 and
-    # function 1 of rank 2, each read on its own G_r
+    # one call per rank: functions 0, 2 of rank 1 and function 1 of rank 2,
+    # each read on its own G_r
     assert asked == [(2, 2, dyadic10.products[2:]), (1, 4, dyadic10.products[2:])]
 
 
@@ -564,8 +579,8 @@ def test_run_gat_asks_each_endpoint_once(dyadic10, monkeypatch):
 @given(small_systems.filter(lambda s: s.depth >= 2), st.integers(0, 2**31 - 1), st.data())
 def test_run_gat_outputs_permute_with_the_rows(sys_obj, seed, data):
     # a corpus whose slot of rank r holds a function of period level q <= r,
-    # so one rank splits into several h1_pass groups; shuffling the
-    # functions among the slots of each rank permutes every output row
+    # all of them read on G_r by h1_pass; shuffling the functions among the
+    # slots of each rank permutes every output row
     max_rank = data.draw(st.integers(1, sys_obj.depth))
     count = data.draw(st.integers(1, 8))
     slots = [1 + i % max_rank for i in range(count)]
@@ -702,13 +717,17 @@ def test_cli_usage_errors_exit_1():
     ["transform", "--in", "IN", "--verify", "--tolerance=-1e-9"],
     # interchange input whose radices are not a list of integers
     ["transform", "--in", "NULL_RADICES"],
+    # or whose values are JSON booleans, which complex() would read as 1 and 0
+    ["transform", "--in", "BOOL_VALUES"],
 ])
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg",
-             "NULL_RADICES": tmp_path / "null.json"}
+             "NULL_RADICES": tmp_path / "null.json", "BOOL_VALUES": tmp_path / "bool.json"}
     files["IN"].write_text("".join(render_interchange(build_radix_system([2], 6), np.ones(64))))
     data = json.loads(files["IN"].read_text())
     files["NULL_RADICES"].write_text(json.dumps({**data, "radices": None}))
+    files["BOOL_VALUES"].write_text(json.dumps({"radices": [2, 2], "depth": 2,
+                                                "values": [[True, False]] * 4}))
     files["NAN_CFG"].write_text("tolerance=nan\n")
     argv = [str(files.get(arg, arg)) for arg in argv]
     # a --radix in the case comes later on the line, so it wins over 2^6

@@ -35,7 +35,7 @@ from vilenkin import (
     window_strong_average,
 )
 from vilenkin import hardy, spectral
-from vilenkin.experiments import random_step_corpus
+from vilenkin.experiments import run_equiv_check
 from conftest import random_values, small_systems, strided_level_pass
 
 
@@ -92,7 +92,7 @@ def test_maximal_function_equals_tiled_construction(sys, seed, rank):
     base = random_values(sys, seed)[:width]
     f = StepFunction(sys, np.tile(base, sys.cells // width))
     assert np.array_equal(maximal_function(sys, f.values)[0], _tiled_maximal(f))
-    rep = check_norm_equivalence(sys, f.values)
+    rep = check_norm_equivalence(sys, base)
     g = _on_own_quotient(f)
     c = forward_fast(g)
     spectral = np.max([np.abs(partial_sum(c, M).values) for M in g.sys.products], axis=0)
@@ -193,6 +193,13 @@ def _one_check(f):
     return float(direct.mean()), float(best.mean()), float(np.max(np.abs(direct - best)))
 
 
+def _by_level(fs):
+    """{q: ids} of the functions fs by their own level q, in increasing q and
+    id: each level's rows, its first M_q values, are a stack on G_q."""
+    levels = [_own_level(f) for f in fs]
+    return {q: [i for i, level in enumerate(levels) if level == q] for q in sorted(set(levels))}
+
+
 def _mixed_rank_stack(sys, seed, ranks):
     """One function per rank (0 is a constant), each tiled from random base values."""
     rng = np.random.default_rng(seed)
@@ -207,33 +214,30 @@ def _mixed_rank_stack(sys, seed, ranks):
 @settings(max_examples=40, deadline=None)
 @given(sys=small_systems, seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_stacked_h1_pass_is_bitwise_one_function_at_a_time(sys, seed, data):
-    # a stack of mixed ranks, grouped by period level, in chunks of rows
+    # a stack of mixed ranks, each level's rows stacked on its G_q and passed
+    # in chunks of consecutive rows
     ranks = data.draw(st.lists(st.integers(0, sys.depth), min_size=1, max_size=7))
     fs = _mixed_rank_stack(sys, seed, ranks)
-    values = np.vstack([f.values for f in fs])
     elements = data.draw(st.integers(1, 3 * sys.cells))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", elements)
-        rep = check_norm_equivalence(sys, values)
-        chunks = list(h1_pass(sys, values))
-    levels = [_own_level(f) for f in fs]
-    want_rows = []
-    for q in sorted(set(levels)):
-        members = [i for i, level in enumerate(levels) if level == q]
-        step = max(1, elements // sys.products[q])
-        want_rows += [members[lo : lo + step] for lo in range(0, len(members), step)]
-    assert [rows.tolist() for rows, *_ in chunks] == want_rows
-    for rows, sub, c, star in chunks:
-        assert sub == sys.truncate(levels[rows[0]])
-        assert np.array_equal(c, [_one_forward(fs[i])[: sub.cells] for i in rows])
-        assert np.array_equal(star, [_one_maximal(fs[i]).values.real for i in rows])
-    want = np.array([_one_check(f) for f in fs])
-    assert np.array_equal(rep.h1_norm, want[:, 0])
-    assert np.array_equal(rep.sup_block_norm, want[:, 1])
-    assert np.array_equal(rep.max_pointwise_diff, want[:, 2])
     h1s = np.empty(len(fs))
-    for rows, _, _, star in chunks:
-        h1s[rows] = star.mean(axis=1)
+    for q, ids in _by_level(fs).items():
+        values = np.vstack([fs[i].values[: sys.products[q]] for i in ids])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", elements)
+            rep = check_norm_equivalence(sys, values)
+            chunks = list(h1_pass(sys, values))
+        step = max(1, elements // sys.products[q])
+        assert [range(len(ids))[rows] for rows, *_ in chunks] == [
+            range(lo, min(lo + step, len(ids))) for lo in range(0, len(ids), step)]
+        for rows, sub, c, star in chunks:
+            assert sub == sys.truncate(q)
+            assert np.array_equal(c, [_one_forward(fs[i])[: sub.cells] for i in ids[rows]])
+            assert np.array_equal(star, [_one_maximal(fs[i]).values.real for i in ids[rows]])
+            h1s[ids[rows]] = star.mean(axis=1)
+        want = np.array([_one_check(fs[i]) for i in ids])
+        assert np.array_equal(rep.h1_norm, want[:, 0])
+        assert np.array_equal(rep.sup_block_norm, want[:, 1])
+        assert np.array_equal(rep.max_pointwise_diff, want[:, 2])
     assert np.array_equal(h1s, [l1_norm(_one_maximal(f)) for f in fs])
     assert [h1_norm(f) for f in fs] == [l1_norm(_one_maximal(f)) for f in fs]
     assert all(np.array_equal(forward_fast(f).coeffs, _one_forward(f)) for f in fs)
@@ -254,18 +258,23 @@ def test_quotient_h1_pass_matches_the_full_group_route(sys, seed, data):
     # past rank q every average and block sum is f itself, so the route on
     # G_N gives the tiles of the one on G_q, but for rounding
     ranks = data.draw(st.lists(st.integers(0, sys.depth), min_size=1, max_size=7))
-    values = np.vstack([f.values for f in _mixed_rank_stack(sys, seed, ranks)])
-    coeffs, direct, spectral_sup = _full_group_check(sys, values)
-    rep = check_norm_equivalence(sys, values)
-    np.testing.assert_allclose(rep.h1_norm, direct.mean(axis=1), rtol=1e-14, atol=0)
-    np.testing.assert_allclose(rep.sup_block_norm, spectral_sup.mean(axis=1), rtol=1e-14, atol=0)
-    np.testing.assert_allclose(rep.max_pointwise_diff,
-                               np.abs(direct - spectral_sup).max(axis=1), rtol=0, atol=1e-14)
-    for rows, sub, c, star in h1_pass(sys, values):
-        tiles = sys.cells // sub.cells
-        np.testing.assert_allclose(np.tile(star, tiles), direct[rows], rtol=1e-14, atol=0)
-        assert np.array_equal(c, coeffs[rows, : sub.cells])
-        assert not coeffs[rows, sub.cells :].any()
+    fs = _mixed_rank_stack(sys, seed, ranks)
+    coeffs, direct, spectral_sup = _full_group_check(sys, np.vstack([f.values for f in fs]))
+    for q, ids in _by_level(fs).items():
+        values = np.vstack([fs[i].values[: sys.products[q]] for i in ids])
+        rep = check_norm_equivalence(sys, values)
+        np.testing.assert_allclose(rep.h1_norm, direct[ids].mean(axis=1), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rep.sup_block_norm, spectral_sup[ids].mean(axis=1),
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rep.max_pointwise_diff,
+                                   np.abs(direct[ids] - spectral_sup[ids]).max(axis=1),
+                                   rtol=0, atol=1e-14)
+        for rows, sub, c, star in h1_pass(sys, values):
+            at = ids[rows]
+            tiles = sys.cells // sub.cells
+            np.testing.assert_allclose(np.tile(star, tiles), direct[at], rtol=1e-14, atol=0)
+            assert np.array_equal(c, coeffs[at, : sub.cells])
+            assert not coeffs[at, sub.cells :].any()
 
 
 def test_h1_pass_outputs_permute_with_the_rows(mixed2):
@@ -282,7 +291,7 @@ def test_h1_pass_outputs_permute_with_the_rows(mixed2):
     for rows, sub, _, star in h1_pass(mixed2, values[perm]):
         stars.update(zip(perm[rows].tolist(), star))
     for rows, sub, _, star in h1_pass(mixed2, values):
-        for i, s in zip(rows.tolist(), star):
+        for i, s in zip(range(len(fs))[rows], star):
             assert np.array_equal(stars[i], s)
 
 
@@ -290,8 +299,10 @@ def test_h1_norm_is_the_h1_pass_value(dyadic6, mixed2):
     for sys in (dyadic6, mixed2):
         fs = _mixed_rank_stack(sys, 74, range(sys.depth + 1))
         pass_h1 = np.empty(len(fs))
-        for rows, _, _, star in h1_pass(sys, np.vstack([f.values for f in fs])):
-            pass_h1[rows] = star.mean(axis=1)
+        for q, ids in _by_level(fs).items():
+            values = np.vstack([fs[i].values[: sys.products[q]] for i in ids])
+            for rows, _, _, star in h1_pass(sys, values):
+                pass_h1[ids[rows]] = star.mean(axis=1)
         assert [h1_norm(f) for f in fs] == pass_h1.tolist()
 
 
@@ -311,8 +322,7 @@ def test_h1_pass_on_low_rank_corpus_stays_on_g4(dyadic10, monkeypatch):
 
     spy("maximal_function")
     spy("_block_heads")
-    values = np.vstack([f.values for f in random_step_corpus(dyadic10, 50, 4, 1)])
-    check_norm_equivalence(dyadic10, values)
+    run_equiv_check(dyadic10, 50, 4, 1, 1e-9)
     assert {name for name, _ in seen} == {"maximal_function", "_block_heads"}
     assert max(width for _, width in seen) <= 16
 

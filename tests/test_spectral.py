@@ -13,6 +13,7 @@ from vilenkin import (
     StepFunction,
     build_radix_system,
     character_block,
+    check_norm_equivalence,
     cumulative_l1_norms,
     dirichlet_kernel,
     fejer_l1_norms,
@@ -20,6 +21,7 @@ from vilenkin import (
     forward_fast,
     decompose,
     forward_naive,
+    h1_pass,
     inverse_transform,
     partial_sum,
     rademacher,
@@ -501,6 +503,10 @@ def test_scans_refuse_rows_of_no_level(mixed):
             cumulative_l1_norms(mixed, np.ones(width), 0, 4)
         with pytest.raises(ValueError, match="M_q columns"):
             fejer_l1_norms(mixed, np.ones(width), 4)
+        with pytest.raises(ValueError, match="M_q columns"):
+            list(h1_pass(mixed, np.ones(width)))
+        with pytest.raises(ValueError, match="M_q columns"):
+            check_norm_equivalence(mixed, np.ones(width))
     with pytest.raises(ValueError, match="6 columns"):
         cumulative_l1_norms(mixed, np.ones(6), 0, 4, offsets=np.ones(24))
 
@@ -664,6 +670,26 @@ def test_scans_reuse_their_scratch(dyadic10, monkeypatch):
         assert peak <= limit * block_bytes
 
 
+def test_step_function_copies_a_broadcast_view_once():
+    # a tiled head is a broadcast view, copied once in C order: the value
+    # array itself is the peak, 16 bytes per cell of G_N
+    sys = build_radix_system([2], 16)
+    c = SpectralVector(sys, random_values(sys, 81))
+    corpus = random_step_corpus(sys, 4, 4, 1)
+    for make in (lambda: partial_sum(c, 16), lambda: corpus[0], lambda: corpus[3],
+                 lambda: SpectralVector(sys, np.broadcast_to(c.coeffs[:16], (sys.cells // 16, 16)))):
+        make()  # first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            made = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = made.coeffs if isinstance(made, SpectralVector) else made.values
+        assert data.flags.c_contiguous and not data.flags.writeable
+        assert peak <= 17 * sys.cells
+
+
 # ---------------------------------------------------------------------------
 # the quotient rule: low-rank inputs are scanned on G_r, results extended to M_N
 
@@ -677,21 +703,6 @@ def test_forward_fast_exact_zeros_above_rank():
             fast = forward_fast(f).coeffs
             assert np.count_nonzero(fast[sys.products[rank]:]) == 0, f"rank {rank}"
             assert np.abs(fast - forward_naive(f).coeffs).max() <= 1e-12
-
-
-def test_quotients_take_consecutive_rows_as_a_view(dyadic6):
-    # rows 0, 1 and 3 have period level 2 and row 2 level 3: the values of
-    # the group [0, 1, 3] are a copy, those of [2] and of [0, 1] in the
-    # first two rows a slice of the stack
-    stack = np.stack([np.tile(random_values(dyadic6, s)[:w], 64 // w)
-                      for s, w in enumerate((4, 4, 8, 4))])
-    chunks = list(spectral._quotients(dyadic6, stack))
-    assert [rows.tolist() for rows, _, _ in chunks] == [[0, 1, 3], [2]]
-    assert [np.shares_memory(head, stack) for _, _, head in chunks] == [False, True]
-    for rows, sub, head in chunks:
-        assert np.array_equal(head, stack[rows, : sub.cells])
-    ((rows, _, head),) = spectral._quotients(dyadic6, stack[:2])
-    assert rows.tolist() == [0, 1] and np.shares_memory(head, stack)
 
 
 def _scan_points(sys, widths):
@@ -832,7 +843,8 @@ def test_json_parse_errors(mixed):
     bad["values"] = [["x", 0]] * mixed.cells
     with pytest.raises(ValueError, match="parse error"):
         parse_interchange(bad)
-    for pair in ([float("nan"), 0.0], [0.0, float("inf")]):
+    # complex() would read the JSON booleans true and false as 1 and 0
+    for pair in ([float("nan"), 0.0], [0.0, float("inf")], [True, False], [0.0, True]):
         bad["values"] = [pair] + good["values"][1:]
         with pytest.raises(ValueError, match="parse error"):
             parse_interchange(bad)
