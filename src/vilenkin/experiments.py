@@ -207,6 +207,8 @@ def parse_interchange(data: object) -> tuple[RadixSystem, np.ndarray]:
             raise TypeError
     except (TypeError, ValueError):
         raise ValueError("parse error: values must be [re, im] pairs") from None
+    except OverflowError:
+        raise ValueError("parse error: values must be finite, got a huge integer") from None
     if not np.isfinite(vals).all():
         raise ValueError("parse error: values must be finite, got NaN or infinity")
     return sys, vals
@@ -289,12 +291,16 @@ def random_step_corpus(
         raise ValueError(f"corpus seed must be >= 0, got {seed}")
     if not 1 <= max_rank <= sys.depth:
         raise ValueError(f"largest corpus rank {max_rank} out of range [1, {sys.depth}]")
-    widths = [sys.products[1 + (i % max_rank)] for i in range(count)]
+    # count // max_rank whole cycles of the ranks 1 .. max_rank, then the
+    # first count % max_rank ranks: sized before any per-function list exists
+    full, part = divmod(count, max_rank)
+    total = full * sum(sys.products[1 : max_rank + 1]) + sum(sys.products[1 : part + 1])
     require_memory(f"a corpus of {count} functions on M_N = {sys.cells}",
-                   sum(widths) * _CORPUS_BASE_BYTES)
-    starts = np.cumsum([0, *widths[:-1]], dtype=np.int64) * 2
+                   total * _CORPUS_BASE_BYTES)
+    widths = np.array(sys.products[1 : max_rank + 1], dtype=np.int64)[np.arange(count) % max_rank]
+    starts = (np.cumsum(widths) - widths) * 2
     # one draw, cut in corpus order: the same numbers as one draw per part
-    normals = np.random.default_rng(seed).standard_normal(2 * sum(widths))
+    normals = np.random.default_rng(seed).standard_normal(2 * total)
     groups = []
     for r in range(1, min(count, max_rank) + 1):
         ids = np.arange(r - 1, count, max_rank)
@@ -334,24 +340,21 @@ def random_step_corpus(
 # value, while the corpus is drawn: the draw, the bases and one rank's
 # gather index (40 on 2^20 at full rank, 48 to 50 on depth-1 systems, where
 # every base is full width); an item, one C-order copy of its broadcast
-# base: 16 per cell of G_N (2^16, 2^20, 3^11, (2,3,4)x3).  gat, per cell of
-# G_N of each function: 12 to 13 with ranks up to 4 (2^10 .. 2^18 and 3^9),
-# up to 49 when one chunk holds every row (rank 1 on 2^10 and 2^16: the
-# three norm arrays of its log means have M_N columns per row, twice), and
-# the scan scratch beside it, which sets the peak at full rank (2^10, 2^12,
-# 3^7, 7^4) and on 7^6 at rank 4; it is counted on G_N, which bounds the
-# block of any G_q.  equiv-check: one chunk of consecutive rows of one rank
-# q at a time (hardy.h1_pass): a view of their M_q base values, the
-# coefficients, two level buffers of the synthesis, the block partial sums
-# on G_0 .. G_q (at most 2 M_q values per row) and both sups.  A chunk of
-# full-rank rows takes 59 to 74 bytes per cell (2^10 .. 2^18, 3^9, 3^11,
-# 7^6), so equiv-check counts one chunk on the group of the highest rank
-# present at 96, which bounds a chunk of any G_q.  Per element of a
-# scan block: about 40 in the partial-sum scan and 56 with the Fejer sums
-# (the character rows and the scratch reused across blocks and row batches,
-# each at most one block); past M_q the Fejer maximum evaluates its two ends,
-# and inner n only for rows within rounding of a tie, at most
-# spectral._SCAN_BLOCK_ELEMENTS cells at a time.
+# base: 16 per cell of G_N (2^16, 2^20, 3^11, (2,3,4)x3).  gat and
+# equiv-check take one chunk of rows of one rank q at a time (hardy.h1_pass)
+# and count one chunk on G_top, the group of the highest rank present, which
+# bounds a chunk of any G_q.  Per cell of a gat chunk: 186 to 188 (16^1 with
+# 2^16 and 2^17 rank-1 functions, 7^2 at rank 2), for the coefficients, f*,
+# the stacked weights and offsets of both log means, their checkpoint
+# synthesis and the Fejer sums; past M_q nothing is scanned.  Per gat table
+# row, one per function and endpoint: 50 to 57 (2^30, 2^40 and 2^60 with
+# 20000 to 40000 functions of ranks 1, 2 and 4).  Per cell of an
+# equiv-check chunk of full-rank rows: 59 to 74 (2^10 .. 2^18, 3^9, 3^11,
+# 7^6), for its base values, the coefficients, two level buffers of the
+# synthesis, the block partial sums on G_0 .. G_q and both sups.  Per element
+# of a scan block: about 40 in the partial-sum scan and 56 with the Fejer
+# sums (the character rows and the scratch reused across blocks and row
+# batches); it sets the gat peak at full rank (2^10, 2^12, 3^7, 7^4).
 _SCAN_ROW_BYTES = 160
 _KERNEL_CELL_BYTES = 64
 _KERNEL_REPORT_CELL_BYTES = 96
@@ -359,7 +362,8 @@ _DIVERGENCE_CELL_BYTES = 160
 _LEMMA_INDEX_BYTES = 128
 _CORPUS_BASE_BYTES = 64
 _CORPUS_ITEM_CELL_BYTES = 32
-_GAT_CELL_BYTES = 64
+_GAT_CELL_BYTES = 192
+_GAT_ROW_BYTES = 64
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
 
@@ -532,21 +536,23 @@ def run_gat(
     max_rank: int,
     seed: int,
 ) -> ExperimentReport:
-    require_memory(
-        f"gat of {count} functions on M_N = {sys.cells}",
-        # the functions and one block of the scans
-        sys.cells * (count * _GAT_CELL_BYTES + _scan_block(sys) * _BLOCK_ELEMENT_BYTES),
-    )
-    # drawn before the outputs are allocated: a bad count or seed is refused by name
+    # drawn first, so a bad count, rank or seed is refused by name; every pass
+    # runs on G_r for a rank r present, at most min(max_rank, count) = len(groups)
     groups = random_step_corpus(sys, count, max_rank, seed).groups
+    top = sys.truncate(len(groups))
     # the table covers n = M_2 .. M_N; the summary is taken at n = M_N, the
     # last endpoint (on a depth-1 system the only one, and the table is empty)
     ends = np.array(sys.products[2:], dtype=np.int64)
     ns = sys.products[min(2, sys.depth):]
+    # one chunk of the H1 pass and one scan block on G_top, and the table
+    require_memory(f"gat of {count} functions on M_N = {sys.cells}",
+                   top.cells * (min(count, _chunk_rows(top)) * _GAT_CELL_BYTES
+                                + _scan_block(top) * _BLOCK_ELEMENT_BYTES)
+                   + count * len(ns) * _GAT_ROW_BYTES)
     h1s, fejer_sup = np.empty(count), np.empty(count)
     convergence, bounded = np.empty((count, len(ns))), np.empty((count, len(ns)))
     # each chunk of h1_pass holds consecutive rows of one rank r, and both
-    # scans read them on G_r with endpoints up to M_N
+    # scans read them on G_r; their frozen tails up to M_N are closed forms
     for _, members, bases in groups:
         for rows, _, coeffs, star in h1_pass(sys, bases):
             at = members[rows]

@@ -11,8 +11,9 @@ every cylinder average and block sum S_{M_n} f is f itself, so f* and the
 spectral sup on G_N are tiles of those on G_q.  The H1 pass (h1_pass) reads
 G_q from the width of its rows and takes them in chunks, one numpy call per
 chunk.  The corpus drivers pass each rank-r function as its first M_r
-values; gat_log_average reads them on G_r, with endpoints up to M_N.  Only
-h1_norm, which takes one full-width function, searches for its period.
+values; gat_log_average scans them on G_r and takes the frozen tail up to
+M_N in closed form.  Only h1_norm, which takes one full-width function,
+searches for its period.
 
 The counterexample family lives here too: for increasing exponents a_k the
 function f = sum_k (D_{M_{a_k + 1}} - D_{M_{a_k}}) / sqrt(a_k) has block
@@ -373,6 +374,20 @@ def window_strong_average(spec: CounterexampleSpec, norms: np.ndarray, k: int) -
     return float(norms[lo - 1 : 2 * lo].sum() / spec.sys.products[a + 1])
 
 
+def _harmonic_gap(m: int, n: int) -> float:
+    """H_n - H_m = sum_{m < k <= n} 1/k, for 1 <= m <= n: math.fsum of the
+    terms 1/k up to k = h = min(n, max(m, 4096)), and past h the
+    Euler-Maclaurin expansion through 1/k^4, whose error is below
+    1/(252 h^6).  Its ln(n/h) is log1p((n - h) / h): a plain log difference
+    loses about 1e-10 relative when n is close to h."""
+    h = min(n, max(m, 4096))
+    terms = (1 / np.arange(m + 1, h + 1)).tolist()
+    if n > h:
+        terms += [math.log1p((n - h) / h), 1 / (2 * n), -1 / (2 * h), -1 / (12 * n**2),
+                  1 / (12 * h**2), 1 / (120 * n**4), -1 / (120 * h**4)]
+    return math.fsum(terms)
+
+
 def gat_log_average(
     sys: RadixSystem, coeffs: np.ndarray, values: np.ndarray, ns: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -385,20 +400,24 @@ def gat_log_average(
         convergence[i, j] = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i - f_i||_1 / k
         bounded[i, j]     = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i||_1 / k
 
-    Both come from one stacked partial-sum scan.  Rows of M_q columns are
-    functions on G_q, and the endpoints may still reach M_N.
+    Rows of M_q columns are functions on G_q, and the endpoints may reach
+    M_N.  One stacked partial-sum scan takes k up to top = min(max(ns), M_q);
+    past M_q both norms are frozen, so a sum up to n > top is the sum up to
+    top plus the last norm times H_n - H_top (_harmonic_gap).
     """
     if not ns or not all(2 <= n <= sys.cells for n in ns):
         raise ValueError(f"log average endpoints {ns} outside [2, {sys.cells}]")
     coeffs, values = np.atleast_2d(coeffs, values)
-    n_max = max(ns)
+    top = min(max(ns), coeffs.shape[1])
     # the bounded form scans S_k f and the convergence form S_k f - f
     weights = np.concatenate((coeffs, coeffs))
     offsets = np.zeros(weights.shape, dtype=np.complex128)
     np.negative(values, out=offsets[len(coeffs):])
-    norms = cumulative_l1_norms(sys, weights, 1, n_max, offsets=offsets)
-    sums = np.cumsum(norms / np.arange(1, n_max + 1, dtype=np.float64), axis=1)
-    means = sums[:, [n - 1 for n in ns]] / np.array([math.log(n) for n in ns])
+    norms = cumulative_l1_norms(sys, weights, 1, top, offsets=offsets)
+    sums = np.cumsum(norms / np.arange(1, top + 1, dtype=np.float64), axis=1)
+    means = np.stack([sums[:, n - 1] if n <= top
+                      else sums[:, -1] + norms[:, -1] * _harmonic_gap(top, n) for n in ns], axis=1)
+    means /= np.array([math.log(n) for n in ns])
     return means[len(coeffs):], means[: len(coeffs)]
 
 

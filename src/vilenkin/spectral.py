@@ -491,8 +491,10 @@ def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndar
     Uses sigma_n = S_n - U_n / n with U_n = sum_{k<n} (k+1) w_k psi_k, so the
     scan needs only two running sums per weight row.  Rows of M_q columns
     are read on G_q (_level_rows).  It scans n up to M_q; past M_q both sums
-    are frozen, and only the n up to n_max (at most M_N) that can hold the
-    maximum are evaluated (_frozen_tail_max).
+    are frozen, and the maximum over the n up to n_max (at most M_N) is
+    taken at the two ends n = M_q + 1 and n = n_max (_frozen_tail_max): an
+    inner n can beat them only by rounding, within
+    1e-12 (mean|S_{M_q}| + mean|U_{M_q}| / (M_q + 1)).
     """
     cells = sys.cells
     if not 1 <= n_max <= cells:
@@ -522,49 +524,14 @@ def fejer_l1_norms(sys: RadixSystem, weights: np.ndarray, n_max: int) -> np.ndar
     return best
 
 
-def _sigma_norms(s: np.ndarray, u: np.ndarray, rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """mean |s_i - u_i / n| over the cells for the pairs (i, n) = (rows[p], ns[p])."""
-    return np.abs(s[rows] - u[rows] / ns[:, None]).mean(axis=1)
-
-
 def _frozen_tail_max(s: np.ndarray, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """max_{lo <= n <= hi} mean |s_i - u_i / n| for each row i of the frozen
-    sums s and u, bit for bit the maximum of every n evaluated.
+    sums s and u, taken at the two ends n = lo and n = hi only.
 
-    Each cell term |s - u t| is convex in t = 1/n, so their mean g is, and
-    its exact values lie on or below the chord through the ends t_lo = 1/lo
-    and t_hi = 1/hi.  A computed value differs from the exact one by a few
-    ulps of mean|s| + mean|u| / lo per pairwise-summation level; so does the
-    computed chord.  The allowance 1e-12 (mean|s| + mean|u| / lo), thousands
-    of ulps, bounds all of these together, so an inner n whose chord plus the
-    allowance does not exceed the larger end value cannot exceed it either.
-    Only the other inner n are evaluated, in chunks of at most
-    _SCAN_BLOCK_ELEMENTS cells; on the gat corpora none are.
+    Each cell term |s - u t| is convex in t = 1/n, so their mean is, and its
+    exact maximum over the n in [lo, hi] lies at one of the ends.  A computed
+    value differs from the exact one by a few ulps of mean|s| + mean|u| / lo
+    per pairwise-summation level, so an inner n can beat the ends only by
+    rounding, within 1e-12 (mean|s| + mean|u| / lo).
     """
-    count, width = s.shape
-    every = np.arange(count)
-    g_lo = _sigma_norms(s, u, every, np.full(count, float(lo)))
-    g_hi = _sigma_norms(s, u, every, np.full(count, float(hi)))
-    ends = np.maximum(g_lo, g_hi)
-    if hi - lo < 2:
-        return ends
-    allowance = 1e-12 * (np.abs(s).mean(axis=1) + np.abs(u).mean(axis=1) / lo)
-    t_lo = 1.0 / lo
-    slope = (g_hi - g_lo) / (t_lo - 1.0 / hi)
-
-    def reaches(i: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        chord = g_lo[i, None] + slope[i, None] * (t_lo - 1.0 / ns)
-        return chord + allowance[i, None] > ends[i, None]
-
-    # the chord rises toward the larger end, so a row with no candidate next
-    # to either end has none at all
-    near = np.flatnonzero(reaches(every, np.array([lo + 1.0, hi - 1.0])).any(axis=1))
-    if not near.size:
-        return ends
-    best = ends.copy()
-    chunk = max(1, _SCAN_BLOCK_ELEMENTS // (near.size * width))
-    for n0 in range(lo + 1, hi, chunk):
-        ns = np.arange(n0, min(n0 + chunk, hi), dtype=np.float64)
-        i, j = np.nonzero(reaches(near, ns))
-        np.maximum.at(best, near[i], _sigma_norms(s, u, near[i], ns[j]))
-    return best
+    return np.maximum(*(np.abs(s - u / n).mean(axis=1) for n in (lo, hi)))

@@ -641,6 +641,30 @@ def test_run_gat_depth_one():
     assert rep.summary["max_bounded_ratio"] == pytest.approx(want, abs=1e-12)
 
 
+def test_run_gat_deep_rows_match_a_shallow_run(monkeypatch):
+    # 50 functions of ranks up to 4: on 2^60 every row with n <= 2^20, and
+    # every H1 norm, equals the 2^20 run bit for bit, since past M_4 the log
+    # means take their frozen tails in closed form
+    shallow = run_gat(build_radix_system([2], 20), 50, 4, 1)
+    deep = run_gat(build_radix_system([2], 60), 50, 4, 1)
+    keep = deep.table.data[2] <= 2**20
+    assert keep.sum() == shallow.table.data[0].size == 50 * 19
+    for a, b in zip(shallow.table.data, deep.table.data):
+        np.testing.assert_array_equal(a, b[keep])
+    np.testing.assert_array_equal(shallow.extra_tables["fejer"].data[2],
+                                  deep.extra_tables["fejer"].data[2])
+    # the guard counts one chunk and one scan block on G_4 and one table
+    # row per function and endpoint, none of them in M_N
+    needs = {}
+    monkeypatch.setattr(experiments_mod, "require_memory",
+                        lambda what, need: needs.setdefault(what.split()[0], need))
+    run_gat(build_radix_system([2], 60), 50, 4, 1)
+    block = experiments_mod._scan_block(build_radix_system([2], 4))
+    assert needs["gat"] == (16 * (50 * experiments_mod._GAT_CELL_BYTES
+                                  + block * experiments_mod._BLOCK_ELEMENT_BYTES)
+                            + 50 * 59 * experiments_mod._GAT_ROW_BYTES)
+
+
 def test_run_equiv_check_small(mixed2):
     rep = run_equiv_check(mixed2, 6, mixed2.depth, 1, 1e-9)
     assert rep.violations == 0
@@ -700,8 +724,9 @@ def test_cli_usage_errors_exit_1():
     ["lebesgue-scan", "--radix", "2^34"],
     ["kernel", "--radix", "2^34", "--n", "1"],
     ["lemma1", "--radix", "2^34"],
-    ["gat", "--radix", "2^34"],
-    # equiv-check runs on the group of its highest rank, so it needs ranks up to 34
+    # gat and equiv-check run on the group of their highest rank, so they
+    # need ranks up to 34: the corpus alone is refused at 2048 GiB
+    ["gat", "--radix", "2^34", "--max-rank", "34", "--count", "34"],
     ["equiv-check", "--radix", "2^34", "--count", "34"],
     ["divergence", "--radix", "2^34", "--alphas", "1,4,9"],
     # a depth whose cell count overflows 64 bits is refused within 63 levels
@@ -719,15 +744,20 @@ def test_cli_usage_errors_exit_1():
     ["transform", "--in", "NULL_RADICES"],
     # or whose values are JSON booleans, which complex() would read as 1 and 0
     ["transform", "--in", "BOOL_VALUES"],
+    # an integer value too large for a float
+    ["transform", "--in", "HUGE_VALUES"],
 ])
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg",
-             "NULL_RADICES": tmp_path / "null.json", "BOOL_VALUES": tmp_path / "bool.json"}
+             "NULL_RADICES": tmp_path / "null.json", "BOOL_VALUES": tmp_path / "bool.json",
+             "HUGE_VALUES": tmp_path / "huge.json"}
     files["IN"].write_text("".join(render_interchange(build_radix_system([2], 6), np.ones(64))))
     data = json.loads(files["IN"].read_text())
     files["NULL_RADICES"].write_text(json.dumps({**data, "radices": None}))
     files["BOOL_VALUES"].write_text(json.dumps({"radices": [2, 2], "depth": 2,
                                                 "values": [[True, False]] * 4}))
+    files["HUGE_VALUES"].write_text(json.dumps({"radices": [2, 2], "depth": 2,
+                                                "values": [[10**400, 0]] + [[0, 0]] * 3}))
     files["NAN_CFG"].write_text("tolerance=nan\n")
     argv = [str(files.get(arg, arg)) for arg in argv]
     # a --radix in the case comes later on the line, so it wins over 2^6
@@ -767,6 +797,22 @@ def test_cli_corpus_option_errors_say_which(capsys, command, option, message):
     # refused by the corpus, before numpy sees a negative size or seed
     assert main([command, "--radix", "2^3", option, "-1"]) == 1
     assert f"vilenkin: error: {message}" in capsys.readouterr().err
+
+
+def test_corpus_is_sized_before_it_is_listed(capsys):
+    # ten million functions of ranks 1 .. 40 on 2^40: refused from the rank
+    # cycle's total width, before any per-function list exists
+    sys_obj = build_radix_system([2], 40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="a corpus of 10000000 functions"):
+            random_step_corpus(sys_obj, 10**7, 40, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert main(["equiv-check", "--radix", "2^40", "--count", "10000000"]) == 1
+    assert "vilenkin: error: a corpus of 10000000 functions" in capsys.readouterr().err
 
 
 def test_cli_bad_radix_exit_1(capsys):

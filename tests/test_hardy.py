@@ -1,6 +1,7 @@
 """Maximal functions, the H1 norm, and the lacunary-block counterexample."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -579,6 +580,36 @@ def test_gat_log_average_manual(mixed):
     for bad in ((1,), (mixed.cells + 1,), ()):
         with pytest.raises(ValueError):
             gat_log_average(mixed, c.coeffs, f.values, bad)
+
+
+def test_harmonic_gap_is_the_exact_sum_to_an_ulp():
+    # up to n = 2^12 the gap is math.fsum of the rounded terms 1/k: within
+    # one ulp of the exact sum, on the ends of the range and seeded pairs
+    exact = [Fraction(0)]
+    for k in range(1, 2**12 + 1):
+        exact.append(exact[-1] + Fraction(1, k))
+    rng = np.random.default_rng(12)
+    pairs = [(1, 2), (1, 2**12), (2**12 - 1, 2**12), (2, 16), (16, 17)]
+    pairs += [tuple(sorted(p)) for p in rng.choice(np.arange(1, 2**12 + 1), (200, 2))
+              if p[0] != p[1]]
+    for m, n in pairs:
+        want = exact[n] - exact[m]
+        got = hardy._harmonic_gap(int(m), int(n))
+        assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want))), (m, n)
+
+
+def test_harmonic_gap_past_its_terms_matches_fsum():
+    # past 2^12 the Euler-Maclaurin form, with log1p for the log term, stays
+    # within 2^-52 relative of math.fsum of every term up to 2^20; a plain
+    # log difference would lose about 1e-10 at (2^16, 2^16 + 1)
+    rng = np.random.default_rng(20)
+    pairs = [(2**16, 2**16 + 1), (2**12, 2**12 + 1), (2**12 - 1, 2**12 + 1), (1, 2**20),
+             (16, 2**20), (2**19, 2**20), (2**20 - 1, 2**20)]
+    pairs += [tuple(sorted(p)) for p in rng.integers(1, 2**20 + 1, (12, 2)) if p[0] != p[1]]
+    for m, n in pairs:
+        want = math.fsum(1 / k for k in range(int(m) + 1, int(n) + 1))
+        got = hardy._harmonic_gap(int(m), int(n))
+        assert abs(got - want) <= 2**-52 * want, (m, n)
 
 
 def test_gat_convergence_decreases_for_finite_rank(dyadic10):
