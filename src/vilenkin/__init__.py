@@ -48,9 +48,9 @@ from .hardy import (
     counterexample_l1_norms,
     cylinder_averages,
     expected_counterexample_coefficients,
-    gat_log_average,
     h1_norm,
     h1_pass,
+    log_average,
     maximal_function,
     partial_sum_decomposition,
     strong_sum_average,

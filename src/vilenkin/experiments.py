@@ -26,9 +26,9 @@ from .hardy import (
     check_norm_equivalence,
     counterexample_l1_norms,
     expected_counterexample_coefficients,
-    gat_log_average,
     h1_norm,
     h1_pass,
+    log_average,
     strong_sum_average,
     window_strong_average,
 )
@@ -48,6 +48,7 @@ from .spectral import (
     _chunk_rows,
     _level_holding,
     _scan_block,
+    cumulative_l1_norms,
     dirichlet_kernel,
     fejer_l1_norms,
     forward_fast,
@@ -197,7 +198,10 @@ def parse_interchange(data: object) -> tuple[RadixSystem, np.ndarray]:
     # JSON integers only: int() would truncate 2.7, and True is an int
     if not (isinstance(radices, list) and all(type(m) is int for m in [*radices, depth])):
         raise ValueError("parse error: radices must be a list of integers, depth an integer")
-    sys = RadixSystem(tuple(radices))
+    try:
+        sys = RadixSystem(tuple(radices))
+    except ValueError as exc:
+        raise ValueError(f"parse error: bad radices: {exc}") from None
     if depth != sys.depth:
         raise ValueError(f"parse error: depth field {depth} disagrees with {sys.depth} radices")
     try:
@@ -333,7 +337,7 @@ def random_step_corpus(
 # sums and the H1 norms of the truncations, each built on the group its
 # schedule reaches; the closed form holds at most
 # spectral._SCAN_BLOCK_ELEMENTS / 16 offsets at a time and no scan
-# scratch).  Per lemma1 index: 65 to 79.
+# scratch).
 #
 # A corpus holds only its bases, the first M_{r_i} values of each function,
 # and every pass of gat and equiv-check runs on G_r, r = r_i.  Per base
@@ -343,12 +347,13 @@ def random_step_corpus(
 # base: 16 per cell of G_N (2^16, 2^20, 3^11, (2,3,4)x3).  gat and
 # equiv-check take one chunk of rows of one rank q at a time (hardy.h1_pass)
 # and count one chunk on G_top, the group of the highest rank present, which
-# bounds a chunk of any G_q.  Per cell of a gat chunk: 186 to 188 (16^1 with
-# 2^16 and 2^17 rank-1 functions, 7^2 at rank 2), for the coefficients, f*,
-# the stacked weights and offsets of both log means, their checkpoint
-# synthesis and the Fejer sums; past M_q nothing is scanned.  Per gat table
-# row, one per function and endpoint: 50 to 57 (2^30, 2^40 and 2^60 with
-# 20000 to 40000 functions of ranks 1, 2 and 4).  Per cell of an
+# bounds a chunk of any G_q.  Per cell of a gat chunk, with the corpus drawn
+# beforehand: 89.5 to 90.6 (16^1 with 2^16 and 2^17 rank-1 functions, 7^2
+# with 2^15 and 2^16 functions of ranks 1 and 2), for the coefficients, f*,
+# both partial-sum scans up to M_q with their checkpoint syntheses, the
+# stacked norms, the log means and the Fejer sums.  Per gat table row, one
+# per function and endpoint: 50 to 53 (2^30, 2^40 and 2^60 with 20000 to
+# 40000 functions of ranks 1, 2 and 4).  Per cell of an
 # equiv-check chunk of full-rank rows: 59 to 74 (2^10 .. 2^18, 3^9, 3^11,
 # 7^6), for its base values, the coefficients, two level buffers of the
 # synthesis, the block partial sums on G_0 .. G_q and both sups.  Per element
@@ -359,10 +364,9 @@ _SCAN_ROW_BYTES = 160
 _KERNEL_CELL_BYTES = 64
 _KERNEL_REPORT_CELL_BYTES = 96
 _DIVERGENCE_CELL_BYTES = 160
-_LEMMA_INDEX_BYTES = 128
 _CORPUS_BASE_BYTES = 64
 _CORPUS_ITEM_CELL_BYTES = 32
-_GAT_CELL_BYTES = 192
+_GAT_CELL_BYTES = 104
 _GAT_ROW_BYTES = 64
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
@@ -455,10 +459,6 @@ def run_kernel(sys: RadixSystem, n: int, tol: float) -> ExperimentReport:
 def run_variation_average(sys: RadixSystem, n_max: int) -> ExperimentReport:
     if not 1 <= n_max <= sys.depth:
         raise ValueError(f"level {n_max} out of range [1, {sys.depth}]")
-    require_memory(
-        f"lemma1 up to M_{n_max} = {sys.products[n_max]}",
-        sys.products[n_max] * _LEMMA_INDEX_BYTES,
-    )
     ns = np.arange(1, n_max + 1)
     totals = [(n, variation_sum(sys, n), sys.products[n]) for n in ns.tolist()]
     average_n_mn = np.array([total / (n * M_n) for n, total, M_n in totals])
@@ -551,13 +551,17 @@ def run_gat(
                    + count * len(ns) * _GAT_ROW_BYTES)
     h1s, fejer_sup = np.empty(count), np.empty(count)
     convergence, bounded = np.empty((count, len(ns))), np.empty((count, len(ns)))
-    # each chunk of h1_pass holds consecutive rows of one rank r, and both
+    # each chunk of h1_pass holds consecutive rows of one rank r, and the
     # scans read them on G_r; their frozen tails up to M_N are closed forms
     for _, members, bases in groups:
-        for rows, _, coeffs, star in h1_pass(sys, bases):
+        for rows, sub, coeffs, star in h1_pass(sys, bases):
             at = members[rows]
             h1s[at] = star.mean(axis=1)
-            convergence[at], bounded[at] = gat_log_average(sys, coeffs, bases[rows], ns)
+            # ||S_k f - f||_1 and ||S_k f||_1 for k = 1 .. M_r, held only
+            # while their log means are taken
+            convergence[at], bounded[at] = log_average(np.stack((
+                cumulative_l1_norms(sys, coeffs, 1, sub.cells, offsets=-bases[rows]),
+                cumulative_l1_norms(sys, coeffs, 1, sub.cells))), ns)
             fejer_sup[at] = fejer_l1_norms(sys, coeffs, sys.cells)
     ratios = bounded / h1s[:, None]
     ids = np.arange(count)

@@ -11,7 +11,7 @@ every cylinder average and block sum S_{M_n} f is f itself, so f* and the
 spectral sup on G_N are tiles of those on G_q.  The H1 pass (h1_pass) reads
 G_q from the width of its rows and takes them in chunks, one numpy call per
 chunk.  The corpus drivers pass each rank-r function as its first M_r
-values; gat_log_average scans them on G_r and takes the frozen tail up to
+values; gat scans them on G_r, and log_average takes the frozen tail up to
 M_N in closed form.  Only h1_norm, which takes one full-width function,
 searches for its period.
 
@@ -44,7 +44,6 @@ from .spectral import (
     _root_table,
     _transform,
     character_block,
-    cumulative_l1_norms,
     dirichlet_kernel,
     forward_fast,
     partial_sum,
@@ -388,37 +387,25 @@ def _harmonic_gap(m: int, n: int) -> float:
     return math.fsum(terms)
 
 
-def gat_log_average(
-    sys: RadixSystem, coeffs: np.ndarray, values: np.ndarray, ns: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both logarithmic means of each function at each endpoint n (natural log).
+def log_average(norms: np.ndarray, ns: Sequence[int]) -> np.ndarray:
+    """Logarithmic means (1/ln n) sum_{k=1}^{n} norms[..., k - 1] / k along the
+    last axis of norms, for each n in ns (natural log): an array of shape
+    norms.shape[:-1] + (len(ns),).
 
-    Row i of `coeffs` holds the Fourier coefficients of the function whose
-    cell values are row i of `values`.  Returns (convergence, bounded), each
-    of shape (rows, len(ns)):
-
-        convergence[i, j] = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i - f_i||_1 / k
-        bounded[i, j]     = (1/ln n_j) sum_{k=1}^{n_j} ||S_k f_i||_1 / k
-
-    Rows of M_q columns are functions on G_q, and the endpoints may reach
-    M_N.  One stacked partial-sum scan takes k up to top = min(max(ns), M_q);
-    past M_q both norms are frozen, so a sum up to n > top is the sum up to
-    top plus the last norm times H_n - H_top (_harmonic_gap).
+    Past the last column, k > top = norms.shape[-1], the norm is taken as
+    frozen, as the partial-sum norms of a function on G_top are: a sum up to
+    n > top is the sum up to top plus the last norm times H_n - H_top
+    (_harmonic_gap).
     """
-    if not ns or not all(2 <= n <= sys.cells for n in ns):
-        raise ValueError(f"log average endpoints {ns} outside [2, {sys.cells}]")
-    coeffs, values = np.atleast_2d(coeffs, values)
-    top = min(max(ns), coeffs.shape[1])
-    # the bounded form scans S_k f and the convergence form S_k f - f
-    weights = np.concatenate((coeffs, coeffs))
-    offsets = np.zeros(weights.shape, dtype=np.complex128)
-    np.negative(values, out=offsets[len(coeffs):])
-    norms = cumulative_l1_norms(sys, weights, 1, top, offsets=offsets)
-    sums = np.cumsum(norms / np.arange(1, top + 1, dtype=np.float64), axis=1)
-    means = np.stack([sums[:, n - 1] if n <= top
-                      else sums[:, -1] + norms[:, -1] * _harmonic_gap(top, n) for n in ns], axis=1)
+    if not len(ns) or min(ns) < 2:
+        raise ValueError(f"log average endpoints {list(ns)} must be at least 2")
+    top = norms.shape[-1]
+    sums = np.cumsum(norms / np.arange(1, top + 1, dtype=np.float64), axis=-1)
+    means = np.stack([sums[..., n - 1] if n <= top
+                      else sums[..., -1] + norms[..., -1] * _harmonic_gap(top, n) for n in ns],
+                     axis=-1)
     means /= np.array([math.log(n) for n in ns])
-    return means[len(coeffs):], means[: len(coeffs)]
+    return means
 
 
 def verify_decomposition_norm(

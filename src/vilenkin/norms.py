@@ -149,11 +149,18 @@ def variation_bound_arrays(
 
 
 def variation_sum(sys: RadixSystem, n: int) -> int:
-    """sum_{k=1}^{M_n - 1} v(k), the numerator of both lemma1 averages."""
+    """sum_{k=1}^{M_n - 1} v(k), the numerator of both lemma1 averages, as an
+    exact count.  The digits j < n of k < M = M_n run over Z_{m_j} freely and
+    the rest vanish, so delta_0 = 1 for M/m_0 (m_0 - 1) of the k, delta_{n-1}
+    = 1 for M/m_{n-1} (m_{n-1} - 1), and exactly one of delta_j, delta_{j+1}
+    is 1 for M/(m_j m_{j+1}) (m_j + m_{j+1} - 2).  Summing variation_profile
+    is its oracle.
+    """
     if not 1 <= n <= sys.depth:
         raise ValueError(f"level {n} out of range [1, {sys.depth}]")
-    v, _ = variation_values(sys, np.arange(1, sys.products[n], dtype=np.int64))
-    return int(v.sum())
+    M, ms = sys.products[n], sys.radices[:n]
+    return (M // ms[0] * (ms[0] - 1) + M // ms[-1] * (ms[-1] - 1)
+            + sum(M // (a * b) * (a + b - 2) for a, b in zip(ms, ms[1:])))
 
 
 def max_lebesgue_log_ratio(lebesgue: np.ndarray, lo: int) -> tuple[float, int]:

@@ -25,7 +25,8 @@ A sum of such characters, plus an M_r-periodic function, is therefore an
 M_r-periodic vector, and its mean absolute value over G equals the one over
 G_r, because Haar measure pushes forward to the quotient.  Every transform,
 synthesis and scan below, and the H1 pass of hardy.h1_pass, runs on the
-smallest such G_r and tiles or extends its result to M_N.  One rule names
+smallest such G_r and tiles or extends its result to M_N; the partial-sum
+scan stops at M_r, past which its sums are frozen.  One rule names
 the group: rows of M_q columns are functions on G_q (_level_rows), so a
 caller holding a function's first M_q values never widens it to M_N.  Only
 a single full-width StepFunction searches for its own period
@@ -452,36 +453,33 @@ def cumulative_l1_norms(
     With unit weights this scans Dirichlet kernels; with Fourier coefficients
     as weights it scans partial sums S_m f (plus an optional fixed offset,
     e.g. -f for convergence differences).  Rows of M_q columns, weights and
-    offsets alike, are read on G_q (_level_rows); hi may still reach M_N,
-    and past M_q the sums stay put.
+    offsets alike, are read on G_q (_level_rows), and hi is at most M_q: past
+    M_q the sums stay put, and hardy.log_average takes that frozen tail in
+    closed form.
     """
-    cells = sys.cells
-    if not 0 <= lo <= hi <= cells:
-        raise ValueError(f"scan range [{lo}, {hi}] outside [0, {cells}]")
     sub, rows = _level_rows(sys, weights)
     count, width = rows.shape
+    if not 0 <= lo <= hi <= width:
+        raise ValueError(f"scan range [{lo}, {hi}] outside [0, {width}]")
     if offsets is not None:
         offsets = _as_rows(offsets, width, "offsets")
         if offsets.shape[0] != count:
             raise ValueError("offsets must have one row per weight vector")
-    # the scan walks m = q_lo .. q_hi on G_q; past M_q the sums stay put
-    q_lo, q_hi = min(lo, width), min(hi, width)
 
-    # checkpoint: state rows hold offsets + S_{q_lo}
+    # checkpoint: state rows hold offsets + S_lo
     masked = np.zeros((count, width), dtype=np.complex128)
-    masked[:, :q_lo] = rows[:, :q_lo]
+    masked[:, :lo] = rows[:, :lo]
     state = _transform(sub, masked, inverse=True)
     if offsets is not None:
         state += offsets
 
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
-    for b0, b1, i0, i1, inc, mag in _blocks(sub, rows, q_lo, q_hi, 1):
+    for b0, b1, i0, i1, inc, mag in _blocks(sub, rows, lo, hi, 1):
         np.cumsum(inc, axis=1, out=inc)
         inc += state[i0:i1, None]
-        out[i0:i1, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc, out=mag).mean(axis=2)
+        out[i0:i1, b0 + 1 - lo : b1 + 1 - lo] = np.abs(inc, out=mag).mean(axis=2)
         state[i0:i1] = inc[:, -1]
-    out[:, q_hi - q_lo + 1 :] = out[:, q_hi - q_lo, None]
     return out
 
 

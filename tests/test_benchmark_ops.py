@@ -29,3 +29,15 @@ def test_traced_pass_fails_no_op(tmp_path, name):
     assert list(times) == [op.name for op in workload.ops]
     # every op went through the traced CLI entry point once
     assert tracer.layer_metrics()["cli.main.calls"] == len(workload.ops)
+
+
+def test_strong_means_scan_counter_keeps_its_meaning(tmp_path):
+    # gat scans both log-mean forms of each function on its own G_r, up to
+    # M_r: 2 x sum_i (M_{r_i} - 1) = 2 x (13 x 1 + 13 x 3 + 12 x 7 + 12 x 15)
+    # row steps over the 50-function corpus of ranks 1 .. 4 on 2^10
+    workload = workloads.build("strong-means", 7, str(tmp_path))
+    workload.warm()
+    tracer = spans.Tracer()
+    _, errors, _ = worker.run_pass(workload, {}, tracer)
+    assert errors == {}
+    assert tracer.layer_metrics()["spectral.cumulative_l1_norms.row_steps"] == 632

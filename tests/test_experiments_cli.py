@@ -542,8 +542,8 @@ def test_run_gat_small(dyadic6, mixed):
 
 def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
     # the functions of rank r of a max-rank-4 corpus live on G_r, so for each
-    # rank the two scans (partial sums, Fejer means) build one block of rows
-    # on M_r cells, and none on more than M_4 = 16
+    # rank the three scans (partial sums, their differences from f, Fejer
+    # means) build one block of rows on M_r cells, and none on more than M_4 = 16
     import vilenkin.spectral as spectral
 
     seen = []
@@ -555,24 +555,24 @@ def test_run_gat_scans_on_the_quotient(dyadic10, monkeypatch):
 
     monkeypatch.setattr(spectral, "character_block", spy)
     run_gat(dyadic10, 8, 4, 1)
-    assert seen == [2, 2, 4, 4, 8, 8, 16, 16]
+    assert seen == [2, 2, 2, 4, 4, 4, 8, 8, 8, 16, 16, 16]
 
 
 def test_run_gat_asks_each_endpoint_once(dyadic10, monkeypatch):
     import vilenkin.experiments as experiments_mod
 
     asked = []
-    real = experiments_mod.gat_log_average
+    real = experiments_mod.log_average
 
-    def spy(sys_obj, coeffs, values, ns):
-        asked.append((len(coeffs), coeffs.shape[1], tuple(ns)))
-        return real(sys_obj, coeffs, values, ns)
+    def spy(norms, ns):
+        asked.append((norms.shape, tuple(ns)))
+        return real(norms, ns)
 
-    monkeypatch.setattr(experiments_mod, "gat_log_average", spy)
+    monkeypatch.setattr(experiments_mod, "log_average", spy)
     run_gat(dyadic10, 3, 2, 1)
-    # one call per rank: functions 0, 2 of rank 1 and function 1 of rank 2,
-    # each read on its own G_r
-    assert asked == [(2, 2, dyadic10.products[2:]), (1, 4, dyadic10.products[2:])]
+    # one call per rank, both forms stacked: functions 0, 2 of rank 1 and
+    # function 1 of rank 2, each scanned on its own G_r up to M_r
+    assert asked == [((2, 2, 2), dyadic10.products[2:]), ((2, 1, 4), dyadic10.products[2:])]
 
 
 @settings(max_examples=25, deadline=None)
@@ -723,7 +723,6 @@ def test_cli_usage_errors_exit_1():
     # 2^34 cells: refused by the memory estimate before anything is allocated
     ["lebesgue-scan", "--radix", "2^34"],
     ["kernel", "--radix", "2^34", "--n", "1"],
-    ["lemma1", "--radix", "2^34"],
     # gat and equiv-check run on the group of their highest rank, so they
     # need ranks up to 34: the corpus alone is refused at 2048 GiB
     ["gat", "--radix", "2^34", "--max-rank", "34", "--count", "34"],
@@ -1074,6 +1073,18 @@ def test_cli_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["experiment"] == "lemma1"
     assert payload["meta"]["radix"] == "2^6"
+
+
+def test_lemma1_runs_on_deep_systems(tmp_path):
+    # variation_sum is a closed form, so 2^62 needs no per-index array; its
+    # rows n <= 12 are those of the 2^12 run, bit for bit
+    rows = {}
+    for depth in (12, 62):
+        out = tmp_path / f"{depth}.csv"
+        assert main(["lemma1", "--radix", f"2^{depth}", "--out", str(out)]) == 0
+        rows[depth] = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows[62]) == 1 + 62
+    assert rows[62][:13] == rows[12]
 
 
 def test_cli_config_precedence(tmp_path, capsys):

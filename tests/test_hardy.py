@@ -22,15 +22,16 @@ from vilenkin import (
     fejer_l1_norms,
     fejer_mean,
     forward_fast,
-    gat_log_average,
     h1_norm,
     h1_pass,
     l1_norm,
     lebesgue_constant,
+    log_average,
     maximal_function,
     parse_radix_spec,
     partial_sum,
     partial_sum_decomposition,
+    random_step_corpus,
     strong_sum_average,
     verify_decomposition_norm,
     window_strong_average,
@@ -561,12 +562,14 @@ def test_window_average_frozen(dyadic10):
         window_strong_average(spec, norms[:-1], 0)
 
 
-def test_gat_log_average_manual(mixed):
+def test_log_average_manual(mixed):
     f = StepFunction(mixed, random_values(mixed, 68))
     c = forward_fast(f)
     ends = (2, 12, mixed.cells)
-    conv, bnd = gat_log_average(mixed, c.coeffs, f.values, ends)
-    assert conv.shape == bnd.shape == (1, len(ends))
+    norms = cumulative_l1_norms(mixed, c.coeffs, 1, mixed.cells)[0]
+    diffs = cumulative_l1_norms(mixed, c.coeffs, 1, mixed.cells, offsets=-f.values)[0]
+    conv, bnd = log_average(np.stack((diffs, norms)), ends)
+    assert conv.shape == bnd.shape == (len(ends),)
     for j, n in enumerate(ends):
         want_conv = sum(
             l1_norm(StepFunction(mixed, partial_sum(c, k).values - f.values)) / k
@@ -575,11 +578,32 @@ def test_gat_log_average_manual(mixed):
         want_bnd = sum(
             l1_norm(partial_sum(c, k)) / k for k in range(1, n + 1)
         ) / math.log(n)
-        assert conv[0, j] == pytest.approx(want_conv, abs=1e-12)
-        assert bnd[0, j] == pytest.approx(want_bnd, abs=1e-12)
-    for bad in ((1,), (mixed.cells + 1,), ()):
-        with pytest.raises(ValueError):
-            gat_log_average(mixed, c.coeffs, f.values, bad)
+        assert conv[j] == pytest.approx(want_conv, abs=1e-12)
+        assert bnd[j] == pytest.approx(want_bnd, abs=1e-12)
+    for bad in ((1,), (12, 0), ()):
+        with pytest.raises(ValueError, match="log average endpoints"):
+            log_average(norms, bad)
+
+
+@pytest.mark.parametrize("radix,rank", [("2,3,4", 2), ("2,3,4", 5), ("2^13", 2)])
+def test_log_average_frozen_tail_matches_the_full_scan(radix, rank):
+    # a rank-r function scanned on G_r stops at M_r; past it log_average
+    # takes the frozen norm times a harmonic gap, which the scan of the
+    # full-width function up to M_N sums term by term (2^13 > 4096 takes
+    # the Euler-Maclaurin branch of _harmonic_gap)
+    sys_obj = parse_radix_spec(radix, 6 if "," in radix else None)
+    f = random_step_corpus(sys_obj, rank, rank, 29)[-1]
+    c = forward_fast(f).coeffs
+    width = sys_obj.products[rank]
+    ends = sys_obj.products[1:]
+    narrow = np.stack((cumulative_l1_norms(sys_obj, c[:width], 1, width,
+                                           offsets=-f.values[:width]),
+                       cumulative_l1_norms(sys_obj, c[:width], 1, width)))
+    full = np.stack((cumulative_l1_norms(sys_obj, c, 1, sys_obj.cells, offsets=-f.values),
+                     cumulative_l1_norms(sys_obj, c, 1, sys_obj.cells)))
+    assert narrow.shape[-1] == width and full.shape[-1] == sys_obj.cells
+    np.testing.assert_allclose(log_average(narrow, ends), log_average(full, ends),
+                               rtol=1e-14, atol=1e-14)
 
 
 def test_harmonic_gap_is_the_exact_sum_to_an_ulp():
@@ -613,14 +637,15 @@ def test_harmonic_gap_past_its_terms_matches_fsum():
 
 
 def test_gat_convergence_decreases_for_finite_rank(dyadic10):
-    # rank-2 function: S_k f = f from k = 4 on, so the tail only divides by log n
+    # f depends on the digits 8 and 9 only: S_k f = f from k = 3 M_8 + 1 on,
+    # so the tail only divides by log n
     rng = np.random.default_rng(69)
     vals = np.repeat(rng.standard_normal(4) + 1j * rng.standard_normal(4), 256)
     f = StepFunction(dyadic10, np.ascontiguousarray(vals))
-    conv, _ = gat_log_average(
-        dyadic10, forward_fast(f).coeffs, f.values, (dyadic10.products[2], dyadic10.cells)
-    )
-    assert conv[0, 1] < conv[0, 0]
+    diffs = cumulative_l1_norms(dyadic10, forward_fast(f).coeffs, 1, dyadic10.cells,
+                                offsets=-f.values)[0]
+    conv = log_average(diffs, (dyadic10.products[2], dyadic10.cells))
+    assert conv[1] < conv[0]
 
 
 def test_fejer_maximum_manual(mixed):

@@ -399,24 +399,22 @@ def _dense_cumulative_l1_norms(sys, weights, lo, hi, offsets=None):
     rows = np.atleast_2d(weights)
     count, width = rows.shape
     sub = sys.truncate(sys.products.index(width))
-    q_lo, q_hi = min(lo, width), min(hi, width)
     step = spectral._scan_block(sub)
     masked = np.zeros((count, width), dtype=np.complex128)
-    masked[:, :q_lo] = rows[:, :q_lo]
+    masked[:, :lo] = rows[:, :lo]
     state = _transform(sub, masked, inverse=True)
     if offsets is not None:
         state += offsets
     out = np.empty((count, hi - lo + 1), dtype=np.float64)
     out[:, 0] = np.abs(state).mean(axis=1)
-    for b0 in range(q_lo, q_hi, step):
-        b1 = min(b0 + step, q_hi)
+    for b0 in range(lo, hi, step):
+        b1 = min(b0 + step, hi)
         chars = character_block(sub, b0, b1)
         for i in range(count):
             inc = np.cumsum(rows[i, b0:b1, None] * chars, axis=0)
             inc += state[i]
-            out[i, b0 + 1 - q_lo : b1 + 1 - q_lo] = np.abs(inc).mean(axis=1)
+            out[i, b0 + 1 - lo : b1 + 1 - lo] = np.abs(inc).mean(axis=1)
             state[i] = inc[-1]
-    out[:, q_hi - q_lo + 1 :] = out[:, q_hi - q_lo, None]
     return out
 
 
@@ -438,8 +436,8 @@ def test_scan_is_bitwise_dense(sys, seed, data):
     offsets = None
     if data.draw(st.booleans()):
         offsets = rng.standard_normal((count, width)) + 0j
-    lo = data.draw(st.integers(0, sys.cells))
-    hi = data.draw(st.integers(lo, sys.cells))
+    lo = data.draw(st.integers(0, width))
+    hi = data.draw(st.integers(lo, width))
     block = data.draw(st.sampled_from([1, 24 * sys.cells, 1 << 21]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_SCAN_BLOCK_ELEMENTS", block)
@@ -453,6 +451,11 @@ def test_cumulative_l1_validation(mixed):
         cumulative_l1_norms(mixed, np.ones(5), 1, 4)
     with pytest.raises(ValueError):
         cumulative_l1_norms(mixed, np.ones(mixed.cells), 5, 3)
+    # rows of M_q columns scan up to M_q only: past it the sums are frozen
+    assert cumulative_l1_norms(mixed, np.ones(6), 0, 6).shape == (1, 7)
+    for lo, hi in ((0, 7), (7, 7), (1, mixed.cells)):
+        with pytest.raises(ValueError, match=rf"scan range \[{lo}, {hi}\] outside \[0, 6\]"):
+            cumulative_l1_norms(mixed, np.ones(6), lo, hi)
     with pytest.raises(ValueError):
         cumulative_l1_norms(
             mixed, np.ones(mixed.cells), 1, 4, offsets=np.ones((3, mixed.cells))
@@ -470,10 +473,11 @@ def _level_rows(rng, sys, levels):
 def test_narrow_row_scans_match_the_tiled_stack(sys, seed, data):
     # rows of M_q values are functions on G_q; scanned there, they give the
     # norms of the stack that zero-fills their coefficients and tiles their
-    # offsets to M_{max q}, bit for bit where q is the level of that stack
+    # offsets to M_{max q}, bit for bit where q is the level of that stack;
+    # the partial-sum scan of every row stops at or below M_{min q}
     levels = data.draw(st.lists(st.integers(1, sys.depth), min_size=1, max_size=5))
-    lo = data.draw(st.integers(0, sys.cells))
-    hi = data.draw(st.integers(lo, sys.cells))
+    lo = data.draw(st.integers(0, sys.products[min(levels)]))
+    hi = data.draw(st.integers(lo, sys.products[min(levels)]))
     n_max = data.draw(st.integers(1, sys.cells))
     rng = np.random.default_rng(seed)
     coeffs, offsets = _level_rows(rng, sys, levels), _level_rows(rng, sys, levels)
@@ -639,8 +643,8 @@ def test_row_batches_are_bitwise_per_row(dyadic6, offsets, monkeypatch):
         offs = -np.vstack([f.values[:width] for f in corpus])
         if offsets == "aperiodic":
             offs[3, -1] += 1.0
-    got = cumulative_l1_norms(dyadic6, weights, 1, dyadic6.cells, offsets=offs)
-    assert np.array_equal(got, _dense_cumulative_l1_norms(dyadic6, weights, 1, dyadic6.cells, offs))
+    got = cumulative_l1_norms(dyadic6, weights, 1, width, offsets=offs)
+    assert np.array_equal(got, _dense_cumulative_l1_norms(dyadic6, weights, 1, width, offs))
     for n_max in (3, 4, 5, 40, dyadic6.cells):
         want = _dense_fejer_max(dyadic6, weights, n_max)
         assert np.array_equal(fejer_l1_norms(dyadic6, weights, n_max), want)
@@ -740,7 +744,9 @@ def test_quotient_scans_match_direct(sys, seed, data):
     aperiodic = periodic.copy()
     aperiodic[1, -1] += 1.0
     points = _scan_points(sys, [sys.products[weight_rank], sys.products[offset_rank]])
-    lo, hi = sorted(data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+    # the partial-sum scan stops at the width of its rows, M_{weight_rank} at least
+    scan_points = [p for p in points if p <= sys.products[weight_rank]]
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(scan_points), min_size=2, max_size=2)))
 
     def holding(top):
         """The smallest level r >= 1 with M_r >= min(top, M_{weight_rank})."""
@@ -770,7 +776,7 @@ def test_quotient_scans_match_direct(sys, seed, data):
                                       offsets=None if offsets is None else offsets[:, :width])
         assert got.shape == (3, hi - lo + 1)
         # character rows on G_r whenever the scan has a step there
-        assert set(cells_seen) == ({width} if lo < min(hi, width) else set())
+        assert set(cells_seen) == ({width} if lo < hi else set())
         for i, c in enumerate(coeffs):
             off = 0.0 if offsets is None else offsets[i]
             for m in range(lo, hi + 1):
@@ -873,3 +879,7 @@ def test_json_parse_errors(mixed):
                        ("depth", 3.0)):
         with pytest.raises(ValueError, match="parse error"):
             parse_interchange({**good, key: value})
+    # integer radices that make no system: RadixSystem's reason, named as such
+    for radices in ([1], [], [10**400], [2**40, 2**40]):
+        with pytest.raises(ValueError, match="^parse error: bad radices: "):
+            parse_interchange({"radices": radices, "depth": len(radices), "values": [[0, 0]]})
