@@ -370,6 +370,7 @@ _GAT_CELL_BYTES = 104
 _GAT_ROW_BYTES = 64
 _EQUIV_CHECK_CELL_BYTES = 96
 _BLOCK_ELEMENT_BYTES = 80
+_TABLE_ENTRY_BYTES = 40  # per entry of a _piece_norms level table: 32.0 on full 1024^1, 4096^1
 
 
 def require_memory(what: str, need: int) -> None:
@@ -381,6 +382,15 @@ def require_memory(what: str, need: int) -> None:
             f"{what} needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of memory"
         )
+
+
+def _table_bytes(sys: RadixSystem, lo: int, hi: int) -> int:
+    """The largest level table of norms._piece_norms over the offsets lo .. hi:
+    (m_p - 1) (d + 1) entries, d the largest digit at level p, which is
+    m_p - 1 once the range crosses a multiple of M_{p+1}."""
+    return _TABLE_ENTRY_BYTES * max(
+        (m - 1) * (m if lo // M1 != hi // M1 else hi // M % m + 1)
+        for m, M, M1 in zip(sys.radices, sys.products, sys.products[1:]))
 
 
 def run_lebesgue_scan(
@@ -395,7 +405,8 @@ def run_lebesgue_scan(
     # each kernel probe D_n runs on the group G_r that holds the indices k < n
     require_memory(
         f"lebesgue-scan of {rows} rows on M_N = {sys.cells}",
-        rows * _SCAN_ROW_BYTES + sys.products[_level_holding(sys, n_hi)] * _KERNEL_CELL_BYTES,
+        rows * _SCAN_ROW_BYTES + sys.products[_level_holding(sys, n_hi)] * _KERNEL_CELL_BYTES
+        + _table_bytes(sys, n_lo, n_hi),
     )
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     lebesgue = lebesgue_scan(sys, n_lo, n_hi)
@@ -440,7 +451,8 @@ def run_kernel(sys: RadixSystem, n: int, tol: float) -> ExperimentReport:
     """The Dirichlet kernel D_n cell by cell; for n >= 1 the summary holds
     L_n = ||D_n||_1 and its gap to the closed form of lebesgue_scan, and a
     gap above tol is a violation."""
-    require_memory(f"kernel on M_N = {sys.cells}", sys.cells * _KERNEL_REPORT_CELL_BYTES)
+    require_memory(f"kernel on M_N = {sys.cells}",
+                   sys.cells * _KERNEL_REPORT_CELL_BYTES + _table_bytes(sys, n, n))
     kern = dirichlet_kernel(sys, n)
     summary, violations = {}, 0
     if n >= 1:
@@ -478,10 +490,9 @@ def run_divergence(
     tol: float,
 ) -> ExperimentReport:
     spec = CounterexampleSpec(sys, tuple(alphas))
-    require_memory(
-        f"divergence on M_N = {sys.cells}",
-        sys.cells * _DIVERGENCE_CELL_BYTES,
-    )
+    # the offsets of the last block take every digit at the levels up to a_K
+    require_memory(f"divergence on M_N = {sys.cells}", sys.cells * _DIVERGENCE_CELL_BYTES
+                   + _table_bytes(sys, 1, sys.products[spec.alphas[-1] + 1] - 1))
     f = build_counterexample(spec)
     coeffs = forward_fast(f)
     eq_dev = float(
@@ -497,7 +508,8 @@ def run_divergence(
 
     def probe(l: int) -> float:
         sub = sys.truncate(_level_holding(sys, l))
-        return l1_norm(partial_sum(SpectralVector(sub, coeffs.coeffs[: sub.cells]), l))
+        held = coeffs if sub == sys else SpectralVector(sub, coeffs.coeffs[: sub.cells])
+        return l1_norm(partial_sum(held, l))
     oracle_dev = max(abs(float(norms[l - 1]) - probe(l)) for l in probes)
 
     ks = range(len(spec.alphas))

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .norms import l1_norm, lebesgue_constant
+from .norms import _piece_norms, l1_norm, lebesgue_constant
 from .radix import RadixSystem
 from .spectral import (
     _SCAN_BLOCK_ELEMENTS,
@@ -41,7 +41,6 @@ from .spectral import (
     _chunk_rows,
     _level_rows,
     _own_quotient,
-    _root_table,
     _transform,
     character_block,
     dirichlet_kernel,
@@ -272,62 +271,17 @@ def _completed_blocks(spec: CounterexampleSpec, k: int) -> np.ndarray:
     return out
 
 
-def _block_norms(
-    sys: RadixSystem, a: int, weight: float, head: np.ndarray, js: np.ndarray
-) -> np.ndarray:
-    """||head + weight r_a D_j||_1 for the offsets js in [1, (m_a - 1) M_a],
-    with head the piece values of _completed_blocks.
-
-    On I_{a+1} (the pieces p > a and the point 0) r_a = 1 and D_j = j.  On
-    the piece x_0 .. x_{p-1} = 0, x_p = c != 0, of measure 1/M_{p+1}, Paley's
-    lemma gives D_j = prod_{q>p} r_q^{j_q} Phi_p(c, j), with
-    Phi_p(c, j) = o^{c j_p} (j mod M_p) + M_p sum_{u<j_p} o^{c u} and
-    o = exp(2 pi i / m_p).  For p = a the piece value is
-    |head + weight o^c Phi_a|.  For p < a the digits x_q, p < q <= a, are
-    free and enter only through the phase prod_q r_q^{e_q} (e_q = j_q, and
-    e_a = j_a + 1 for the factor r_a), which is uniform on the L-th roots of
-    unity, L = lcm_q m_q / gcd(m_q, e_q); the piece value is the mean over
-    those roots.  L is built from the top digit down.
-    """
-    total = np.abs(head[a] + weight * js) / sys.products[a + 1]
-    order = np.ones(js.shape, dtype=np.int64)  # L of piece p: the lcm over p < q <= a
-    for p in range(a, -1, -1):
-        m, M_p = sys.radices[p], sys.products[p]
-        digit, rest = (js // M_p) % m, js % M_p
-        roots = _root_table(m)
-        powers = roots[np.multiply.outer(np.arange(m), np.arange(m)) % m]
-        # geom[c, d] = M_p sum_{u < d} o^{c u}
-        geom = M_p * (np.cumsum(powers, axis=1) - powers)
-        orders = np.flatnonzero(np.bincount(order))
-        piece = np.zeros(js.shape)
-        for c in range(1, m):
-            z = weight * (roots[(c * digit) % m] * rest + geom[c, digit])
-            if p == a:
-                z *= roots[c]
-            for L in orders.tolist():
-                sel = order == L
-                zs = z[sel]
-                acc = np.zeros(zs.shape)
-                for s in range(L):
-                    acc += np.abs(head[p] + _root_table(L)[s] * zs)
-                piece[sel] += acc / L
-        total += piece / sys.products[p + 1]
-        e = (digit + 1) % m if p == a else digit
-        order = np.lcm(order, m // np.gcd(m, e))
-    return total
-
-
 def counterexample_l1_norms(spec: CounterexampleSpec) -> np.ndarray:
     """||S_l f||_1 for l = 1 .. M_N (entry l - 1) of the counterexample f, in
     closed form.
 
     S_l f = 0 for l <= M_{a_0}, and it stays put between blocks.  Inside
     block k, l = M_a + j with a = a_k, and partial_sum_decomposition gives
-    S_l f = S_{M_a} f + a^{-1/2} r_a D_j, whose norm _block_norms sums over
-    the Paley pieces: O(sum_p (m_p - 1) L) per index, with no character row
-    and no length-M_N complex array.  The offsets j go in chunks of at most
-    _SCAN_BLOCK_ELEMENTS / 16.  The scan spectral.cumulative_l1_norms of the
-    coefficients is its oracle.
+    S_l f = S_{M_a} f + a^{-1/2} r_a D_j, whose norm norms._piece_norms sums
+    over the Paley pieces (heads _completed_blocks): O(sum_p (m_p - 1) L)
+    per index, with no character row and no length-M_N complex array.  The
+    offsets j go in chunks of at most _SCAN_BLOCK_ELEMENTS / 16.  The scan
+    spectral.cumulative_l1_norms of the coefficients is its oracle.
     """
     sys = spec.sys
     norms = np.zeros(sys.cells)
@@ -340,7 +294,7 @@ def counterexample_l1_norms(spec: CounterexampleSpec) -> np.ndarray:
         # l = lo itself holds the value carried over from before the block
         for j0 in range(1, hi - lo + 1, step):
             js = np.arange(j0, min(j0 + step, hi - lo + 1))
-            norms[lo + j0 - 1 : lo + js[-1]] = _block_norms(sys, a, w, head, js)
+            norms[lo + j0 - 1 : lo + js[-1]] = _piece_norms(sys, a, w, head, js)
         norms[hi : stops[k]] = norms[hi - 1]
     return norms
 

@@ -27,8 +27,9 @@ and D_n(0) = n on the last piece {0}, of measure 1/M_N.  So
 
     L_n = n/M_N + sum_p sum_{c=1}^{m_p - 1} |...| / M_{p+1},
 
-O(sum_p m_p) per index.  lebesgue_scan evaluates this; lebesgue_constant
-takes the Dirichlet-kernel route and serves as its oracle.
+O(sum_p m_p) per index.  _piece_norms evaluates the piece sums, for
+lebesgue_scan and for hardy's counterexample norms; lebesgue_constant takes
+the Dirichlet-kernel route and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -63,29 +64,61 @@ def lebesgue_constant(sys: RadixSystem, n: int) -> float:
     return l1_norm(dirichlet_kernel(sys, n))
 
 
-def lebesgue_scan(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
-    """L_n for every n = lo .. hi inclusive, by the piecewise closed form.
+def _piece_norms(
+    sys: RadixSystem, a: int, weight: float, heads: np.ndarray, js: np.ndarray
+) -> np.ndarray:
+    """||h + weight r_a D_j||_1 for the offsets js in [1, M_{a+1}], h being
+    heads[p] on the Paley piece p, heads[N] at x = 0, and constant on I_{a+1}
+    (the pieces p > a and the point 0), where r_a = 1 and D_j = j.
 
-    Dividing the piece value by w_p^{c n_p} turns it into
-    |(n mod M_p) + M_p sum_{v=1}^{n_p} w_p^{-c v}|, so each level needs one
-    small table and one gather per c.  No length-M_N array is built.
+    On the piece p <= a, x_p = c, Paley's lemma gives weight D_j =
+    prod_{q>p} r_q^{j_q} w_p^{c j_p} (rest + tail[c - 1, j_p]), with
+    rest = weight (j mod M_p) and tail[c - 1, d] = weight M_p sum_{v=1}^{d}
+    w_p^{-c v}, tabled up to the largest digit d that occurs.  A piece whose
+    head is exactly 0 takes |rest + tail|.  Any other takes z = w_p^{c j_p}
+    (rest + tail), times r_a = w_a^c at p = a: the free digits x_q,
+    p < q <= a, enter only through the phase prod_q r_q^{e_q} (e_q = j_q,
+    e_a = j_a + 1), uniform on the L-th roots of unity, L = lcm_q m_q /
+    gcd(m_q, e_q), and the piece value is the mean of |head + omega z| over
+    those roots omega.  L is built from the top digit down; the levels are
+    summed from p = 0 up.
     """
-    if not 1 <= lo <= hi <= sys.cells:
-        raise ValueError(f"scan range [{lo}, {hi}] outside [1, {sys.cells}]")
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    total = ns / sys.cells
-    for p, m in enumerate(sys.radices):
-        M_p = sys.products[p]
-        digit = (ns // M_p) % m
-        rest = (ns % M_p).astype(np.float64)
-        # tail[c - 1, k] = M_p * sum_{v=1}^{k} w_p^{-c v}
-        powers = _root_table(m)[-np.outer(np.arange(1, m), np.arange(m)) % m]
-        tail = M_p * (np.cumsum(powers, axis=1) - 1.0)
-        piece = np.zeros(ns.shape)
-        for row in tail:
-            piece += np.abs(rest + row[digit])
+    total = np.abs(heads[a + 1] + weight * js) / sys.products[a + 1]
+    groups, order = {}, np.ones(js.shape, dtype=np.int64)
+    for p in range(a, -1, -1) if heads.any() else ():
+        m = sys.radices[p]
+        # the offsets of each L of piece p, the lcm over p < q <= a
+        groups[p] = [(L, order == L) for L in np.flatnonzero(np.bincount(order)).tolist()]
+        order = np.lcm(order, m // np.gcd(m, (js // sys.products[p] + (p == a)) % m))
+    for p in range(a + 1):
+        m, M_p = sys.radices[p], sys.products[p]
+        digit, rest = (js // M_p) % m, weight * (js % M_p)
+        roots = _root_table(m)
+        # a prefix of the cumsum is the cumsum of the prefix: the full table's values
+        powers = roots[-np.outer(np.arange(1, m), np.arange(digit.max() + 1)) % m]
+        tail = weight * M_p * (np.cumsum(powers, axis=1) - 1.0)
+        piece = np.zeros(js.shape)
+        for c, row in enumerate(tail, 1):
+            value = rest + row[digit]
+            if not heads[p]:
+                piece += np.abs(value)
+                continue
+            value *= roots[c * (digit + (p == a)) % m]  # z, in place
+            for L, sel in groups[p]:
+                zs = value[sel]
+                piece[sel] += sum(np.abs(heads[p] + w * zs) for w in _root_table(L)) / L
         total += piece / sys.products[p + 1]
     return total
+
+
+def lebesgue_scan(sys: RadixSystem, lo: int, hi: int) -> np.ndarray:
+    """L_n for every n = lo .. hi inclusive, by the piecewise closed form: the
+    zero-head call of _piece_norms at a = N - 1, as |r_{N-1}| = 1.  Each level
+    needs one small table and one gather per c; no length-M_N array is built."""
+    if not 1 <= lo <= hi <= sys.cells:
+        raise ValueError(f"scan range [{lo}, {hi}] outside [1, {sys.cells}]")
+    return _piece_norms(sys, sys.depth - 1, 1.0, np.zeros(sys.depth + 1),
+                        np.arange(lo, hi + 1, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -41,3 +41,15 @@ def test_strong_means_scan_counter_keeps_its_meaning(tmp_path):
     _, errors, _ = worker.run_pass(workload, {}, tracer)
     assert errors == {}
     assert tracer.layer_metrics()["spectral.cumulative_l1_norms.row_steps"] == 632
+
+
+def test_bound_scan_counts_one_lebesgue_scan_per_op(tmp_path):
+    # BENCHMARK.json reads norms.lebesgue_scan.calls: every L_n of a
+    # bound-scan op goes through the public name, one call per op
+    workload = workloads.build("bound-scan", 7, str(tmp_path))
+    workload.warm()
+    tracer = spans.Tracer()
+    _, errors, _ = worker.run_pass(workload, {}, tracer)
+    assert errors == {}
+    assert len(workload.ops) == 3
+    assert tracer.layer_metrics()["norms.lebesgue_scan.calls"] == 3

@@ -499,6 +499,31 @@ def test_run_divergence_probes_on_their_own_group(dyadic10, monkeypatch):
     assert sorted(calls) == [(2, 2), (4, 4), (16, 16), (32, 32), (512, 512), (1024, 1024)]
 
 
+def test_run_divergence_probes_m_n_on_the_coefficients(dyadic10, monkeypatch):
+    # the probe at l = M_N synthesizes from the transform's coefficients
+    # themselves, with no second copy of all M_N of them
+    built = []
+    real = experiments_mod.SpectralVector
+
+    def spy(sub, coeffs):
+        built.append(sub.cells)
+        return real(sub, coeffs)
+
+    monkeypatch.setattr(experiments_mod, "SpectralVector", spy)
+    rep = run_divergence(dyadic10, (1, 4, 9), 1e-12)
+    assert rep.summary["oracle_max_deviation"] <= 1e-12
+    assert sorted(built) == [2, 4, 16, 32, 512]
+
+
+@pytest.mark.parametrize("argv", [["lebesgue-scan", "--n-max", "10"], ["kernel", "--n", "3"]])
+def test_cli_large_radix_runs(tmp_path, argv):
+    # one level of 65536 digits: the L_n tables hold the digits that occur
+    out = tmp_path / "report.json"
+    assert main([argv[0], "--radix", "65536^1", *argv[1:], "--format", "json",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["oracle_max_deviation"] <= 1e-12
+
+
 def test_cli_divergence_depth_16(tmp_path):
     # O(M_N^2) as a scan; the closed form takes a fraction of a second
     out = tmp_path / "div.json"
@@ -745,6 +770,10 @@ def test_cli_usage_errors_exit_1():
     ["transform", "--in", "BOOL_VALUES"],
     # an integer value too large for a float
     ["transform", "--in", "HUGE_VALUES"],
+    # one level of 2^20 digits: the L_n tables alone would take 32 TiB
+    ["lebesgue-scan", "--radix", "1048576^1"],
+    ["kernel", "--radix", "1048576^1", "--n", "1048575"],
+    ["divergence", "--radix", "1048576,2", "--alphas", "1"],
 ])
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg",

@@ -1,6 +1,7 @@
 """Lebesgue constants, variation statistics, and the two-sided bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from vilenkin import (
     variation_sum,
     variation_values,
 )
-from vilenkin import experiments
+from vilenkin import experiments, norms
 from vilenkin.experiments import run_lebesgue_scan
 from conftest import small_systems
 
@@ -81,6 +82,37 @@ def test_lebesgue_scan_matches_cumulative_scan(sys):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
     assert got[-1] == 1.0
+
+
+@pytest.mark.parametrize("radices,depth", [([2], 12), ([3], 8), ([2, 3, 4], 9), ([5, 2, 7], 6)])
+def test_piece_routes_agree(radices, depth):
+    # heads of 1e-300 move no norm beyond rounding, but send every piece
+    # through the mean over roots of unity; zero heads take |rest + tail|
+    sys = build_radix_system(radices, depth)
+    zero = np.zeros(depth + 1)
+    for a in range(depth):
+        js = np.arange(1, sys.products[a + 1] + 1)
+        want = norms._piece_norms(sys, a, 1.0, zero, js)
+        got = norms._piece_norms(sys, a, 1.0, zero + 1e-300, js)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        if a == depth - 1:
+            np.testing.assert_array_equal(want, lebesgue_scan(sys, 1, sys.cells))
+
+
+def test_lebesgue_scan_tables_only_the_digits_that_occur():
+    # on 65536^1 a full table would hold 2^32 entries; L_1 .. L_10 need
+    # eleven columns, within the guard's estimate of them
+    sys = build_radix_system([65536], 1)
+    lebesgue_scan(sys, 1, 2)
+    tracemalloc.start()
+    try:
+        got = lebesgue_scan(sys, 1, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= experiments._table_bytes(sys, 1, 10)
+    want = [lebesgue_constant(sys, n) for n in range(1, 11)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
