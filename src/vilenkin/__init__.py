@@ -42,12 +42,9 @@ from .norms import (
 )
 from .hardy import (
     CounterexampleSpec,
-    EquivalenceReport,
     build_counterexample,
     check_norm_equivalence,
     counterexample_l1_norms,
-    cylinder_averages,
-    expected_counterexample_coefficients,
     h1_norm,
     h1_pass,
     log_average,

@@ -103,8 +103,8 @@ def _cell_text(col: np.ndarray, spelling: dict[str, str] | None = None) -> list[
     are keyed by their bits, so -0.0 stays apart from 0.0; str of a float is
     its shortest round-trip text, so rereads are exact."""
     keys = col.view(np.int64) if col.dtype == np.float64 else col
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    text = [str(v) for v in col[first].tolist()]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = [str(v) for v in distinct.view(col.dtype).tolist()]
     if spelling:
         text = [spelling.get(s, s) for s in text]
     return np.array(text, dtype=object)[inverse].tolist()
@@ -345,11 +345,14 @@ def random_step_corpus(
 # gather index (40 on 2^20 at full rank, 48 to 50 on depth-1 systems, where
 # every base is full width); an item, one C-order copy of its broadcast
 # base: 16 per cell of G_N (2^16, 2^20, 3^11, (2,3,4)x3).  gat and
-# equiv-check take one chunk of rows of one rank q at a time (hardy.h1_pass)
-# and count one chunk on G_top, the group of the highest rank present, which
-# bounds a chunk of any G_q.  Per cell of a gat chunk, with the corpus drawn
-# beforehand: 89.5 to 90.6 (16^1 with 2^16 and 2^17 rank-1 functions, 7^2
-# with 2^15 and 2^16 functions of ranks 1 and 2), for the coefficients, f*,
+# equiv-check take one chunk of rows of one rank q at a time (hardy.h1_pass).
+# gat counts one chunk on G_top, the group of the highest rank present, which
+# bounds a chunk of any G_q; equiv-check counts its bases and its largest
+# chunk, M_r x min(rows, _chunk_rows(G_r)) for a rank r present (1.13 to 1.36
+# times the peak on 2^10, 3^9 and 2^16 with 100, 50 and 20 full-rank
+# functions).  Per cell of a gat chunk, with the corpus drawn beforehand:
+# 89.5 to 90.6 (16^1 with 2^16 and 2^17 rank-1 functions, 7^2 with 2^15 and
+# 2^16 functions of ranks 1 and 2), for the coefficients, f*,
 # both partial-sum scans up to M_q with their checkpoint syntheses, the
 # stacked norms, the log means and the Fejer sums.  Per gat table row, one
 # per function and endpoint: 50 to 53 (2^30, 2^40 and 2^60 with 20000 to
@@ -606,18 +609,16 @@ def run_equiv_check(
     seed: int,
     tol: float,
 ) -> ExperimentReport:
-    # drawn first, so a bad count, rank or seed is refused by name; every pass
-    # runs on G_r for a rank r present, at most min(rank, count) = len(groups)
+    # drawn first, so a bad count, rank or seed is refused by name
     groups = random_step_corpus(sys, count, rank, seed).groups
-    top = sys.truncate(len(groups))
-    require_memory(
-        f"equiv-check of {count} functions on M_N = {sys.cells}",
-        top.cells * min(count, _chunk_rows(top)) * _EQUIV_CHECK_CELL_BYTES,
-    )
+    # the bases, and the largest chunk of h1_pass: rank r's rows run on G_r
+    chunk = max(bases.shape[1] * min(len(bases), _chunk_rows(sys.truncate(r)))
+                for r, _, bases in groups)
+    require_memory(f"equiv-check of {count} functions on M_N = {sys.cells}",
+                   sum(bases.nbytes for _, _, bases in groups) + chunk * _EQUIV_CHECK_CELL_BYTES)
     h1, sup, gaps = np.empty((3, count))
     for _, at, bases in groups:
-        rep = check_norm_equivalence(sys, bases)
-        h1[at], sup[at], gaps[at] = rep.h1_norm, rep.sup_block_norm, rep.max_pointwise_diff
+        h1[at], sup[at], gaps[at] = check_norm_equivalence(sys, bases)
     ids = np.arange(count)
     # a NaN gap counts as bad, and np.max keeps it in the summary
     bad = int(np.count_nonzero(~(gaps <= tol)))

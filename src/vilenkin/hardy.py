@@ -110,22 +110,16 @@ def h1_pass(
         yield take, sub, _transform(sub, head, inverse=False), maximal_function(sub, head)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Two routes to the maximal function and their pointwise gap, one entry
-    per function."""
-
-    h1_norm: np.ndarray
-    sup_block_norm: np.ndarray
-    max_pointwise_diff: np.ndarray
-
-
-def check_norm_equivalence(sys: RadixSystem, values: np.ndarray) -> EquivalenceReport:
+def check_norm_equivalence(
+    sys: RadixSystem, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compare f* (cylinder averages) against sup_n |S_{M_n} f| (spectral),
-    for each row f of values, rows of M_q columns read on G_q as in h1_pass.
+    for each row f of values, rows of M_q columns read on G_q as in h1_pass:
+    the arrays (||f*||_1, ||sup_n |S_{M_n} f| ||_1, max cellwise gap), one
+    entry per row.
 
     The two families coincide pointwise for rank-N step functions, so the
-    report carries the max cellwise difference, not just the norms; the
+    check returns the max cellwise difference, not just the norms; the
     caller judges it against its own tolerance.  Each chunk of h1_pass gets
     its block partial sums on its G_q from one synthesis of its coefficients.
     """
@@ -134,7 +128,7 @@ def check_norm_equivalence(sys: RadixSystem, values: np.ndarray) -> EquivalenceR
         spectral = _sup_of_levels(sub, [np.abs(s) for s in _block_heads(sub, coeffs)])
         out.append((direct.mean(axis=1), spectral.mean(axis=1),
                     np.abs(direct - spectral).max(axis=1)))
-    return EquivalenceReport(*np.concatenate(out, axis=1))
+    return tuple(np.concatenate(out, axis=1))
 
 
 # ---------------------------------------------------------------------------

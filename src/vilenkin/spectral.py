@@ -55,20 +55,24 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _cell_array(field: str, what: str):
+    """The __post_init__ that holds `field` as a frozen C-order complex128
+    copy of M_N entries and refuses any other count of `what`."""
+    def __post_init__(self) -> None:
+        vals = np.array(getattr(self, field), dtype=np.complex128, order="C").reshape(-1)
+        if vals.shape != (self.sys.cells,):
+            raise ValueError(f"expected {self.sys.cells} {what}, got {vals.shape[0]}")
+        object.__setattr__(self, field, _frozen(vals))
+    return __post_init__
+
+
 @dataclass(frozen=True, eq=False)
 class StepFunction:
     """A complex function constant on rank-N cells, stored by cell values."""
 
     sys: RadixSystem
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.complex128, order="C").reshape(-1)
-        if vals.shape != (self.sys.cells,):
-            raise ValueError(
-                f"expected {self.sys.cells} cell values, got {vals.shape[0]}"
-            )
-        object.__setattr__(self, "values", _frozen(vals))
+    __post_init__ = _cell_array("values", "cell values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +81,7 @@ class SpectralVector:
 
     sys: RadixSystem
     coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=np.complex128, order="C").reshape(-1)
-        if coeffs.shape != (self.sys.cells,):
-            raise ValueError(
-                f"expected {self.sys.cells} coefficients, got {coeffs.shape[0]}"
-            )
-        object.__setattr__(self, "coeffs", _frozen(coeffs))
+    __post_init__ = _cell_array("coeffs", "coefficients")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from vilenkin import (
     character_block,
     check_norm_equivalence,
     dirichlet_kernel,
-    expected_counterexample_coefficients,
     fejer_l1_norms,
     forward_fast,
     forward_naive,
@@ -42,6 +41,7 @@ from vilenkin.experiments import (
     run_variation_average,
     write_report,
 )
+from vilenkin.hardy import expected_counterexample_coefficients
 from conftest import table_rows
 
 BIG_SYSTEMS = (
@@ -201,8 +201,8 @@ def test_criterion_7_norm_equivalence():
     tol = 1e-9
     sys = build_radix_system([2], 10)
     corpus = random_step_corpus(sys, 100, sys.depth, 11)
-    rep = check_norm_equivalence(sys, np.vstack([f.values for f in corpus]))
-    worst = float(np.max(rep.max_pointwise_diff))
+    _, _, gaps = check_norm_equivalence(sys, np.vstack([f.values for f in corpus]))
+    worst = float(np.max(gaps))
     ok = worst <= tol
     report(7, ok, f"max pointwise gap {worst:.3e} <= {tol:.0e} on 100 random "
                   f"functions, ranks 1..10")

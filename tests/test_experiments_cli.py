@@ -307,6 +307,43 @@ def test_render_interchange_spells_floats_as_json_dumps():
         assert pair in text
 
 
+# int64 bit patterns whose float64 values share a text or sit at an edge:
+# +-0.0, the smallest and largest subnormals, +-inf, NaNs of either sign with
+# and without a payload, the int64 extremes (themselves NaNs as floats) and
+# 2^53 + 1, the first int64 that no float64 holds
+_EDGE_BITS = [0, -(2**63), 1, -(2**63) + 1, 2**52 - 1, -(2**63) + 2**52 - 1,
+              2**63 - 2**52, -(2**52), 2**63 - 2**51, -(2**51), 2**63 - 2**52 + 1,
+              2**63 - 1, -1, 2**53 + 1]
+
+
+@st.composite
+def _bit_columns(draw, count):
+    """count int64 columns of one length, each drawn from a few bit patterns
+    so that values repeat within a chunk."""
+    rows = draw(st.integers(0, 24))
+    bits = st.one_of(st.sampled_from(_EDGE_BITS), st.integers(-(2**63), 2**63 - 1))
+    return [np.array(draw(st.lists(st.sampled_from(draw(st.lists(bits, min_size=1, max_size=5))),
+                                   min_size=rows, max_size=rows)), dtype=np.int64)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, experiments_mod._CHUNK_ROWS])
+@settings(max_examples=40, deadline=None)
+@given(columns=_bit_columns(4), kinds=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_writers_match_their_oracles_on_any_bits(chunk, columns, kinds, dyadic6):
+    # each column is int64 or the float64 of its bits; the last two are also
+    # the real and imaginary parts of an interchange vector
+    data = tuple(col.view(np.float64) if is_float else col for col, is_float in zip(columns, kinds))
+    table = Table([f"c{i}" for i in range(4)], data)
+    report = ExperimentReport("demo", table, meta=report_meta(dyadic6, {}))
+    values = np.empty(columns[2].size, dtype=np.complex128)
+    values.real, values.imag = columns[2].view(np.float64), columns[3].view(np.float64)
+    with mock.patch.object(experiments_mod, "_CHUNK_ROWS", chunk):
+        assert "".join(render_csv(report)) == _render_csv_by_rows(report, table)
+        assert "".join(render_json(report)) == json.dumps(_json_payload(report), indent=2) + "\n"
+        assert "".join(render_interchange(dyadic6, values)) == _interchange_dumps(dyadic6, values)
+
+
 def test_table_rejects_other_columns():
     with pytest.raises(ValueError, match="int64 or float64"):
         Table(["x"], (np.zeros(3, dtype=np.complex128),))
@@ -706,13 +743,31 @@ def test_run_equiv_check_sized_by_its_ranks(monkeypatch):
         assert got.columns == want.columns
         for a, b in zip(got.data, want.data):
             np.testing.assert_array_equal(a, b)
-    # the guard counts one chunk of rows on the group of the highest rank
-    # present, G_min(rank, count)
+    # the guard counts the bases and the largest chunk of one rank's rows on
+    # its own G_r: here one row on G_3
     needs = {}
     monkeypatch.setattr(experiments_mod, "require_memory",
                         lambda what, need: needs.setdefault(what.split()[0], need))
     run_equiv_check(build_radix_system([2], 60), 3, 60, 1, 1e-9)
-    assert needs["equiv-check"] == 3 * 2**3 * experiments_mod._EQUIV_CHECK_CELL_BYTES
+    assert needs["equiv-check"] == (2 + 4 + 8) * 16 + 2**3 * experiments_mod._EQUIV_CHECK_CELL_BYTES
+
+
+@pytest.mark.parametrize("radix,depth,count", [(2, 10, 100), (3, 9, 50), (2, 16, 20)])
+def test_equiv_check_guard_bounds_its_traced_peak(monkeypatch, radix, depth, count):
+    # full-rank corpora: the guard is at least the tracemalloc peak of the
+    # run and at most three times it
+    run_equiv_check(build_radix_system([radix], 2), 2, 2, 1, 1e-9)  # one-time imports
+    sys_obj = build_radix_system([radix], depth)
+    needs = {}
+    monkeypatch.setattr(experiments_mod, "require_memory",
+                        lambda what, need: needs.setdefault(what.split()[0], need))
+    tracemalloc.start()
+    try:
+        run_equiv_check(sys_obj, count, depth, 1, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs["equiv-check"] <= 3 * peak
 
 
 # ---------------------------------------------------------------------------
@@ -1253,12 +1308,12 @@ def test_cli_equiv_check_nan_gap_exit_2(tmp_path, monkeypatch):
     target = random_step_corpus(build_radix_system([2], 4), 3, 4, 1)[1].values
 
     def one_nan(sys, values):
-        rep = real(sys, values)
-        gaps = rep.max_pointwise_diff.copy()
+        h1, sup, gaps = real(sys, values)
+        gaps = gaps.copy()
         for i, row in enumerate(values):
             if np.array_equal(row, target[: row.size]):
                 gaps[i] = math.nan
-        return type(rep)(rep.h1_norm, rep.sup_block_norm, gaps)
+        return h1, sup, gaps
 
     monkeypatch.setattr(experiments, "check_norm_equivalence", one_nan)
     out = tmp_path / "e.json"
