@@ -346,10 +346,11 @@ def random_step_corpus(
 # every base is full width); an item, one C-order copy of its broadcast
 # base: 16 per cell of G_N (2^16, 2^20, 3^11, (2,3,4)x3).  gat and
 # equiv-check take one chunk of rows of one rank q at a time (hardy.h1_pass).
-# gat counts one chunk on G_top, the group of the highest rank present, which
-# bounds a chunk of any G_q; equiv-check counts its bases and its largest
-# chunk, M_r x min(rows, _chunk_rows(G_r)) for a rank r present (1.13 to 1.36
-# times the peak on 2^10, 3^9 and 2^16 with 100, 50 and 20 full-rank
+# gat counts its bases and one chunk on G_top, the group of the highest rank
+# present, which bounds a chunk of any G_q (1.18 to 2.21 times the peak on
+# five corpora); equiv-check counts its bases and its largest chunk, M_r x
+# min(rows, _chunk_rows(G_r)) for a rank r present (1.13 to 1.36 times the
+# peak on 2^10, 3^9 and 2^16 with 100, 50 and 20 full-rank
 # functions).  Per cell of a gat chunk, with the corpus drawn beforehand:
 # 89.5 to 90.6 (16^1 with 2^16 and 2^17 rank-1 functions, 7^2 with 2^15 and
 # 2^16 functions of ranks 1 and 2), for the coefficients, f*,
@@ -559,10 +560,11 @@ def run_gat(
     # last endpoint (on a depth-1 system the only one, and the table is empty)
     ends = np.array(sys.products[2:], dtype=np.int64)
     ns = sys.products[min(2, sys.depth):]
-    # one chunk of the H1 pass and one scan block on G_top, and the table
+    # the bases, one chunk of the H1 pass and one scan block on G_top, the table
     require_memory(f"gat of {count} functions on M_N = {sys.cells}",
-                   top.cells * (min(count, _chunk_rows(top)) * _GAT_CELL_BYTES
-                                + _scan_block(top) * _BLOCK_ELEMENT_BYTES)
+                   sum(bases.nbytes for _, _, bases in groups)
+                   + top.cells * (min(count, _chunk_rows(top)) * _GAT_CELL_BYTES
+                                  + _scan_block(top) * _BLOCK_ELEMENT_BYTES)
                    + count * len(ns) * _GAT_ROW_BYTES)
     h1s, fejer_sup = np.empty(count), np.empty(count)
     convergence, bounded = np.empty((count, len(ns))), np.empty((count, len(ns)))

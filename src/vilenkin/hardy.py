@@ -1,19 +1,20 @@
 """Martingale maximal machinery, the H1 norm, and lacunary-block experiments.
 
 The maximal function of a step function is the sup over ranks of the
-absolute cylinder averages; its L1 norm is the martingale H1 norm.  For
-rank-N step functions the rank-n average coincides pointwise with the
-partial sum S_{M_n} f, which is what makes the norm equivalence checkable
-as an exact identity rather than a two-sided estimate.  The H1 routines
-take a stack of functions, one per row of an array.  They follow the rule
-of the scans: rows of M_q columns are functions on G_q, and past rank q
-every cylinder average and block sum S_{M_n} f is f itself, so f* and the
-spectral sup on G_N are tiles of those on G_q.  The H1 pass (h1_pass) reads
-G_q from the width of its rows and takes them in chunks, one numpy call per
-chunk.  The corpus drivers pass each rank-r function as its first M_r
-values; gat scans them on G_r, and log_average takes the frozen tail up to
-M_N in closed form.  Only h1_norm, which takes one full-width function,
-searches for its period.
+absolute cylinder averages; its L1 norm is the martingale H1 norm.  Each
+rank's averages are the averages of the rank above (the tower property), so
+f* takes O(M_N) work per row, not O(N M_N).  For rank-N step functions the
+rank-n average coincides pointwise with the partial sum S_{M_n} f, which
+makes the norm equivalence checkable as an exact identity rather than a
+two-sided estimate.  The H1 routines take a stack of functions, one per row
+of an array.  They follow the rule of the scans: rows of M_q columns are
+functions on G_q, and past rank q every cylinder average and block sum
+S_{M_n} f is f itself, so f* and the spectral sup on G_N are tiles of those
+on G_q.  The H1 pass (h1_pass) reads G_q from the width of its rows and
+takes them in chunks, one numpy call per chunk.  The corpus drivers pass
+each rank-r function as its first M_r values; gat scans them on G_r, and
+log_average takes the frozen tail up to M_N in closed form.  Only h1_norm,
+which takes one full-width function, searches for its period.
 
 The counterexample family lives here too: for increasing exponents a_k the
 function f = sum_k (D_{M_{a_k + 1}} - D_{M_{a_k}}) / sqrt(a_k) has block
@@ -49,16 +50,6 @@ from .spectral import (
 )
 
 
-def cylinder_averages(sys: RadixSystem, values: np.ndarray, rank: int) -> np.ndarray:
-    """The M_n means of each row of values over the rank-n cylinders: an
-    array (rows, M_n) whose rows are functions on G_n."""
-    if not 0 <= rank <= sys.depth:
-        raise ValueError(f"rank {rank} out of range [0, {sys.depth}]")
-    rows = _as_rows(values, sys.cells, "values")
-    width = sys.products[rank]
-    return rows.reshape(rows.shape[0], sys.cells // width, width).mean(axis=1)
-
-
 def _sup_of_levels(sys: RadixSystem, levels: list[np.ndarray]) -> np.ndarray:
     """sup_n levels[n] at every cell of every row, where levels[n] is an
     array (rows, M_n) of functions on G_n.
@@ -75,10 +66,15 @@ def _sup_of_levels(sys: RadixSystem, levels: list[np.ndarray]) -> np.ndarray:
 
 def maximal_function(sys: RadixSystem, values: np.ndarray) -> np.ndarray:
     """f*(x) = sup over ranks of |average of f over the cylinder at x|, for
-    each row f of values: an array (rows, M_N), one numpy call per rank."""
-    rows = _as_rows(values, sys.cells, "values")
-    sizes = [np.abs(cylinder_averages(sys, rows, rank)) for rank in range(sys.depth + 1)]
-    return _sup_of_levels(sys, sizes)
+    each row f of values: an array (rows, M_N).  The rank-n means are the
+    rank-(n+1) means averaged over the digit x_n, E_n f = E(E_{n+1} f | F_n):
+    one numpy mean per level, on M_{n+1} columns."""
+    level = _as_rows(values, sys.cells, "values")
+    sizes = [np.abs(level)]
+    for m, M in zip(sys.radices[::-1], sys.products[-2::-1]):
+        level = level.reshape(len(level), m, M).mean(axis=1)
+        sizes.append(np.abs(level))
+    return _sup_of_levels(sys, sizes[::-1])
 
 
 def h1_norm(f: StepFunction) -> float:

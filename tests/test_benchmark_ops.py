@@ -41,6 +41,10 @@ def test_strong_means_scan_counter_keeps_its_meaning(tmp_path):
     _, errors, _ = worker.run_pass(workload, {}, tracer)
     assert errors == {}
     assert tracer.layer_metrics()["spectral.cumulative_l1_norms.row_steps"] == 632
+    # BENCHMARK.json reads hardy.maximal_function.calls: one per chunk of an
+    # H1 pass and one per h1_norm, 4 + 3 + 10 over gat's four rank groups,
+    # divergence's three alphas and equiv-check's ten rank groups
+    assert tracer.layer_metrics()["hardy.maximal_function.calls"] == 17
 
 
 def test_bound_scan_counts_one_lebesgue_scan_per_op(tmp_path):

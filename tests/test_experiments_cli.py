@@ -715,16 +715,38 @@ def test_run_gat_deep_rows_match_a_shallow_run(monkeypatch):
         np.testing.assert_array_equal(a, b[keep])
     np.testing.assert_array_equal(shallow.extra_tables["fejer"].data[2],
                                   deep.extra_tables["fejer"].data[2])
-    # the guard counts one chunk and one scan block on G_4 and one table
-    # row per function and endpoint, none of them in M_N
+    # the guard counts the bases (13 x M_1 + 13 x M_2 + 12 x M_3 + 12 x M_4
+    # cells), one chunk and one scan block on G_4 and one table row per
+    # function and endpoint, none of them in M_N
     needs = {}
     monkeypatch.setattr(experiments_mod, "require_memory",
                         lambda what, need: needs.setdefault(what.split()[0], need))
     run_gat(build_radix_system([2], 60), 50, 4, 1)
     block = experiments_mod._scan_block(build_radix_system([2], 4))
-    assert needs["gat"] == (16 * (50 * experiments_mod._GAT_CELL_BYTES
-                                  + block * experiments_mod._BLOCK_ELEMENT_BYTES)
+    assert needs["gat"] == ((13 * 2 + 13 * 4 + 12 * 8 + 12 * 16) * 16
+                            + 16 * (50 * experiments_mod._GAT_CELL_BYTES
+                                    + block * experiments_mod._BLOCK_ELEMENT_BYTES)
                             + 50 * 59 * experiments_mod._GAT_ROW_BYTES)
+
+
+@pytest.mark.parametrize("radix,depth,count,max_rank", [
+    (3, 6, 50, 6), (16, 1, 32768, 1), (7, 2, 16384, 2), (2, 40, 20000, 2), (2, 9, 50, 9)])
+def test_gat_guard_bounds_its_traced_peak(monkeypatch, radix, depth, count, max_rank):
+    # the guard is at least the tracemalloc peak of the run and at most three
+    # times it.  The 2^10 x 50 corpus of ranks up to 4 is left out: its
+    # peak, about 0.25 MiB, is mostly fixed overhead, and the guard reads 5.4x it
+    run_gat(build_radix_system([radix], 2), 2, 2, 1)  # one-time imports
+    sys_obj = build_radix_system([radix], depth)
+    needs = {}
+    monkeypatch.setattr(experiments_mod, "require_memory",
+                        lambda what, need: needs.setdefault(what.split()[0], need))
+    tracemalloc.start()
+    try:
+        run_gat(sys_obj, count, max_rank, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs["gat"] <= 3 * peak
 
 
 def test_run_equiv_check_small(mixed2):

@@ -36,7 +36,7 @@ from vilenkin import (
 )
 from vilenkin import hardy, spectral
 from vilenkin.experiments import run_equiv_check
-from vilenkin.hardy import cylinder_averages, expected_counterexample_coefficients
+from vilenkin.hardy import expected_counterexample_coefficients
 from conftest import random_values, small_systems, strided_level_pass
 
 
@@ -55,16 +55,55 @@ def brute_maximal(f):
     return out
 
 
-def test_cylinder_averages_endpoints(mixed):
-    # the rank-n means are a function on G_n: M_n values per row
-    f = StepFunction(mixed, random_values(mixed, 60))
-    rank0 = cylinder_averages(mixed, f.values, 0)
-    np.testing.assert_allclose(rank0, [[f.values.mean()]], atol=1e-12)
-    np.testing.assert_allclose(cylinder_averages(mixed, f.values, mixed.depth), [f.values], atol=0)
-    for rank in range(mixed.depth + 1):
-        assert cylinder_averages(mixed, f.values, rank).shape == (1, mixed.products[rank])
-    with pytest.raises(ValueError):
-        cylinder_averages(mixed, f.values, mixed.depth + 1)
+def _rank_means(sys, values, rank):
+    """The rank-n means of each row of values, straight from the rows: an
+    array (rows, M_n) whose rows are functions on G_n."""
+    rows = np.atleast_2d(values)
+    width = sys.products[rank]
+    return rows.reshape(len(rows), sys.cells // width, width).mean(axis=1)
+
+
+def _tower_means(sys, values):
+    """The rank-n means of values (one function) for n = 0 .. N, each taken
+    from the rank above over its top digit, as maximal_function takes them."""
+    levels = [values]
+    for m, M in zip(sys.radices[::-1], sys.products[-2::-1]):
+        levels.append(levels[-1].reshape(m, M).mean(axis=0))
+    return levels[::-1]
+
+
+def _direct_maximal(sys, values):
+    """f* of each row from the rank means of the rows, one rank at a time."""
+    return hardy._sup_of_levels(
+        sys, [np.abs(_rank_means(sys, values, rank)) for rank in range(sys.depth + 1)])
+
+
+def _check_tower_against_direct(sys, values):
+    # the rank-n means are a function on G_n: M_n values; the rank-N means
+    # are f itself and the rank-0 mean is the mean of f
+    levels = _tower_means(sys, values[0])
+    assert [level.size for level in levels] == list(sys.products)
+    assert np.array_equal(levels[-1], values[0])
+    assert abs(levels[0][0] - values[0].mean()) <= 1e-15 * np.abs(values[0]).max()
+    # f* agrees cell by cell within 1e-15 of its largest value, and so does
+    # its L1 norm
+    got, want = maximal_function(sys, values), _direct_maximal(sys, values)
+    assert got.shape == want.shape == (len(values), sys.cells)
+    assert (got >= np.abs(values)).all()
+    assert (np.abs(got - want) <= 1e-15 * want.max(axis=1, keepdims=True)).all()
+    np.testing.assert_allclose(got.mean(axis=1), want.mean(axis=1), rtol=1e-15, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sys=small_systems, seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 3))
+def test_tower_means_match_the_direct_route(sys, seed, rows):
+    # E_n f = E(E_{n+1} f | F_n) changes the rounding of the means, not f*
+    values = np.vstack([random_values(sys, seed + i) for i in range(rows)])
+    _check_tower_against_direct(sys, values)
+
+
+def test_tower_means_match_the_direct_route_mixed2(mixed2):
+    _check_tower_against_direct(mixed2, random_values(mixed2, 60)[None, :])
 
 
 def test_maximal_function_brute_force(mixed):
@@ -73,13 +112,13 @@ def test_maximal_function_brute_force(mixed):
 
 
 def _tiled_maximal(f):
-    """f* by the tiled construction: every rank's means tiled out to M_N."""
+    """f* by the tiled construction: every rank's means, each from the rank
+    above, tiled out to M_N."""
     sys = f.sys
-    best = np.full(sys.cells, np.abs(f.values.mean()))
-    for rank in range(1, sys.depth + 1):
-        width = sys.products[rank]
-        means = f.values.reshape(-1, width).mean(axis=0)
-        np.maximum(best, np.abs(np.tile(means, sys.cells // width)), out=best)
+    levels = _tower_means(sys, f.values)
+    best = np.full(sys.cells, np.abs(levels[0][0]))
+    for means in levels[1:]:
+        np.maximum(best, np.abs(np.tile(means, sys.cells // means.size)), out=best)
     return best
 
 
@@ -124,7 +163,7 @@ def test_block_sums_equal_cylinder_averages(mixed):
     assert len(sums) == mixed.depth + 1
     for rank, s in enumerate(sums):
         np.testing.assert_allclose(
-            s, cylinder_averages(mixed, f.values, rank), atol=1e-10,
+            s, _rank_means(mixed, f.values, rank), atol=1e-10,
             err_msg=f"rank {rank}",
         )
 
@@ -136,6 +175,33 @@ def test_norm_equivalence_random(dyadic6, mixed2):
         assert gap[0] <= 1e-9
         assert gap[0] < 1e-10
         assert h1[0] == pytest.approx(sup[0], abs=1e-10)
+
+
+def _exact_maximal(sys, ints):
+    """f* of a function with integer values, one Fraction per cell, from the
+    Fraction rank means, the sup built from coarse to fine."""
+    best = [Fraction(0)]
+    for M in sys.products:
+        k = sys.cells // M
+        means = [abs(Fraction(sum(ints[t::M]), k)) for t in range(M)]
+        best = [max(mean, best[t % len(best)]) for t, mean in enumerate(means)]
+    return best
+
+
+@pytest.mark.parametrize("radix,depth", [(2, 8), (2, 10), (2, 12), (4, 5)])
+def test_h1_pass_is_exact_on_integer_input(radix, depth):
+    # on real integer f in [-9, 9] every mean is an integer over a power of
+    # two that fits in 53 bits, so both routes to f* and the H1 norm are
+    # exact: the tolerance of this tier is 0
+    sys = build_radix_system([radix], depth)
+    ints = np.random.default_rng(depth).integers(-9, 10, size=(5, sys.cells))
+    values = ints.astype(np.float64)
+    star = maximal_function(sys, values)
+    assert np.array_equal(star, _direct_maximal(sys, values))
+    for row, f in zip(star, ints.tolist()):
+        exact = _exact_maximal(sys, f)
+        assert row.tolist() == [float(v) for v in exact]
+        assert Fraction(h1_norm(StepFunction(sys, f))) == sum(exact) / sys.cells
 
 
 # One function at a time, on the quotient group G_q it lives on, as the H1
@@ -165,11 +231,10 @@ def _one_maximal(f):
     """f* on the G_q of f."""
     g = _on_own_quotient(f)
     sys = g.sys
-    best = np.array([np.abs(g.values.mean())])
-    for rank, m, M in zip(range(1, sys.depth + 1), sys.radices, sys.products):
-        width = sys.products[rank]
-        level = np.abs(g.values.reshape(sys.cells // width, width).mean(axis=0))
-        best = np.maximum(level.reshape(m, M), best).reshape(-1)
+    levels = _tower_means(sys, g.values)
+    best = np.abs(levels[0])
+    for level, m, M in zip(levels[1:], sys.radices, sys.products):
+        best = np.maximum(np.abs(level).reshape(m, M), best).reshape(-1)
     return StepFunction(sys, best)
 
 
