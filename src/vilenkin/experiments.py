@@ -328,8 +328,9 @@ def random_step_corpus(
 # Per lebesgue-scan table row, through the CLI on 2^14 .. 2^18, 3^9, 5^6,
 # 7^5 and (2,3,4)x3: the columns, the closed-form scan and the kernel probes
 # (97 to 133 as CSV, 97 to 143 as JSON).  Per cell: one Dirichlet kernel
-# (32 to 47; a lebesgue-scan probe builds it on the group that holds n_hi),
-# a kernel report (49 to 67 on 2^14 .. 2^18, 3^9 and (2,3,4)x3,
+# (16 to 33: its copy to M_N, or at full width the two level buffers of its
+# synthesis; a lebesgue-scan probe builds it on the group that holds n_hi),
+# a kernel report (25 to 51 on 2^14 .. 2^18, 3^9, 5^6 and (2,3,4)x3,
 # as CSV and as JSON alike: the kernel sets the peak, not the render), a
 # divergence run (98 to 151 on 2^10 .. 2^20, 3^11, 7^6, (2,3,4)x3,
 # (2,3,4)x4 and (5,2,7)x3, 88 on 2^20 with (1,4,9,19): the function, its

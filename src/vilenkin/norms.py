@@ -156,15 +156,12 @@ def variation_values(sys: RadixSystem, ns: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError(f"indices outside [0, {sys.cells})")
     v = np.zeros(ns.shape, dtype=np.int64)
     v_star = np.zeros(ns.shape, dtype=np.int64)
-    prev = np.zeros(ns.shape, dtype=np.int64)
+    prev = np.zeros(ns.shape, dtype=np.int64)  # so j = 0 adds the leading delta_0 term
     for j in range(sys.depth):
         m = sys.radices[j]
         d = (ns // sys.products[j]) % m
         cur = (d != 0).astype(np.int64)
-        if j == 0:
-            v += cur  # the leading delta_0 term
-        else:
-            v += np.abs(cur - prev)
+        v += np.abs(cur - prev)
         v_star += np.where(d != 0, m - d - 1, 0)
         prev = cur
     v += prev  # final transition back to zero above the top digit

@@ -89,11 +89,9 @@ class SpectralVector:
 #
 # Cell number t = sum_j t_j M_j makes digit 0 the fastest-varying index, so
 # the C-order reshape of a length-M_N vector to (m_{N-1}, ..., m_0) carries
-# digit j on axis depth-1-j.  This is the only cell-to-digit map below.
-
-
-def _tensor_shape(sys: RadixSystem) -> tuple[int, ...]:
-    return sys.radices[::-1]
+# digit j on axis depth-1-j, and the first M_r cells are G_r.  The level
+# passes of the transform and the rows of character_block read the digits
+# through such reshapes; only the pointwise oracles decompose a cell number.
 
 
 def _level_holding(sys: RadixSystem, top: int) -> int:
@@ -201,13 +199,14 @@ def _level_pass(view: np.ndarray, *, inverse: bool) -> np.ndarray:
 def _transform(sys: RadixSystem, arr: np.ndarray, *, inverse: bool) -> np.ndarray:
     """Analysis (DFT / M_r) or, with inverse, synthesis of the digit tensor
     of G_r along the last axis of arr, one pass per level; its length M_r
-    sets r."""
-    width = arr.shape[-1]
+    sets r.  Each pass rebinds arr, so an input handed over as a temporary
+    is freed by the first pass and two level buffers are held at a time."""
+    shape, width = arr.shape, arr.shape[-1]
     r = sys.products.index(width)
-    out = arr.reshape(-1, width)
+    arr = arr.reshape(-1, width)
     for m in sys.radices[:r]:
-        out = _level_pass(out.reshape(len(out), width // m, m), inverse=inverse)
-    return out.reshape(arr.shape)
+        arr = _level_pass(arr.reshape(len(arr), width // m, m), inverse=inverse)
+    return arr.reshape(shape)
 
 
 def forward_naive(f: StepFunction) -> SpectralVector:
@@ -264,12 +263,12 @@ def inverse_transform(c: SpectralVector) -> StepFunction:
 
 
 def _head_synthesis(sys: RadixSystem, head: np.ndarray) -> StepFunction:
-    """sum_{k < len(head)} head[k] psi_k, synthesized on the smallest G_r that
-    holds those indices and tiled out to M_N."""
+    """sum_{k < len(head)} head[k] psi_k: the head, zero-padded on the
+    smallest G_r that holds those indices, is synthesized there as a
+    temporary of _transform (freed by its first pass) and tiled out to M_N."""
     width = sys.products[_level_holding(sys, head.size)]
-    masked = np.zeros(width, dtype=np.complex128)
-    masked[: head.size] = head
-    vals = _transform(sys, masked, inverse=True)
+    vals = _transform(sys, np.concatenate((head, np.zeros(width - head.size, np.complex128))),
+                      inverse=True)
     return StepFunction(sys, np.broadcast_to(vals, (sys.cells // width, width)))
 
 
@@ -308,40 +307,14 @@ def partial_sum(c: SpectralVector, n: int) -> StepFunction:
 
 
 def dirichlet_kernel(sys: RadixSystem, n: int) -> StepFunction:
-    """D_n = sum_{k < n} psi_k via the digit decomposition of n.
+    """D_n = sum_{k < n} psi_k, the synthesis of n unit coefficients.
 
-    Uses D_{M_j} = M_j on the cylinder I_j (zero elsewhere), the geometric
-    identity D_{s M_j} = D_{M_j} * sum_{u < s} r_j^u, and the splitting
-    D_n = D_{s M_h} + r_h^s D_{n - s M_h} at the top digit position h.
-    Cost O(N * M_N); the literal character sum serves as its test oracle.
+    On radices 2 and 4 its butterflies keep D_n an exact integer; the
+    literal character sum serves as its test oracle.
     """
     if not 0 <= n <= sys.cells:
         raise ValueError(f"kernel index {n} out of range [0, {sys.cells}]")
-    cells = sys.cells
-    vals = np.zeros(cells, dtype=np.complex128)
-    if n == cells:
-        vals[0] = cells
-        return StepFunction(sys, vals)
-    tensor = vals.reshape(_tensor_shape(sys))
-    digits = decompose(sys, n)
-    mult = np.ones((1,) * sys.depth, dtype=np.complex128)
-    for j in range(sys.depth - 1, -1, -1):
-        d = digits[j]
-        if d == 0:
-            continue
-        m = sys.radices[j]
-        table = _root_table(m)
-        x_j = np.arange(m)
-        # geometric factor sum_{u < d} r_j^u on the m values of x_j
-        geom = np.zeros(m, dtype=np.complex128)
-        for u in range(d):
-            geom += table[(u * x_j) % m]
-        # I_j: the cells whose digits below j vanish
-        cylinder = (Ellipsis,) + (0,) * j
-        tensor[cylinder] += sys.products[j] * mult[cylinder] * geom
-        # times r_j^d, which varies along digit axis depth-1-j only
-        mult = mult * table[(d * x_j) % m].reshape(-1, *(1,) * j)
-    return StepFunction(sys, vals)
+    return _head_synthesis(sys, np.broadcast_to(np.complex128(1), n))
 
 
 def fejer_mean(c: SpectralVector, n: int) -> StepFunction:

@@ -792,6 +792,45 @@ def test_equiv_check_guard_bounds_its_traced_peak(monkeypatch, radix, depth, cou
     assert peak <= needs["equiv-check"] <= 3 * peak
 
 
+def _reported_guard_and_peak(monkeypatch, out, sys_obj, run):
+    """The guard that run(sys_obj) asks for and the tracemalloc peak of the
+    run plus the writer of its report to out, after a warm-up run on 3^2:
+    the first numpy.fft call imports modules that tracemalloc would count."""
+    fmt = out.suffix[1:]
+    write_report(run(build_radix_system([3], 2)), str(out), fmt)
+    needs = []
+    monkeypatch.setattr(experiments_mod, "require_memory", lambda what, need: needs.append(need))
+    tracemalloc.start()
+    try:
+        write_report(run(sys_obj), str(out), fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return needs[-1], peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("radices,depth,n", [
+    ([2], 16, 65535), ([2], 16, 43691), ([2], 16, 37), ([3], 9, 19682), ([3], 9, 7000),
+    ([2, 3, 4], 9, 13823), ([5], 6, 12345)])
+def test_kernel_guard_bounds_its_traced_peak(monkeypatch, tmp_path, fmt, radices, depth, n):
+    # measured 1.89 to 3.27 times the peak
+    need, peak = _reported_guard_and_peak(
+        monkeypatch, tmp_path / f"kernel.{fmt}", build_radix_system(radices, depth),
+        lambda sys_obj: run_kernel(sys_obj, min(n, sys_obj.cells), 1e-9))
+    assert peak <= need <= 3.5 * peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("radices,depth", [([2], 14), ([3], 9), ([2, 3, 4], 9), ([7], 5)])
+def test_lebesgue_scan_guard_bounds_its_traced_peak(monkeypatch, tmp_path, fmt, radices, depth):
+    # the full range; measured 1.57 to 1.99 times the peak
+    need, peak = _reported_guard_and_peak(
+        monkeypatch, tmp_path / f"scan.{fmt}", build_radix_system(radices, depth),
+        lambda sys_obj: run_lebesgue_scan(sys_obj, 1, sys_obj.cells - 1, 1e-9))
+    assert peak <= need <= 3 * peak
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -802,6 +841,9 @@ def test_cli_usage_errors_exit_1():
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["gat", "--config"])
     assert exc.value.code == 1
 
 
@@ -847,6 +889,8 @@ def test_cli_usage_errors_exit_1():
     ["transform", "--in", "BOOL_VALUES"],
     # an integer value too large for a float
     ["transform", "--in", "HUGE_VALUES"],
+    # a file that is not JSON at all
+    ["transform", "--in", "BAD_JSON"],
     # one level of 2^20 digits: the L_n tables alone would take 32 TiB
     ["lebesgue-scan", "--radix", "1048576^1"],
     ["kernel", "--radix", "1048576^1", "--n", "1048575"],
@@ -855,7 +899,7 @@ def test_cli_usage_errors_exit_1():
 def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     files = {"IN": tmp_path / "f.json", "NAN_CFG": tmp_path / "nan.cfg",
              "NULL_RADICES": tmp_path / "null.json", "BOOL_VALUES": tmp_path / "bool.json",
-             "HUGE_VALUES": tmp_path / "huge.json"}
+             "HUGE_VALUES": tmp_path / "huge.json", "BAD_JSON": tmp_path / "bad.json"}
     files["IN"].write_text("".join(render_interchange(build_radix_system([2], 6), np.ones(64))))
     data = json.loads(files["IN"].read_text())
     files["NULL_RADICES"].write_text(json.dumps({**data, "radices": None}))
@@ -863,6 +907,7 @@ def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
                                                 "values": [[True, False]] * 4}))
     files["HUGE_VALUES"].write_text(json.dumps({"radices": [2, 2], "depth": 2,
                                                 "values": [[10**400, 0]] + [[0, 0]] * 3}))
+    files["BAD_JSON"].write_text('{"radices": [2, 2], "depth": 2, "values": [')
     files["NAN_CFG"].write_text("tolerance=nan\n")
     argv = [str(files.get(arg, arg)) for arg in argv]
     # a --radix in the case comes later on the line, so it wins over 2^6
@@ -879,6 +924,8 @@ def test_cli_bad_values_exit_1(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert "L_n" not in err
     assert peak < 2**20
+    if str(files["BAD_JSON"]) in argv:
+        assert f"vilenkin: error: parse error in {files['BAD_JSON']}: " in err
 
 
 @pytest.mark.parametrize("argv", [

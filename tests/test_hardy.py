@@ -514,13 +514,18 @@ def test_decomposition_all_in_block_indices(dyadic6):
     assert np.abs(tail.values).max() == 0.0
 
 
-def test_decomposition_rejects_gap_index(dyadic10):
+def test_decomposition_rejects_gap_index(dyadic10, dyadic6):
     spec = CounterexampleSpec(dyadic10, (1, 3))
     c = forward_fast(build_counterexample(spec))
     with pytest.raises(ValueError):
         partial_sum_decomposition(spec, c, 5)  # between the two blocks
     with pytest.raises(ValueError):
         verify_decomposition_norm(spec, 2)  # at the block start
+    with pytest.raises(ValueError, match="index 5 lies in no coefficient block"):
+        verify_decomposition_norm(spec, 5)
+    other = forward_fast(StepFunction(dyadic6, np.ones(dyadic6.cells)))
+    with pytest.raises(ValueError, match="system mismatch"):
+        partial_sum_decomposition(spec, other, 3)
 
 
 def test_decomposition_norm_is_weighted_lebesgue(dyadic10):

@@ -61,6 +61,9 @@ def test_lebesgue_depth_invariance(dyadic6, dyadic10, mixed, mixed2):
 def test_lebesgue_rejects_zero(mixed):
     with pytest.raises(ValueError):
         lebesgue_constant(mixed, 0)
+    for lo, hi in ((0, 3), (5, 4), (1, mixed.cells + 1)):
+        with pytest.raises(ValueError, match=rf"scan range \[{lo}, {hi}\] outside \[1, 24\]"):
+            lebesgue_scan(mixed, lo, hi)
 
 
 def test_lebesgue_scan_matches_single(mixed):

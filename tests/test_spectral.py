@@ -334,6 +334,18 @@ def test_kernel_range_check(mixed):
         dirichlet_kernel(mixed, mixed.cells + 1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda sys: character_block(sys, -1, 2), r"character range \[-1, 2\) outside \[0, 24\]"),
+    (lambda sys: character_block(sys, 3, 2), r"character range \[3, 2\) outside \[0, 24\]"),
+    (lambda sys: character_block(sys, 0, 25), r"character range \[0, 25\) outside \[0, 24\]"),
+    (lambda sys: fejer_l1_norms(sys, np.ones(24), 0), r"scan bound 0 out of range \[1, 24\]"),
+    (lambda sys: fejer_l1_norms(sys, np.ones(24), 25), r"scan bound 25 out of range \[1, 24\]"),
+])
+def test_ranges_are_refused_by_name(mixed, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(mixed)
+
+
 # ---------------------------------------------------------------------------
 # Fejer means
 
@@ -708,6 +720,26 @@ def test_step_function_copies_a_broadcast_view_once():
         data = made.coeffs if isinstance(made, SpectralVector) else made.values
         assert data.flags.c_contiguous and not data.flags.writeable
         assert peak <= 17 * sys.cells
+
+
+@pytest.mark.parametrize("radices,depth", [([2], 16), ([3], 9)])
+def test_full_width_synthesis_holds_two_level_buffers(radices, depth):
+    # the zero-padded head is freed by the first level pass, so a synthesis
+    # on all of G_N holds two level buffers, 32 bytes per cell, and never the
+    # head beside them (48)
+    sys = build_radix_system(radices, depth)
+    cells = sys.cells
+    c = SpectralVector(sys, random_values(sys, 82))
+    dirichlet_kernel(sys, 5)  # the first numpy.fft call imports modules
+    for make in (lambda: partial_sum(c, cells), lambda: dirichlet_kernel(sys, cells - 1),
+                 lambda: dirichlet_kernel(sys, cells // 2 + 1)):
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * cells
 
 
 # ---------------------------------------------------------------------------
